@@ -16,10 +16,12 @@ from greenheight import (
 )
 from greenheight import _accel
 from greenheight.constructions import (
+    bi_ideal_family,
     brandt_example,
     full_transformation_monoid,
     left_zero_semigroup,
     null_semigroup,
+    right_ideal_tower,
     symmetric_inverse_monoid,
     trivial_semigroup,
 )
@@ -97,27 +99,50 @@ def test_poset_strict_order_properties():
                             assert strict[i][k]
 
 
+def assert_covers_are_transitive_reduction(poset):
+    strict = strict_of(poset)
+    n = len(poset.classes)
+    # covers[i] lists the classes i covers, i.e. immediately below i
+    for i in range(n):
+        for j in poset.covers[i]:
+            assert strict[j][i]
+            assert not any(strict[j][k] and strict[k][i] for k in range(n))
+    # completeness: every strictly-below pair is reachable through covers
+    for i in range(n):
+        reach = set()
+        stack = list(poset.covers[i])
+        while stack:
+            j = stack.pop()
+            if j not in reach:
+                reach.add(j)
+                stack.extend(poset.covers[j])
+        assert reach == {j for j in range(n) if strict[j][i]}
+
+
 def test_covers_are_transitive_reduction():
     for t in _accel.sample_assoc_tables(4, 25, seed=9):
-        s = make(t)
-        poset = class_poset(s, "R")
-        strict = strict_of(poset)
-        n = len(poset.classes)
-        # covers[i] lists the classes i covers, i.e. immediately below i
-        for i in range(n):
-            for j in poset.covers[i]:
-                assert strict[j][i]
-                assert not any(strict[j][k] and strict[k][i] for k in range(n))
-        # completeness: every strictly-below pair is reachable through covers
-        for i in range(n):
-            reach = set()
-            stack = list(poset.covers[i])
-            while stack:
-                j = stack.pop()
-                if j not in reach:
-                    reach.add(j)
-                    stack.extend(poset.covers[j])
-            assert reach == {j for j in range(n) if strict[j][i]}
+        assert_covers_are_transitive_reduction(class_poset(make(t), "R"))
+
+
+# (classes, height) per relation, pinned from the frozenset-key
+# implementation that the reachability matrices replaced
+PINNED_POSETS = [
+    (lambda: right_ideal_tower(5).semigroup,
+     {"R": (31, 5), "L": (31, 5), "J": (5, 5), "H": (341, 5)}),
+    (lambda: full_transformation_monoid(4),
+     {"R": (15, 4), "L": (15, 4), "J": (4, 4), "H": (71, 4)}),
+    (lambda: bi_ideal_family(16).semigroup,
+     {"R": (61, 16), "L": (91, 31), "J": (31, 31), "H": (181, 16)}),
+]
+
+
+@pytest.mark.parametrize("build,want", PINNED_POSETS, ids=["tower5", "T4", "bi16"])
+def test_pinned_class_counts_heights_and_covers(build, want):
+    s = build()
+    for rel in RELATIONS:
+        poset = class_poset(s, rel)
+        assert (len(poset.classes), poset.height) == want[rel], rel
+        assert_covers_are_transitive_reduction(poset)
 
 
 def test_minimal_maximal_and_class_index():
