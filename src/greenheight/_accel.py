@@ -274,6 +274,17 @@ def enumerate_assoc_tables(m: int):
     return enumerate_assoc_tables_numpy(m)
 
 
+def _check_sample_args(m, count, node_budget):
+    if m < 1:
+        raise ValueError("order must be at least 1")
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    # every attempt stops after node_budget placements and a table takes
+    # m*m of them, so a smaller budget would restart forever
+    if node_budget < m * m:
+        raise ValueError(f"node_budget must be at least m*m = {m * m}, got {node_budget}")
+
+
 def sample_assoc_tables(m: int, count: int, seed: int = 0, node_budget: int = 200_000):
     """Draw associative m-by-m tables by seeded backtracking fill.
 
@@ -281,10 +292,7 @@ def sample_assoc_tables(m: int, count: int, seed: int = 0, node_budget: int = 20
     the output depends only on (m, count, seed, node_budget), never on
     which execution mode runs.
     """
-    if m < 1:
-        raise ValueError("order must be at least 1")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    _check_sample_args(m, count, node_budget)
     if numba_kernels is not None:
         return numba_kernels.sample_many(m, count, seed, node_budget)
     with np.errstate(over="ignore"):
@@ -292,6 +300,7 @@ def sample_assoc_tables(m: int, count: int, seed: int = 0, node_budget: int = 20
 
 
 def sample_assoc_tables_python(m, count, seed=0, node_budget=200_000):
+    _check_sample_args(m, count, node_budget)
     with np.errstate(over="ignore"):
         return python_kernels.sample_many(m, count, seed, node_budget)
 
@@ -299,4 +308,5 @@ def sample_assoc_tables_python(m, count, seed=0, node_budget=200_000):
 def sample_assoc_tables_numba(m, count, seed=0, node_budget=200_000):
     if numba_kernels is None:
         raise RuntimeError("numba path is disabled")
+    _check_sample_args(m, count, node_budget)
     return numba_kernels.sample_many(m, count, seed, node_budget)

@@ -3,8 +3,9 @@ check bounds, run the verification suites, and search the open question.
 
 Output is line-oriented `key: value` facts in decimal. Exit codes: 0 for
 success / all-pass, 1 for a negative or failing result, 2 for usage and
-input errors. Every command is deterministic for fixed (input, flags,
-seed); the one exception is the elapsed_ms line of `verify`.
+input errors, 3 for an internal error (an engine invariant failed). Every
+command is deterministic for fixed (input, flags, seed); the one exception
+is the elapsed_ms line of `verify`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from . import _accel, constructions, core, green, ideals, rewriting
 from .errors import (
     CapExceeded,
+    EngineBug,
     NotAssociative,
     NotConfluent,
     ParseError,
@@ -697,6 +699,9 @@ def main(argv=None) -> int:
         msg = e.args[0] if isinstance(e, KeyError) and e.args else e
         print(f"error: {msg}", file=sys.stderr)
         return 2
+    except EngineBug as e:
+        print(f"error: internal: {e}", file=sys.stderr)
+        return 3
 
 
 def entry():

@@ -2,54 +2,68 @@
 posets with heights, kernel and minimal right ideals, regular elements,
 local right identities, and inverse-semigroup classification.
 
-The preorders follow the S^1 convention without materializing an identity:
-a <=_R b iff a = b or a in bS, and the R-key of b is {b} | bS, so both the
-membership test and the subset test decide the same preorder.
+Each preorder is one m-by-m boolean "below" matrix, with below[b, a] true
+when a <= b. The S^1 convention is kept without materializing an identity:
+a <=_R b iff a = b or a in bS, so the R matrix is the identity plus one
+scatter of the table's rows, and L the same from its columns. a <=_J b iff
+a <=_L c <=_R b for some c, so J is the boolean product R.L; H is R and L.
+Classes are the mutually reachable elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
 from . import core
+from .errors import EngineBug
 
 RELATIONS = ("R", "L", "J", "H")
 
 
-def _principal_keys(s: core.FiniteSemigroup, relation: str):
-    """keys[a] = the principal set S^1-style key of a; H gets an (R, L) pair."""
+def _boolean_product(x, y):
+    return (x.astype(np.float32) @ y) > 0
+
+
+def _below(s: core.FiniteSemigroup, relation: str):
+    """below[b, a] is true when a <= b in the relation's preorder."""
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
-    cached = s._cache.get(("keys", relation))
+    cached = s._cache.get(("below", relation))
     if cached is not None:
         return cached
     t = s.table
     m = s.order
-    if relation == "R":
-        keys = [frozenset({a, *t[a].tolist()}) for a in range(m)]
-    elif relation == "L":
-        keys = [frozenset({a, *t[:, a].tolist()}) for a in range(m)]
+    if relation in ("R", "L"):
+        below = np.eye(m, dtype=bool)
+        idx = np.arange(m)
+        if relation == "R":
+            below[idx[:, None], t] = True  # below[b, b*x]
+        else:
+            below[idx, t] = True  # below[b, x*b]
     elif relation == "J":
-        keys = []
-        for a in range(m):
-            sas = t[t[:, a], :]
-            keys.append(
-                frozenset({a, *t[a].tolist(), *t[:, a].tolist(), *sas.ravel().tolist()})
-            )
+        below = _boolean_product(_below(s, "R"), _below(s, "L"))
     else:  # H
-        rk = _principal_keys(s, "R")
-        lk = _principal_keys(s, "L")
-        keys = [(rk[a], lk[a]) for a in range(m)]
-    s._cache[("keys", relation)] = keys
-    return keys
+        below = _below(s, "R") & _below(s, "L")
+    below.setflags(write=False)
+    s._cache[("below", relation)] = below
+    return below
 
 
-def _key_leq(keys, a: int, b: int, relation: str) -> bool:
-    if relation == "H":
-        return a in keys[b][0] and a in keys[b][1]
-    return a in keys[b]
+def _longest_chains(below, ids=None):
+    """below[i][j] is true when j < i in a strict order. lengths[i] counts
+    the members of ids (default: all) on a longest chain of members with
+    top i, and is 0 outside ids. Members are visited by the number of
+    elements below them, a linear extension: j < i puts j, and everything
+    below j, below i."""
+    counts = [sum(row) for row in below]
+    lengths = [0] * len(below)
+    for i in sorted(range(len(below)) if ids is None else ids, key=counts.__getitem__):
+        lengths[i] = 1 + max(compress(lengths, below[i]), default=0)
+    return lengths
 
 
 def leq(s: core.FiniteSemigroup, a: int, b: int, relation: str = "R") -> bool:
@@ -57,38 +71,46 @@ def leq(s: core.FiniteSemigroup, a: int, b: int, relation: str = "R") -> bool:
     a, b = int(a), int(b)
     if not (0 <= a < s.order and 0 <= b < s.order):
         raise ValueError("element index out of range")
-    return _key_leq(_principal_keys(s, relation), a, b, relation)
+    return bool(_below(s, relation)[b, a])
 
 
 class ClassPoset:
     """Partition into Green's classes plus the induced partial order.
 
-    classes are ordered by smallest member; covers[i] lists the classes
-    immediately below class i; height counts classes on a longest chain.
+    classes are ordered by smallest member; strict[i, j] (read-only) is
+    true when class i is strictly below class j; covers[i] lists the
+    classes immediately below class i; height counts classes on a longest
+    chain.
     """
 
-    def __init__(self, semigroup, relation, classes, class_of, strict, height, covers, size_order):
+    def __init__(self, semigroup, relation, classes, class_of, strict):
         self.semigroup = semigroup
         self.relation = relation
         self.classes = classes
         self.class_of = class_of
-        self.height = height
-        self.covers = covers
-        self._strict = strict
-        self._size_order = size_order
+        self.strict = strict
+        self._below_rows = strict.T.tolist()
+        self.height = max(_longest_chains(self._below_rows))
 
     def class_index(self, a: int) -> int:
         return int(self.class_of[int(a)])
 
     def leq_classes(self, i: int, j: int) -> bool:
         """Is class i below-or-equal class j?"""
-        return i == j or bool(self._strict[i, j])
+        return i == j or bool(self.strict[i, j])
 
     def minimal_classes(self):
-        return tuple(i for i in range(len(self.classes)) if not self._strict[:, i].any())
+        return tuple(np.flatnonzero(~self.strict.any(axis=0)).tolist())
 
     def maximal_classes(self):
-        return tuple(i for i in range(len(self.classes)) if not self._strict[i, :].any())
+        return tuple(np.flatnonzero(~self.strict.any(axis=1)).tolist())
+
+    @cached_property
+    def covers(self):
+        strict = self.strict
+        cover = strict & ~_boolean_product(strict, strict)
+        ids = range(len(strict))
+        return tuple(tuple(compress(ids, col)) for col in cover.T.tolist())
 
     def longest_chain(self, class_ids=None) -> int:
         """Longest chain (in classes) within the induced subposet."""
@@ -97,13 +119,11 @@ class ClassPoset:
         sel = set(int(i) for i in class_ids)
         if not sel:
             return 0
-        best = {}
-        for i in self._size_order:
-            if i not in sel:
-                continue
-            below = [j for j in np.nonzero(self._strict[:, i])[0].tolist() if j in best]
-            best[i] = 1 + max((best[j] for j in below), default=0)
-        return max(best.values())
+        return max(_longest_chains(self._below_rows, sel))
+
+    def chains_above(self):
+        """lengths[i] = classes on a longest chain whose bottom is class i."""
+        return _longest_chains(self.strict.tolist())
 
     def to_dot(self) -> str:
         """Hasse diagram, one node per class, edges larger -> smaller."""
@@ -130,44 +150,23 @@ def class_poset(s: core.FiniteSemigroup, relation: str = "R") -> ClassPoset:
     cached = s._cache.get(("poset", relation))
     if cached is not None:
         return cached
-    keys = _principal_keys(s, relation)
-    m = s.order
-    by_key = {}
-    for a in range(m):
-        by_key.setdefault(keys[a], []).append(a)
-    classes = tuple(sorted((tuple(c) for c in by_key.values()), key=lambda c: c[0]))
-    n = len(classes)
-    class_of = np.empty(m, dtype=np.int32)
-    for i, cls in enumerate(classes):
-        for a in cls:
-            class_of[a] = i
-    reps = [cls[0] for cls in classes]
-    strict = np.zeros((n, n), dtype=bool)
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            if i != j and _key_leq(keys, a, b, relation):
-                strict[i, j] = True
+    below = _below(s, relation)
+    # each element's smallest equivalent; a class first appears at that member
+    smallest = (below & below.T).argmax(axis=1).tolist()
+    groups = {}
+    for a, r in enumerate(smallest):
+        groups.setdefault(r, []).append(a)
+    reps = list(groups)
+    number = {r: i for i, r in enumerate(reps)}
+    class_of = np.array([number[r] for r in smallest], dtype=np.int32)
+    rep_idx = np.array(reps)
+    strict = below[rep_idx[:, None], rep_idx].T
+    strict.flat[:: len(reps) + 1] = False
     if (strict & strict.T).any():
-        raise RuntimeError("class order is not antisymmetric: engine bug")
-
-    def key_size(i):
-        k = keys[reps[i]]
-        return len(k[0]) + len(k[1]) if relation == "H" else len(k)
-
-    size_order = sorted(range(n), key=key_size)
-    heights = np.ones(n, dtype=np.int64)
-    for i in size_order:
-        below = np.nonzero(strict[:, i])[0]
-        if below.size:
-            heights[i] = 1 + heights[below].max()
-    covers = []
-    for i in range(n):
-        below = np.nonzero(strict[:, i])[0].tolist()
-        cov = [j for j in below if not any(strict[j, k] for k in below if k != j)]
-        covers.append(tuple(sorted(cov)))
-    poset = ClassPoset(
-        s, relation, classes, class_of, strict, int(heights.max()), tuple(covers), size_order
-    )
+        raise EngineBug("class order is not antisymmetric: engine bug")
+    strict.setflags(write=False)
+    classes = tuple(tuple(g) for g in groups.values())
+    poset = ClassPoset(s, relation, classes, class_of, strict)
     s._cache[("poset", relation)] = poset
     return poset
 
@@ -188,7 +187,7 @@ def kernel(s: core.FiniteSemigroup) -> KernelInfo:
     """The unique minimal two-sided ideal, with its minimal right ideals.
 
     Every claim is re-verified on the table (ideal closure, right-ideal
-    closure, kernel coverage); failures raise RuntimeError since they are
+    closure, kernel coverage); failures raise EngineBug since they are
     impossible for an associative table and would indicate an engine bug.
     """
     cached = s._cache.get("kernel")
@@ -197,19 +196,19 @@ def kernel(s: core.FiniteSemigroup) -> KernelInfo:
     jp = class_poset(s, "J")
     bottoms = jp.minimal_classes()
     if len(bottoms) != 1:
-        raise RuntimeError("finite semigroup without a unique minimal J-class")
+        raise EngineBug("finite semigroup without a unique minimal J-class")
     members = frozenset(jp.classes[bottoms[0]])
     if core.closure_violation(s, members, "two_sided_ideal") is not None:
-        raise RuntimeError("minimal J-class is not a two-sided ideal")
+        raise EngineBug("minimal J-class is not a two-sided ideal")
     rp = class_poset(s, "R")
     mins = []
     for i in rp.minimal_classes():
         cls = frozenset(rp.classes[i])
         if core.closure_violation(s, cls, "right_ideal") is not None:
-            raise RuntimeError("minimal R-class is not a right ideal")
+            raise EngineBug("minimal R-class is not a right ideal")
         mins.append(cls)
     if frozenset().union(*mins) != members:
-        raise RuntimeError("minimal right ideals do not cover the kernel")
+        raise EngineBug("minimal right ideals do not cover the kernel")
     sub = core.restrict_to_subsemigroup(core.SubsetHandle(s, members, "two_sided_ideal"))
     simple = len(class_poset(sub, "J").classes) == 1
     cs = simple and height(sub, "R") == 1 and height(sub, "L") == 1
@@ -270,12 +269,8 @@ def inverse_structure(s: core.FiniteSemigroup) -> InverseStructure:
                 inverses += 1
         if inverses != 1:
             return InverseStructure("regular_not_inverse")
-    es = idempotents(s)
-    below = {
-        e: [f for f in es if f != e and int(t[e, f]) == f and int(t[f, e]) == f]
-        for e in es
-    }
-    heights = {}
-    for e in sorted(es, key=lambda e: len(below[e])):
-        heights[e] = 1 + max((heights[f] for f in below[e]), default=0)
-    return InverseStructure("inverse", max(heights.values()))
+    es = np.array(idempotents(s))
+    e, f = es[:, None], es[None, :]
+    below = (t[e, f] == f) & (t[f, e] == f)  # below[i, j]: es[j] <= es[i]
+    np.fill_diagonal(below, False)
+    return InverseStructure("inverse", max(_longest_chains(below.tolist())))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, green
-from .errors import PreconditionViolated
+from .errors import EngineBug, PreconditionViolated
 
 IDEAL_KINDS = ("bi_ideal", "right_ideal", "left_ideal", "two_sided_ideal")
 _INTERSECT_KINDS = ("bi_ideal", "left_ideal", "subsemigroup")
@@ -194,15 +194,10 @@ def chain_into_kernel(s: core.FiniteSemigroup, handle: core.SubsetHandle, k: int
         )
     kern = green.kernel(s).members
     parent_of = sub.parent_map
-    strict = poset._strict
+    strict = poset.strict
     cls_of = poset.class_of
-    nc = len(poset.classes)
     # longest strict chain upward from each class, for pruning
-    up = np.ones(nc, dtype=np.int64)
-    for i in reversed(poset._size_order):
-        above = np.nonzero(strict[i, :])[0]
-        if above.size:
-            up[i] = 1 + up[above].max()
+    up = poset.chains_above()
 
     order = range(len(sub))
 
@@ -226,5 +221,5 @@ def chain_into_kernel(s: core.FiniteSemigroup, handle: core.SubsetHandle, k: int
 
     found = dfs([], -1)
     if found is None:
-        raise RuntimeError("no kernel-rooted chain found despite sufficient height")
+        raise EngineBug("no kernel-rooted chain found despite sufficient height")
     return [parent_of[e] for e in found]

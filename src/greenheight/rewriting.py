@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .errors import CapExceeded, NotConfluent, ParseError
+from .errors import CapExceeded, EngineBug, NotConfluent, ParseError
 
 DEFAULT_CAP = 10_000
 
@@ -285,7 +285,7 @@ def semigroup_from_presentation(rs, cap: int = DEFAULT_CAP) -> core.FiniteSemigr
                 w = reduce_word(rs, u + v)
             k = index.get(w)
             if k is None:
-                raise RuntimeError(
+                raise EngineBug(
                     f"product {rs.display(u)}*{rs.display(v)} reduced to a word"
                     " outside the enumerated normal forms"
                 )

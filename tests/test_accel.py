@@ -1,5 +1,6 @@
 """Table enumeration, sampling, and the jit/pure path parity contract."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -86,6 +87,28 @@ def test_sampler_tables_are_associative_and_deterministic():
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
     for t in a:
         assert oracles.check_associative(t.tolist())
+
+
+def test_sampler_output_is_pinned():
+    # digests of the samples drawn before the node budget was validated
+    ts = _accel.sample_assoc_tables(4, 20, seed=3)
+    assert ts.dtype == np.int32 and ts.shape == (20, 4, 4)
+    assert hashlib.sha256(ts.tobytes()).hexdigest() == (
+        "f2c75c48063a8e7d697513f3e8c93fb07a3849058604213e05e03029bd2eee0e"
+    )
+    ts = _accel.sample_assoc_tables(2, 5, seed=3, node_budget=4)
+    assert hashlib.sha256(ts.tobytes()).hexdigest() == (
+        "5a09ed9f13ea2cbba23195c277464b78b877188ad881ea5a45428e2abcc315f6"
+    )
+
+
+def test_sampler_rejects_budget_below_table_size():
+    # a table takes m*m placements; these budgets used to restart forever
+    for m, budget in ((1, 0), (2, 3), (4, 15)):
+        with pytest.raises(ValueError, match="node_budget"):
+            _accel.sample_assoc_tables(m, 1, node_budget=budget)
+        with pytest.raises(ValueError, match="node_budget"):
+            _accel.sample_assoc_tables_python(m, 1, node_budget=budget)
 
 
 def test_sampler_python_and_jit_paths_agree():

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import greenheight
-from greenheight import cli
+from greenheight import cli, green
 from greenheight.constructions import bi_ideal_family, left_ideal_cs_family
+from greenheight.errors import EngineBug
 
 
 @pytest.fixture()
@@ -206,6 +207,18 @@ def test_verify_failure_path_prints_diff(capsys, monkeypatch):
     assert "  expected order: 1" in out
     assert "  computed order: 2" in out
     assert "failures: 1" in out
+
+
+def test_engine_bug_is_internal_error_exit_three(capsys, monkeypatch, bi2_presentation):
+    def broken_poset(s, relation="R"):
+        raise EngineBug("class order is not antisymmetric: engine bug")
+
+    monkeypatch.setattr(green, "class_poset", broken_poset)
+    for argv in (("height", bi2_presentation), ("classes", bi2_presentation, "--relation", "J")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == "error: internal: class order is not antisymmetric: engine bug\n"
 
 
 def test_verify_small_order_oracle_tiny(capsys):

@@ -183,6 +183,18 @@ def test_longest_chain_restricted_matches_oracle():
             assert poset.longest_chain(sel) == want
 
 
+def test_public_strict_order_and_chains_above():
+    for t in _accel.sample_assoc_tables(4, 25, seed=10):
+        poset = class_poset(make(t), "R")
+        n = len(poset.classes)
+        assert poset.strict.tolist() == strict_of(poset)
+        assert not poset.strict.flags.writeable
+        # a longest chain of the classes above i can always start at i
+        want = [poset.longest_chain(j for j in range(n) if poset.leq_classes(i, j))
+                for i in range(n)]
+        assert poset.chains_above() == want
+
+
 def test_to_dot_shape():
     s = brandt_example()
     dot = class_poset(s, "R").to_dot()
