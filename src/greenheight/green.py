@@ -24,15 +24,7 @@ from .errors import EngineBug
 RELATIONS = ("R", "L", "J", "H")
 
 
-# Up to this order numpy's own boolean matmul is faster than BLAS, and it
-# leaves BLAS unloaded (about 0.3 MB of resident pages on first use); above
-# it, the float32 BLAS product wins by 10x and more.
-_BOOL_MATMUL_MAX = 16
-
-
 def _boolean_product(x, y):
-    if len(x) <= _BOOL_MATMUL_MAX:
-        return x @ y
     return (x.astype(np.float32) @ y) > 0
 
 

@@ -1,6 +1,5 @@
 """Green's preorders, class posets, kernel, and regularity cross-checks."""
 
-import numpy as np
 import pytest
 
 import oracles
@@ -15,7 +14,7 @@ from greenheight import (
     leq,
     regular_elements,
 )
-from greenheight import _accel, green
+from greenheight import _accel
 from greenheight.constructions import (
     bi_ideal_family,
     brandt_example,
@@ -194,18 +193,6 @@ def test_public_strict_order_and_chains_above():
         want = [poset.longest_chain(j for j in range(n) if poset.leq_classes(i, j))
                 for i in range(n)]
         assert poset.chains_above() == want
-
-
-def test_boolean_product_matches_loop_on_both_paths():
-    rng = np.random.default_rng(4)
-    for n in (1, 2, 5, 16, 17, 40):  # both sides of the BLAS size cut
-        x = rng.random((n, n)) < 0.2
-        y = rng.random((n, n)) < 0.2
-        want = [[any(x[i, k] and y[k, j] for k in range(n)) for j in range(n)]
-                for i in range(n)]
-        got = green._boolean_product(x, y)
-        assert got.dtype == bool
-        assert got.tolist() == want
 
 
 def test_to_dot_shape():
