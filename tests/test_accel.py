@@ -100,6 +100,16 @@ def test_sampler_output_is_pinned():
     assert hashlib.sha256(ts.tobytes()).hexdigest() == (
         "5a09ed9f13ea2cbba23195c277464b78b877188ad881ea5a45428e2abcc315f6"
     )
+    ts = _accel.sample_assoc_tables(3, 50, seed=9)
+    assert ts.dtype == np.int32 and ts.shape == (50, 3, 3)
+    assert hashlib.sha256(ts.tobytes()).hexdigest() == (
+        "0182243d772abb6e5b1be784ddcfaeb339e61b25380905c7b4769aebce1dafb9"
+    )
+    ts = _accel.sample_assoc_tables(5, 3, seed=5)
+    assert ts.dtype == np.int32 and ts.shape == (3, 5, 5)
+    assert hashlib.sha256(ts.tobytes()).hexdigest() == (
+        "27ce347692b5473638f95db05e6c45a6dfec7f608dc5d6d3d18c02b76a9e2183"
+    )
 
 
 def test_sampler_rejects_budget_below_table_size():
