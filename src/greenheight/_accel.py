@@ -1,241 +1,46 @@
-"""Hot kernels: associativity witness, exhaustive small-table enumeration,
-and a randomized associative-table sampler.
+"""Hot kernels over small tables: the associativity witness search, the
+exhaustive enumeration of associative tables of order <= 3, and a seeded
+sampler of associative tables.
 
-Each kernel exists twice: a numba @njit build and a pure NumPy/Python build.
-Set GREENHEIGHT_NO_NUMBA=1 (or uninstall numba) to force the pure path; the
-dispatchers at the bottom pick automatically. Both paths share one PRNG
-(splitmix64 on uint64), so seeded sampling is byte-identical either way.
-benchmarks/bench_accel.py times the two builds against each other.
+The witness search and the enumerator are numpy code. The sampler is a
+backtracking fill on plain Python ints whose only randomness is splitmix64,
+so a sample depends on nothing but the sampler's arguments.
 """
 
 from __future__ import annotations
 
-import os
-from types import SimpleNamespace
-
 import numpy as np
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_S30 = np.uint64(30)
-_S27 = np.uint64(27)
-_S31 = np.uint64(31)
+# no compiled kernels exist; kept because perfbench/child.py reads it
+numba_kernels = None
 
-NUMBA_ENABLED = os.environ.get("GREENHEIGHT_NO_NUMBA", "") == ""
-if NUMBA_ENABLED:
-    try:
-        from numba import njit as _njit
-    except ImportError:  # pragma: no cover
-        NUMBA_ENABLED = False
+_MASK64 = (1 << 64) - 1
+# rows per block of the witness search, to bound its memory
+_WITNESS_ROWS = 32
+# failed sampler attempts in a row after which the node budget is deemed
+# unworkable; valid inputs were seen to need at most 6
+_MAX_FAILED_ATTEMPTS = 1000
 
 
-def _build_kernels(decorate):
-    """Instantiate the loop kernels once per execution mode.
-
-    ``decorate`` is numba.njit or an identity function; the bodies are
-    identical, so jit and interpreted runs agree bit for bit.
-    """
-
-    @decorate
-    def mix64(state):
-        state = state + _GOLDEN
-        z = state
-        z = (z ^ (z >> _S30)) * _MIX1
-        z = (z ^ (z >> _S27)) * _MIX2
-        z = z ^ (z >> _S31)
-        return state, z
-
-    @decorate
-    def rand_below(state, n):
-        state, z = mix64(state)
-        return state, np.int64(z % np.uint64(n))
-
-    @decorate
-    def assoc_witness_loop(t):
-        m = t.shape[0]
-        for a in range(m):
-            for b in range(m):
-                ab = t[a, b]
-                for c in range(m):
-                    if t[ab, c] != t[a, t[b, c]]:
-                        return a, b, c
-        return -1, -1, -1
-
-    @decorate
-    def enumerate_assoc_loop(m):
-        cells = m * m
-        total = 1
-        for _ in range(cells):
-            total *= m
-        buf = np.empty((total, cells), dtype=np.int32)
-        tab = np.empty(cells, dtype=np.int32)
-        count = 0
-        for code in range(total):
-            x = code
-            for pos in range(cells - 1, -1, -1):
-                tab[pos] = x % m
-                x //= m
-            good = True
-            for a in range(m):
-                if not good:
-                    break
-                for b in range(m):
-                    if not good:
-                        break
-                    ab = tab[a * m + b]
-                    for c in range(m):
-                        if tab[ab * m + c] != tab[a * m + tab[b * m + c]]:
-                            good = False
-                            break
-            if good:
-                buf[count] = tab
-                count += 1
-        return buf[:count].copy()
-
-    @decorate
-    def placement_ok(t, m, a, b):
-        # t[a, b] was just set; -1 marks empty cells. Check exactly the
-        # triples whose four participating cells became fully determined.
-        v = t[a, b]
-        for z in range(m):
-            bz = t[b, z]
-            if bz < 0:
-                continue
-            vz = t[v, z]
-            abz = t[a, bz]
-            if vz < 0 or abz < 0:
-                continue
-            if vz != abz:
-                return False
-        for x in range(m):
-            xa = t[x, a]
-            if xa < 0:
-                continue
-            xab = t[xa, b]
-            xv = t[x, v]
-            if xab < 0 or xv < 0:
-                continue
-            if xab != xv:
-                return False
-        for x in range(m):
-            for y in range(m):
-                if t[x, y] == a:
-                    yb = t[y, b]
-                    if yb < 0:
-                        continue
-                    xyb = t[x, yb]
-                    if xyb < 0:
-                        continue
-                    if xyb != v:
-                        return False
-        for y in range(m):
-            for z in range(m):
-                if t[y, z] == b:
-                    ay = t[a, y]
-                    if ay < 0:
-                        continue
-                    ayz = t[ay, z]
-                    if ayz < 0:
-                        continue
-                    if ayz != v:
-                        return False
-        return True
-
-    @decorate
-    def fill_shuffled(cand, depth, m, state):
-        for k in range(m):
-            cand[depth, k] = k
-        for k in range(m - 1, 0, -1):
-            state, j = rand_below(state, k + 1)
-            tmp = cand[depth, k]
-            cand[depth, k] = cand[depth, j]
-            cand[depth, j] = tmp
-        return state
-
-    @decorate
-    def sample_fill(m, state, node_budget):
-        # Backtracking fill in row-major cell order, candidate values
-        # shuffled per cell; every placement is checked incrementally.
-        cells = m * m
-        t = np.full((m, m), -1, dtype=np.int32)
-        cand = np.empty((cells, m), dtype=np.int32)
-        ptr = np.zeros(cells, dtype=np.int32)
-        state = fill_shuffled(cand, 0, m, state)
-        depth = 0
-        nodes = 0
-        while True:
-            if ptr[depth] == m:
-                if depth == 0:
-                    return state, t, False
-                depth -= 1
-                t[depth // m, depth % m] = -1
-                continue
-            v = cand[depth, ptr[depth]]
-            ptr[depth] += 1
-            a = depth // m
-            b = depth % m
-            t[a, b] = v
-            nodes += 1
-            if nodes > node_budget:
-                t[a, b] = -1
-                return state, t, False
-            if placement_ok(t, m, a, b):
-                depth += 1
-                if depth == cells:
-                    return state, t, True
-                ptr[depth] = 0
-                state = fill_shuffled(cand, depth, m, state)
-            else:
-                t[a, b] = -1
-
-    @decorate
-    def sample_many(m, count, seed, node_budget):
-        out = np.empty((count, m, m), dtype=np.int32)
-        state, _ = mix64(np.uint64(seed))
-        got = 0
-        while got < count:
-            state, t, ok = sample_fill(m, state, node_budget)
-            if ok:
-                out[got] = t
-                got += 1
-        return out
-
-    return SimpleNamespace(
-        mix64=mix64,
-        rand_below=rand_below,
-        assoc_witness_loop=assoc_witness_loop,
-        enumerate_assoc_loop=enumerate_assoc_loop,
-        placement_ok=placement_ok,
-        sample_fill=sample_fill,
-        sample_many=sample_many,
-    )
-
-
-python_kernels = _build_kernels(lambda f: f)
-numba_kernels = _build_kernels(_njit) if NUMBA_ENABLED else None
-
-
-def assoc_witness_numpy(table, chunk: int = 32):
-    """Vectorized witness search; scans rows in blocks to bound memory.
-
-    Returns the lexicographically first violating (a, b, c), or None.
-    """
+def assoc_witness(table):
+    """Lexicographically first (a, b, c) with (a*b)*c != a*(b*c), or None
+    if the table is associative. Scans rows in blocks to bound memory."""
     t = np.ascontiguousarray(table, dtype=np.int32)
     m = t.shape[0]
-    for a0 in range(0, m, chunk):
-        rows = t[a0 : a0 + chunk]
-        lhs = t[rows, :]
-        rhs = rows[:, t]
-        neq = lhs != rhs
+    for a0 in range(0, m, _WITNESS_ROWS):
+        rows = t[a0 : a0 + _WITNESS_ROWS]
+        neq = t[rows, :] != rows[:, t]
         if neq.any():
             i, b, c = np.unravel_index(int(np.argmax(neq)), neq.shape)
             return int(i) + a0, int(b), int(c)
     return None
 
 
-def enumerate_assoc_tables_numpy(m: int):
-    """All associative m-by-m tables (m <= 3), lexicographic by flat cells."""
+def enumerate_assoc_tables(m: int):
+    """Every associative table of the given order, 1 <= m <= 3, in
+    lexicographic order of the flattened cells."""
+    if not 1 <= m <= 3:
+        raise ValueError("exhaustive enumeration is limited to order <= 3")
     cells = m * m
     total = m**cells
     flat = np.empty((total, cells), dtype=np.int32)
@@ -255,58 +60,131 @@ def enumerate_assoc_tables_numpy(m: int):
     return flat[ok].reshape(-1, m, m)
 
 
-def assoc_witness(table):
-    """First (a, b, c) with (a*b)*c != a*(b*c), or None if associative."""
-    t = np.ascontiguousarray(table, dtype=np.int32)
-    if numba_kernels is not None:
-        a, b, c = numba_kernels.assoc_witness_loop(t)
-        return None if a < 0 else (int(a), int(b), int(c))
-    return assoc_witness_numpy(t)
+def _mix64(state):
+    """One splitmix64 step on 64-bit ints: (next state, output)."""
+    state = (state + 0x9E3779B97F4A7C15) & _MASK64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return state, z ^ (z >> 31)
 
 
-def enumerate_assoc_tables(m: int):
-    """Every associative table of the given order, 1 <= m <= 3."""
-    if not 1 <= m <= 3:
-        raise ValueError("exhaustive enumeration is limited to order <= 3")
-    if numba_kernels is not None:
-        flat = numba_kernels.enumerate_assoc_loop(m)
-        return flat.reshape(-1, m, m)
-    return enumerate_assoc_tables_numpy(m)
+def _shuffled(m, state):
+    """(next state, a Fisher-Yates shuffle of range(m))."""
+    cand = list(range(m))
+    for k in range(m - 1, 0, -1):
+        state, z = _mix64(state)
+        j = z % (k + 1)
+        cand[k], cand[j] = cand[j], cand[k]
+    return state, cand
 
 
-def _check_sample_args(m, count, node_budget):
+def _placement_ok(t, m, a, b):
+    """Whether setting cell (a, b) of the flat partial table t, where -1
+    marks an empty cell, kept it associative: checks exactly the triples
+    whose four cells became fully determined."""
+    v = t[a * m + b]
+    for z in range(m):
+        bz = t[b * m + z]
+        if bz < 0:
+            continue
+        vz = t[v * m + z]
+        abz = t[a * m + bz]
+        if vz >= 0 and abz >= 0 and vz != abz:
+            return False
+    for x in range(m):
+        xa = t[x * m + a]
+        if xa < 0:
+            continue
+        xab = t[xa * m + b]
+        xv = t[x * m + v]
+        if xab >= 0 and xv >= 0 and xab != xv:
+            return False
+    for i, w in enumerate(t):
+        if w == a:
+            x, y = divmod(i, m)
+            yb = t[y * m + b]
+            if yb >= 0:
+                xyb = t[x * m + yb]
+                if xyb >= 0 and xyb != v:
+                    return False
+        if w == b:
+            y, z = divmod(i, m)
+            ay = t[a * m + y]
+            if ay >= 0:
+                ayz = t[ay * m + z]
+                if ayz >= 0 and ayz != v:
+                    return False
+    return True
+
+
+def _fill(m, state, node_budget):
+    """One backtracking attempt in row-major cell order, candidates shuffled
+    per cell: (next state, flat table), or (next state, None) when the
+    attempt runs out of nodes or finds no table."""
+    cells = m * m
+    t = [-1] * cells
+    cand = [None] * cells
+    ptr = [0] * cells
+    state, cand[0] = _shuffled(m, state)
+    depth = 0
+    nodes = 0
+    while True:
+        if ptr[depth] == m:
+            if depth == 0:
+                return state, None
+            depth -= 1
+            t[depth] = -1
+            continue
+        t[depth] = cand[depth][ptr[depth]]
+        ptr[depth] += 1
+        nodes += 1
+        if nodes > node_budget:
+            return state, None
+        if _placement_ok(t, m, *divmod(depth, m)):
+            depth += 1
+            if depth == cells:
+                return state, t
+            ptr[depth] = 0
+            state, cand[depth] = _shuffled(m, state)
+        else:
+            t[depth] = -1
+
+
+def sample_assoc_tables(m: int, count: int, seed: int = 0, node_budget: int = 200_000):
+    """Draw associative m-by-m tables by seeded backtracking fill, as an
+    int32 array of shape (count, m, m).
+
+    Draws are with replacement and not uniform over associative tables;
+    the output depends only on (m, count, seed, node_budget). Each attempt
+    stops after node_budget placements. Raises ValueError for m < 1,
+    count < 0, a seed outside [0, 2**64), node_budget < m*m, and when
+    1000 attempts in a row run out of nodes, which means node_budget is
+    too small for order m.
+    """
     if m < 1:
         raise ValueError("order must be at least 1")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    # every attempt stops after node_budget placements and a table takes
-    # m*m of them, so a smaller budget would restart forever
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    # a table takes m*m placements, so a smaller budget could never finish
     if node_budget < m * m:
         raise ValueError(f"node_budget must be at least m*m = {m * m}, got {node_budget}")
-
-
-def sample_assoc_tables(m: int, count: int, seed: int = 0, node_budget: int = 200_000):
-    """Draw associative m-by-m tables by seeded backtracking fill.
-
-    Draws are with replacement and not uniform over associative tables;
-    the output depends only on (m, count, seed, node_budget), never on
-    which execution mode runs.
-    """
-    _check_sample_args(m, count, node_budget)
-    if numba_kernels is not None:
-        return numba_kernels.sample_many(m, count, seed, node_budget)
-    with np.errstate(over="ignore"):
-        return python_kernels.sample_many(m, count, seed, node_budget)
-
-
-def sample_assoc_tables_python(m, count, seed=0, node_budget=200_000):
-    _check_sample_args(m, count, node_budget)
-    with np.errstate(over="ignore"):
-        return python_kernels.sample_many(m, count, seed, node_budget)
-
-
-def sample_assoc_tables_numba(m, count, seed=0, node_budget=200_000):
-    if numba_kernels is None:
-        raise RuntimeError("numba path is disabled")
-    _check_sample_args(m, count, node_budget)
-    return numba_kernels.sample_many(m, count, seed, node_budget)
+    out = np.empty((count, m * m), dtype=np.int32)
+    state, _ = _mix64(int(seed))
+    got = failed = 0
+    while got < count:
+        state, t = _fill(m, state, node_budget)
+        if t is not None:
+            out[got] = t
+            got += 1
+            failed = 0
+            continue
+        failed += 1
+        if failed == _MAX_FAILED_ATTEMPTS:
+            raise ValueError(
+                f"node_budget {node_budget} is too small for order {m}: "
+                f"{failed} attempts in a row ran out of nodes"
+            )
+    return out.reshape(count, m, m)

@@ -1,9 +1,6 @@
-"""Table enumeration, sampling, and the jit/pure path parity contract."""
+"""Table enumeration, the associativity witness and the seeded sampler."""
 
 import hashlib
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -20,15 +17,12 @@ def test_enumerate_counts():
 
 def test_enumerate_matches_brute_force_oracle():
     for m in (1, 2, 3):
-        got = {tuple(map(tuple, t.tolist())) for t in _accel.enumerate_assoc_tables(m)}
+        tables = _accel.enumerate_assoc_tables(m)
+        got = {tuple(map(tuple, t.tolist())) for t in tables}
         assert got == set(oracles.brute_force_tables(m))
-
-
-def test_enumerate_numpy_path_agrees():
-    for m in (2, 3):
-        a = [t.tolist() for t in _accel.enumerate_assoc_tables(m)]
-        b = [t.tolist() for t in _accel.enumerate_assoc_tables_numpy(m)]
-        assert a == b
+        # search-open1 takes a prefix of this order with [:remaining]
+        flat = [t.ravel().tolist() for t in tables]
+        assert flat == sorted(flat)
 
 
 def test_enumerate_rejects_large_order():
@@ -46,19 +40,16 @@ def test_assoc_witness_none_iff_associative():
     assert bad[bad[a, b], c] != bad[a, bad[b, c]]
 
 
-def test_assoc_witness_is_lex_first_and_paths_agree():
+def test_assoc_witness_is_lex_first():
     rng = np.random.default_rng(5)
     for _ in range(200):
         m = int(rng.integers(2, 6))
         t = rng.integers(0, m, size=(m, m)).astype(np.int32)
-        loop = _accel.python_kernels.assoc_witness_loop(t)
-        vec = _accel.assoc_witness_numpy(t)
-        if loop[0] < 0:
-            assert vec is None
+        w = _accel.assoc_witness(t)
+        if w is None:
             assert oracles.check_associative(t.tolist())
         else:
-            assert vec == tuple(int(x) for x in loop)
-            a, b, c = vec
+            a, b, c = w
             assert t[t[a, b], c] != t[a, t[b, c]]
             # nothing lexicographically earlier fails
             for a2 in range(a + 1):
@@ -70,12 +61,11 @@ def test_assoc_witness_is_lex_first_and_paths_agree():
 
 
 def test_splitmix64_reference_vector():
-    state = np.uint64(0)
+    state = 0
     expected = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
-    with np.errstate(over="ignore"):
-        for want in expected:
-            state, z = _accel.python_kernels.mix64(state)
-            assert int(z) == want
+    for want in expected:
+        state, z = _accel._mix64(state)
+        assert z == want
 
 
 def test_sampler_tables_are_associative_and_deterministic():
@@ -112,39 +102,12 @@ def test_sampler_output_is_pinned():
     )
 
 
-def test_sampler_rejects_budget_below_table_size():
-    # a table takes m*m placements; these budgets used to restart forever
-    for m, budget in ((1, 0), (2, 3), (4, 15)):
+def test_sampler_rejects_unworkable_budget():
+    # below m*m no attempt can finish; at m*m almost every attempt runs out
+    # of nodes, and these budgets used to restart forever
+    for m, budget in ((1, 0), (2, 3), (4, 15), (4, 16), (5, 25)):
         with pytest.raises(ValueError, match="node_budget"):
             _accel.sample_assoc_tables(m, 1, node_budget=budget)
-        with pytest.raises(ValueError, match="node_budget"):
-            _accel.sample_assoc_tables_python(m, 1, node_budget=budget)
-
-
-def test_sampler_python_and_jit_paths_agree():
-    if _accel.numba_kernels is None:
-        pytest.skip("jit path disabled in this environment")
-    py = _accel.sample_assoc_tables_python(4, 20, seed=3)
-    jit = _accel.sample_assoc_tables_numba(4, 20, seed=3)
-    assert all(np.array_equal(x, y) for x, y in zip(py, jit))
-
-
-def test_no_numba_env_flag_disables_jit_with_identical_samples():
-    code = (
-        "from greenheight import _accel\n"
-        "import numpy as np\n"
-        "assert not _accel.NUMBA_ENABLED\n"
-        "assert _accel.numba_kernels is None\n"
-        "ts = _accel.sample_assoc_tables(4, 10, seed=9)\n"
-        "print(np.array(ts).tobytes().hex())\n"
-    )
-    env = dict(os.environ, GREENHEIGHT_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    here = _accel.sample_assoc_tables(4, 10, seed=9)
-    assert out.stdout.strip() == np.array(here).tobytes().hex()
 
 
 def test_sampler_order_one_and_two():
@@ -154,3 +117,9 @@ def test_sampler_order_one_and_two():
     seen = {tuple(map(tuple, t.tolist())) for t in ts}
     assert seen <= set(oracles.brute_force_tables(2))
     assert len(seen) > 1
+
+
+def test_sampler_rejects_seed_outside_64_bits():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            _accel.sample_assoc_tables(2, 1, seed=seed)
