@@ -2,7 +2,10 @@
 
 Everything here recomputes from first principles with plain loops, sets,
 and dicts. No numpy, no shared code paths with the package: the only
-interface is a multiplication table given as a list of lists of ints.
+interface is a multiplication table given as a list of lists of ints. The
+one exception is presentation_table_all_pairs, which keeps the engine's
+earlier table construction (one reduce_word per pair of normal forms) as
+the reference for the faster build that replaced it.
 """
 
 from __future__ import annotations
@@ -106,6 +109,24 @@ def naive_is_kind(t, members, kind: str) -> bool:
     raise ValueError(kind)
 
 
+def naive_bi_ideal_witness(t, members):
+    """Lexicographically first witness that members is not a bi-ideal, in
+    the engine's shapes: ("product", a, b, ab) for a pair product, checked
+    first, then ("middle", a, u, b, aub); None for a bi-ideal."""
+    m = len(t)
+    mem = sorted(set(members))
+    for a in mem:
+        for b in mem:
+            if t[a][b] not in members:
+                return ("product", a, b, t[a][b])
+    for a in mem:
+        for u in range(m):
+            for b in mem:
+                if t[t[a][u]][b] not in members:
+                    return ("middle", a, u, b, t[t[a][u]][b])
+    return None
+
+
 def sub_table(t, members):
     """Multiplication table of a multiplicatively closed subset."""
     mem = sorted(members)
@@ -195,6 +216,20 @@ def random_reduce(rules, word, rng, zero_token="!"):
         if rhs == zero_token:
             return zero_token
         word = apply_rule_at(word, lhs, rhs, p)
+
+
+def presentation_table_all_pairs(rs):
+    """Names and table (list of lists) of a complete presentation, with
+    every product u*v of normal forms reduced as one word."""
+    from greenheight.rewriting import ZERO, enumerate_irreducibles, reduce_word
+
+    words = enumerate_irreducibles(rs)
+    index = {w: i for i, w in enumerate(words)}
+    table = [
+        [index[ZERO if u is ZERO or v is ZERO else reduce_word(rs, u + v)] for v in words]
+        for u in words
+    ]
+    return [rs.display(w) for w in words], table
 
 
 def random_word(letters, rng, max_len: int) -> str:

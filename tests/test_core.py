@@ -1,5 +1,7 @@
 """Tables, parsing, subset handles, and restriction."""
 
+import random
+
 import pytest
 
 import oracles
@@ -17,6 +19,7 @@ from greenheight import (
 )
 from greenheight import _accel
 from greenheight.constructions import (
+    bi_ideal_family,
     brandt_example,
     full_transformation_monoid,
     left_zero_semigroup,
@@ -136,6 +139,33 @@ def test_closure_violation_matches_oracle_on_all_small_tables():
             for kind in kinds:
                 witness = closure_violation(s, members, kind)
                 assert (witness is None) == oracles.naive_is_kind(rows, members, kind)
+
+
+def test_bi_ideal_witness_is_lex_first():
+    middles = 0
+    for m in (1, 2, 3):
+        for t in _accel.enumerate_assoc_tables(m):
+            s = from_table([str(i) for i in range(m)], t)
+            rows = t.tolist()
+            for bits in range(1, 1 << m):
+                members = frozenset(i for i in range(m) if bits >> i & 1)
+                witness = closure_violation(s, members, "bi_ideal")
+                assert witness == oracles.naive_bi_ideal_witness(rows, members)
+                middles += witness is not None and witness[0] == "middle"
+    assert middles > 0
+
+
+def test_bi_ideal_witness_on_random_subsets_of_bi_family():
+    rng = random.Random(5)
+    s = bi_ideal_family(3).semigroup
+    rows = s.table.tolist()
+    shapes = set()
+    for _ in range(300):
+        members = frozenset(rng.sample(range(s.order), rng.randint(1, s.order)))
+        witness = closure_violation(s, members, "bi_ideal")
+        assert witness == oracles.naive_bi_ideal_witness(rows, members)
+        shapes.add(None if witness is None else witness[0])
+    assert "middle" in shapes
 
 
 def test_closure_violation_witness_is_real():

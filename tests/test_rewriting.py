@@ -193,6 +193,45 @@ def test_semigroup_from_presentation_matches_table_route():
     assert (s.table == fi.semigroup.table).all()
 
 
+def bracketed(text):
+    """The same presentation with each letter c renamed to the token [c1]."""
+    out = []
+    for line in text.splitlines():
+        head, sep, rest = line.partition(":")
+        if head != "zero":
+            rest = "".join(f"[{c}1]" if c.isalpha() else c for c in rest)
+        out.append(head + sep + rest)
+    return "\n".join(out) + "\n"
+
+
+PINNED_PRESENTATIONS = (
+    [pytest.param(bi_ideal_family(n).presentation_text, id=f"bi{n}") for n in range(2, 7)]
+    + [pytest.param(left_ideal_cs_family(n).presentation_text, id=f"left{n}")
+       for n in range(2, 9)]
+    + [
+        pytest.param(bracketed(bi_ideal_family(3).presentation_text), id="bracketed-bi3"),
+        pytest.param("letters: a b\nrule: aa -> a\nrule: bb -> b\n"
+                     "rule: aba -> a\nrule: bab -> b\n", id="no-zero"),
+        pytest.param("letters: a\nrule: aaa -> a\n", id="one-letter"),
+    ]
+)
+
+
+@pytest.mark.parametrize("text", PINNED_PRESENTATIONS)
+def test_presentation_table_matches_all_pairs_oracle(text):
+    rs = parse_presentation(text)
+    s = semigroup_from_presentation(rs)
+    names, table = oracles.presentation_table_all_pairs(rs)
+    assert s.names == tuple(names)
+    assert s.table.tolist() == table
+
+
+def test_bracketed_presentation_uses_multi_character_tokens():
+    rs = parse_presentation(bracketed(bi_ideal_family(3).presentation_text))
+    assert rs.letters == ("x1", "y1", "z1", "t1")
+    assert "[x1][y1][z1]" in semigroup_from_presentation(rs).names
+
+
 def test_semigroup_from_presentation_rejects_incomplete():
     with pytest.raises(NotConfluent) as exc:
         semigroup_from_presentation(AB_SYSTEM)
