@@ -164,13 +164,14 @@ def closure_violation(s: FiniteSemigroup, members, kind: str):
             a = int(mem[j])
             return ("left", c, a, int(t[c, a]))
     if kind == "bi_ideal":
-        mids = t[mem, :]  # mids[i, u] = mem[i]*u
-        prods = t[mids.reshape(-1), :][:, mem].reshape(len(mem), m, len(mem))
-        bad = np.argwhere(~inside[prods])
+        escapes = ~inside[t[:, mem]]  # escapes[x, j]: x*mem[j] is outside
+        bad = np.argwhere(escapes.any(axis=1)[t[mem, :]])  # (i, u): mem[i]*u is such an x
         if bad.size:
-            i, u, j = (int(v) for v in bad[0])
-            a, b = int(mem[i]), int(mem[j])
-            return ("middle", a, u, b, int(prods[i, u, j]))
+            i, u = (int(v) for v in bad[0])
+            a = int(mem[i])
+            x = int(t[a, u])
+            b = int(mem[np.argmax(escapes[x])])
+            return ("middle", a, u, b, int(t[x, b]))
     return None
 
 

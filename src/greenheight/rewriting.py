@@ -257,8 +257,12 @@ def semigroup_from_presentation(rs, cap: int = DEFAULT_CAP) -> core.FiniteSemigr
     """Build the presented semigroup; elements are irreducible words.
 
     Accepts a RewritingSystem or presentation text. The system must be
-    complete (raises NotConfluent with a witness otherwise); the table is
-    reduce(u ++ v) re-verified associative by the core constructor.
+    complete (raises NotConfluent with a witness otherwise). The table comes
+    from the right Cayley graph (Froidure and Pin, 1997): each element u is
+    reduced against each letter a once, giving right[u, a]. Normal forms are
+    prefix-closed and unique, so for v = v'a the product u*v is
+    right[u*v', a], and the columns fill in shortlex order by one gather
+    each. The core constructor re-verifies associativity.
     """
     if isinstance(rs, str):
         rs = parse_presentation(rs)
@@ -275,21 +279,35 @@ def semigroup_from_presentation(rs, cap: int = DEFAULT_CAP) -> core.FiniteSemigr
     if not words:
         raise ValueError("presentation has no elements")
     index = {w: i for i, w in enumerate(words)}
+    letter_of = {c: k for k, c in enumerate(rs._letter_syms)}
     m = len(words)
-    table = np.zeros((m, m), dtype=np.int32)
+    zero = index.get(ZERO)
+    right = np.empty((m, len(letter_of)), dtype=np.int32)
     for i, u in enumerate(words):
-        for j, v in enumerate(words):
-            if u is ZERO or v is ZERO:
-                w = ZERO
-            else:
-                w = reduce_word(rs, u + v)
-            k = index.get(w)
-            if k is None:
+        for c, k in letter_of.items():
+            w = ZERO if u is ZERO else reduce_word(rs, u + c)
+            j = index.get(w)
+            if j is None:
                 raise EngineBug(
-                    f"product {rs.display(u)}*{rs.display(v)} reduced to a word"
+                    f"product {rs.display(u)}*{rs.display(c)} reduced to a word"
                     " outside the enumerated normal forms"
                 )
-            table[i, j] = k
+            right[i, k] = j
+    table = np.empty((m, m), dtype=np.int32)
+    for j, v in enumerate(words):
+        if v is ZERO:
+            table[:, j] = zero
+            continue
+        column = right[:, letter_of[v[-1]]]
+        if len(v) > 1:
+            prefix = index.get(v[:-1])
+            if prefix is None:
+                raise EngineBug(
+                    f"normal form {rs.display(v)} has a prefix outside the"
+                    " enumerated normal forms"
+                )
+            column = column[table[:, prefix]]
+        table[:, j] = column
     names = [rs.display(w) for w in words]
     return core.from_table(names, table)
 

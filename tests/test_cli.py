@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import greenheight
-from greenheight import cli, green
+from greenheight import cli, green, rewriting
 from greenheight.constructions import bi_ideal_family, left_ideal_cs_family
 from greenheight.errors import EngineBug
 
@@ -221,6 +221,23 @@ def test_engine_bug_is_internal_error_exit_three(capsys, monkeypatch, bi2_presen
         assert err == "error: internal: class order is not antisymmetric: engine bug\n"
 
 
+def test_lost_normal_form_is_internal_error_exit_three(capsys, monkeypatch, bi2_presentation):
+    enumerate_all = rewriting.enumerate_irreducibles
+
+    def lossy(rs, cap=rewriting.DEFAULT_CAP):
+        words = enumerate_all(rs, cap)
+        return words[:-2] + words[-1:]  # the longest word goes, the zero stays
+
+    monkeypatch.setattr(rewriting, "enumerate_irreducibles", lossy)
+    with pytest.raises(EngineBug):
+        rewriting.semigroup_from_presentation(bi_ideal_family(2).presentation_text)
+    code, out, err = run(capsys, "height", bi2_presentation)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: internal: ")
+    assert "outside the enumerated normal forms" in err
+
+
 def test_verify_small_order_oracle_tiny(capsys):
     code, out, _ = run(capsys, "verify", "small-order-oracle", "--order", "2")
     assert code == 0
@@ -297,6 +314,14 @@ def test_entry_point_console_script():
     package_root = Path(greenheight.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(package_root)}
     res = subprocess.run([sys.executable, "-c", wrapper, "--help"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    _assert_help_output(res)
+
+
+def test_python_dash_m_runs_the_cli():
+    package_root = Path(greenheight.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    res = subprocess.run([sys.executable, "-m", "greenheight", "--help"],
                          capture_output=True, text=True, env=env, timeout=60)
     _assert_help_output(res)
 

@@ -8,6 +8,7 @@ import oracles
 from greenheight import (
     ZERO,
     CapExceeded,
+    EngineBug,
     NotConfluent,
     ParseError,
     RewritingSystem,
@@ -21,6 +22,7 @@ from greenheight import (
     reduce_word,
     semigroup_from_presentation,
 )
+from greenheight import rewriting
 from greenheight.constructions import bi_ideal_family, left_ideal_cs_family
 
 
@@ -230,6 +232,37 @@ def test_bracketed_presentation_uses_multi_character_tokens():
     rs = parse_presentation(bracketed(bi_ideal_family(3).presentation_text))
     assert rs.letters == ("x1", "y1", "z1", "t1")
     assert "[x1][y1][z1]" in semigroup_from_presentation(rs).names
+
+
+def drop_normal_form(monkeypatch, k):
+    """Make enumerate_irreducibles lose its k-th normal form."""
+    enumerate_all = rewriting.enumerate_irreducibles
+
+    def lossy(rs, cap=rewriting.DEFAULT_CAP):
+        words = enumerate_all(rs, cap)
+        return words[:k] + words[k + 1:]
+
+    monkeypatch.setattr(rewriting, "enumerate_irreducibles", lossy)
+
+
+def test_lost_normal_form_is_engine_bug(monkeypatch):
+    text = bi_ideal_family(2).presentation_text
+    for k in range(13):
+        drop_normal_form(monkeypatch, k)
+        with pytest.raises(EngineBug, match="outside the enumerated normal forms"):
+            semigroup_from_presentation(text)
+        monkeypatch.undo()
+
+
+def test_lost_prefix_of_a_normal_form_is_engine_bug(monkeypatch):
+    # "a" is no product of two elements, so only the prefix check sees it go
+    text = ("letters: a b\nzero: 0\nrule: aa -> 0\nrule: ba -> 0\n"
+            "rule: bb -> 0\n")
+    words = enumerate_irreducibles(parse_presentation(text))
+    assert words == ["a", "b", "ab", ZERO]
+    drop_normal_form(monkeypatch, 0)
+    with pytest.raises(EngineBug, match="normal form ab has a prefix outside"):
+        semigroup_from_presentation(text)
 
 
 def test_semigroup_from_presentation_rejects_incomplete():
