@@ -228,12 +228,6 @@ def test_presentation_table_matches_all_pairs_oracle(text):
     assert s.table.tolist() == table
 
 
-def test_bracketed_presentation_uses_multi_character_tokens():
-    rs = parse_presentation(bracketed(bi_ideal_family(3).presentation_text))
-    assert rs.letters == ("x1", "y1", "z1", "t1")
-    assert "[x1][y1][z1]" in semigroup_from_presentation(rs).names
-
-
 def drop_normal_form(monkeypatch, k):
     """Make enumerate_irreducibles lose its k-th normal form."""
     enumerate_all = rewriting.enumerate_irreducibles
