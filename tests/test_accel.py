@@ -100,6 +100,12 @@ def test_sampler_output_is_pinned():
     assert hashlib.sha256(ts.tobytes()).hexdigest() == (
         "27ce347692b5473638f95db05e6c45a6dfec7f608dc5d6d3d18c02b76a9e2183"
     )
+    # at this budget 85 of the 105 attempts run out of nodes
+    ts = _accel.sample_assoc_tables(4, 20, seed=3, node_budget=30)
+    assert ts.dtype == np.int32 and ts.shape == (20, 4, 4)
+    assert hashlib.sha256(ts.tobytes()).hexdigest() == (
+        "f81e2b3dc3a1b534c0daaf5efd9ba71d1d5ea98ce4ff1b7f010848bd83fee3c6"
+    )
 
 
 def test_sampler_rejects_unworkable_budget():

@@ -1,5 +1,6 @@
 """Command behavior, exit codes, output format, and determinism."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -261,6 +262,28 @@ def test_search_open1_deterministic(capsys):
     assert out1 == out2
     assert "searched_tables: 30" in out1
     assert "best_score:" in out1
+
+
+def test_search_open1_stdout_is_pinned(capsys):
+    # digest taken before the enumerator and the sampler shared one fill
+    code, out, _ = run(capsys, "search-open1", "--budget", "60",
+                       "--max-order", "4", "--seed", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1b8814dd17b41671319a06ee0832a21c61d89588f77bb99d787f339d9d080333"
+    )
+
+
+def test_verify_small_order_oracle_stdout_is_pinned(capsys):
+    # digest taken before the enumerator and the sampler shared one fill
+    code, out, _ = run(capsys, "verify", "small-order-oracle", "--order", "4",
+                       "--samples", "20", "--seed", "3")
+    assert code == 0
+    kept = "".join(line for line in out.splitlines(keepends=True)
+                   if not line.startswith("elapsed_ms:"))
+    assert hashlib.sha256(kept.encode()).hexdigest() == (
+        "1025e0eea2debf133b95a1123d44774bba6112f8f7e6110320098acc1bfe900b"
+    )
 
 
 def test_search_open1_zero_budget(capsys):
