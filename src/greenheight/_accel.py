@@ -1,13 +1,13 @@
-"""Hot kernels over small tables: the associativity witness search, the
-exhaustive enumeration of associative tables of order <= 3, and a seeded
-sampler of associative tables.
-
-The witness search and the enumerator are numpy code. The sampler is a
-backtracking fill on plain Python ints whose only randomness is splitmix64,
-so a sample depends on nothing but the sampler's arguments.
+"""Hot kernels over small tables: the associativity witness search (numpy),
+and one backtracking fill on plain Python ints that both enumerates every
+associative table of order <= 4, trying cell values in ascending order, and
+samples them, trying values in an order shuffled by splitmix64, so a sample
+depends on nothing but the sampler's arguments.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -36,30 +36,6 @@ def assoc_witness(table):
     return None
 
 
-def enumerate_assoc_tables(m: int):
-    """Every associative table of the given order, 1 <= m <= 3, in
-    lexicographic order of the flattened cells."""
-    if not 1 <= m <= 3:
-        raise ValueError("exhaustive enumeration is limited to order <= 3")
-    cells = m * m
-    total = m**cells
-    flat = np.empty((total, cells), dtype=np.int32)
-    rem = np.arange(total, dtype=np.int64)
-    for pos in range(cells - 1, -1, -1):
-        flat[:, pos] = rem % m
-        rem = rem // m
-    ok = np.ones(total, dtype=bool)
-    for a in range(m):
-        for b in range(m):
-            ab = flat[:, a * m + b].astype(np.int64)
-            for c in range(m):
-                bc = flat[:, b * m + c].astype(np.int64)
-                lhs = np.take_along_axis(flat, (ab * m + c)[:, None], axis=1)[:, 0]
-                rhs = np.take_along_axis(flat, (a * m + bc)[:, None], axis=1)[:, 0]
-                np.logical_and(ok, lhs == rhs, out=ok)
-    return flat[ok].reshape(-1, m, m)
-
-
 def _mix64(state):
     """One splitmix64 step on 64-bit ints: (next state, output)."""
     state = (state + 0x9E3779B97F4A7C15) & _MASK64
@@ -69,14 +45,21 @@ def _mix64(state):
     return state, z ^ (z >> 31)
 
 
-def _shuffled(m, state):
-    """(next state, a Fisher-Yates shuffle of range(m))."""
-    cand = list(range(m))
-    for k in range(m - 1, 0, -1):
-        state, z = _mix64(state)
-        j = z % (k + 1)
-        cand[k], cand[j] = cand[j], cand[k]
-    return state, cand
+def _shuffler(m, seed):
+    """A candidates() for the fill that returns a new Fisher-Yates shuffle
+    of range(m) on each call, all drawn from one splitmix64 stream."""
+    state, _ = _mix64(seed)
+
+    def shuffled():
+        nonlocal state
+        cand = list(range(m))
+        for k in range(m - 1, 0, -1):
+            state, z = _mix64(state)
+            j = z % (k + 1)
+            cand[k], cand[j] = cand[j], cand[k]
+        return cand
+
+    return shuffled
 
 
 def _placement_ok(t, m, a, b):
@@ -118,37 +101,41 @@ def _placement_ok(t, m, a, b):
     return True
 
 
-def _fill(m, state, node_budget):
-    """One backtracking attempt in row-major cell order, candidates shuffled
-    per cell: (next state, flat table), or (next state, None) when the
-    attempt runs out of nodes or finds no table."""
+def _fill(m, candidates, node_budget):
+    """Depth-first backtracking over the cells of an m-by-m table in row-major
+    order, each newly reached cell trying the values candidates() returns in
+    turn. Yields every associative table as a flat list, in the order met,
+    and stops when no branch is left or after node_budget placements."""
     cells = m * m
     t = [-1] * cells
-    cand = [None] * cells
-    ptr = [0] * cells
-    state, cand[0] = _shuffled(m, state)
-    depth = 0
     nodes = 0
-    while True:
-        if ptr[depth] == m:
-            if depth == 0:
-                return state, None
-            depth -= 1
-            t[depth] = -1
-            continue
-        t[depth] = cand[depth][ptr[depth]]
-        ptr[depth] += 1
-        nodes += 1
-        if nodes > node_budget:
-            return state, None
-        if _placement_ok(t, m, *divmod(depth, m)):
-            depth += 1
-            if depth == cells:
-                return state, t
-            ptr[depth] = 0
-            state, cand[depth] = _shuffled(m, state)
-        else:
-            t[depth] = -1
+
+    def place(depth):
+        nonlocal nodes
+        for v in candidates():
+            nodes += 1
+            if nodes > node_budget:
+                return
+            t[depth] = v
+            if not _placement_ok(t, m, *divmod(depth, m)):
+                continue
+            if depth + 1 < cells:
+                yield from place(depth + 1)
+            else:
+                yield t.copy()
+        t[depth] = -1
+
+    return place(0)
+
+
+def enumerate_assoc_tables(m: int):
+    """Every associative table of order 1 <= m <= 4, in lexicographic order
+    of the flattened cells, which is the order the fill meets them in."""
+    if not 1 <= m <= 4:
+        raise ValueError(f"exhaustive enumeration needs 1 <= order <= 4, got {m}")
+    ascending = list(range(m))
+    tables = list(_fill(m, lambda: ascending, math.inf))
+    return np.array(tables, dtype=np.int32).reshape(-1, m, m)
 
 
 def sample_assoc_tables(m: int, count: int, seed: int = 0, node_budget: int = 200_000):
@@ -171,14 +158,14 @@ def sample_assoc_tables(m: int, count: int, seed: int = 0, node_budget: int = 20
     # a table takes m*m placements, so a smaller budget could never finish
     if node_budget < m * m:
         raise ValueError(f"node_budget must be at least m*m = {m * m}, got {node_budget}")
-    out = np.empty((count, m * m), dtype=np.int32)
-    state, _ = _mix64(int(seed))
-    got = failed = 0
-    while got < count:
-        state, t = _fill(m, state, node_budget)
+    shuffled = _shuffler(m, int(seed))
+    tables = []
+    failed = 0
+    while len(tables) < count:
+        # one attempt: the first table of a fill with fresh shuffles per cell
+        t = next(_fill(m, shuffled, node_budget), None)
         if t is not None:
-            out[got] = t
-            got += 1
+            tables.append(t)
             failed = 0
             continue
         failed += 1
@@ -187,4 +174,4 @@ def sample_assoc_tables(m: int, count: int, seed: int = 0, node_budget: int = 20
                 f"node_budget {node_budget} is too small for order {m}: "
                 f"{failed} attempts in a row ran out of nodes"
             )
-    return out.reshape(count, m, m)
+    return np.array(tables, dtype=np.int32).reshape(-1, m, m)

@@ -25,9 +25,25 @@ def test_enumerate_matches_brute_force_oracle():
         assert flat == sorted(flat)
 
 
+def test_enumerate_order_four():
+    tables = _accel.enumerate_assoc_tables(4)
+    assert tables.dtype == np.int32 and tables.shape == (3492, 4, 4)  # OEIS A023814
+    flat = [tuple(t.ravel().tolist()) for t in tables]
+    # strictly increasing: lexicographic order and no table twice
+    assert all(x < y for x, y in zip(flat, flat[1:]))
+    for t in tables:
+        assert oracles.check_associative(t.tolist())
+    # the pinned sampler draw lies inside the enumeration
+    known = set(flat)
+    for t in _accel.sample_assoc_tables(4, 20, seed=3):
+        assert tuple(t.ravel().tolist()) in known
+
+
 def test_enumerate_rejects_large_order():
-    with pytest.raises(ValueError):
-        _accel.enumerate_assoc_tables(4)
+    # order 5 would take minutes; order 0 has no tables to fill
+    for m in (0, 5):
+        with pytest.raises(ValueError, match="order"):
+            _accel.enumerate_assoc_tables(m)
 
 
 def test_assoc_witness_none_iff_associative():
