@@ -98,6 +98,9 @@ class RewritingSystem:
             if lhs_w is ZERO or not lhs_w:
                 raise ValueError("rule lhs must be a non-empty word over the alphabet")
             rhs_w = ZERO if rhs is ZERO else self.word(rhs)
+            # the empty word is no element; ZERO, also of length 0, is one
+            if rhs_w is not ZERO and not rhs_w:
+                raise ValueError(f"rule {self.display(lhs_w)} -> has an empty right side")
             if len(rhs_w) >= len(lhs_w):
                 raise ValueError(
                     f"rule {self.display(lhs_w)} -> {self.display(rhs_w)}"

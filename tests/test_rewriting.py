@@ -86,6 +86,22 @@ def test_zero_only_allowed_alone_on_rhs():
         parse_presentation("letters: a\nzero: 0\nrule: a0 -> a\n")
 
 
+def test_empty_rhs_rejected_but_zero_accepted():
+    # the empty word is no element of the semigroup
+    for rule in (Rule("aa", ""), ("aa", "")):
+        with pytest.raises(ValueError, match="empty right side"):
+            RewritingSystem(("a",), [rule])
+    with pytest.raises(ValueError, match="empty right side"):
+        RewritingSystem(("g1", "g2"), [("[g1][g2]", "")])
+    # an input fault, not an internal error, on the way to a semigroup
+    with pytest.raises(ValueError) as exc:
+        semigroup_from_presentation(RewritingSystem(("a",), [Rule("aa", "")]))
+    assert not isinstance(exc.value, EngineBug)
+    rs = RewritingSystem(("a",), [Rule("aa", ZERO)], zero="0")
+    assert rs.rules[0].rhs is ZERO
+    assert semigroup_from_presentation(rs).order == 2
+
+
 def test_multi_char_letters_use_brackets():
     rs = parse_presentation("letters: [g1] [g2]\nrule: [g1][g1] -> [g2]\n")
     w = rs.word("[g1][g1][g1]")
