@@ -61,6 +61,16 @@ def _parse_n_range(text: str):
     return range(a, b + 1)
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad count {text!r}, expected an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"count must be nonnegative, got {value}")
+    return value
+
+
 def _detect_input_kind(text: str) -> str:
     for raw in text.splitlines():
         body = raw.split("#", 1)[0].strip()
@@ -548,13 +558,12 @@ def cmd_search_open1(args) -> int:
             consider(tab, m)
         searched += len(tables)
         remaining -= len(tables)
-    sampled_orders = [m for m in range(4, max_order + 1)]
+    sampled_orders = range(4, max_order + 1)
     for pos, m in enumerate(sampled_orders):
         if remaining <= 0:
             break
-        share = remaining if pos == len(sampled_orders) - 1 else (
-            remaining // (len(sampled_orders) - pos)
-        )
+        # an equal share of what is left; the last order takes all of it
+        share = remaining // (len(sampled_orders) - pos)
         if share <= 0:
             continue
         tables = _accel.sample_assoc_tables(m, share, seed=args.seed + m)
@@ -654,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=SUITES)
     p.add_argument("--n", type=_parse_n_range, help="parameter range A..B")
     p.add_argument("--order", type=int, help="small-order-oracle: max order")
-    p.add_argument("--samples", type=int, default=100_000,
+    p.add_argument("--samples", type=_nonnegative_int, default=100_000,
                    help="small-order-oracle: sample count per order above 3")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", help="write the machine-readable report here")
@@ -664,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
         "search-open1",
         help="search for a bi-ideal beating the completely-simple bound",
     )
-    p.add_argument("--budget", type=int, default=200,
+    p.add_argument("--budget", type=_nonnegative_int, default=200,
                    help="number of tables to examine")
     p.add_argument("--max-order", type=int, default=4, choices=range(1, 6))
     p.add_argument("--seed", type=int, default=0)

@@ -250,6 +250,14 @@ def test_verify_small_order_oracle_rejects_large(capsys):
     assert "error:" in err
 
 
+def test_verify_negative_samples_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "small-order-oracle", "--order", "3",
+                         "--samples", "-1")
+    assert code == 2
+    assert out == ""
+    assert "count must be nonnegative, got -1" in err
+
+
 def test_verify_bad_range(capsys):
     code, _, _ = run(capsys, "verify", "bi-ideal-family", "--n", "5..2")
     assert code == 2
@@ -291,6 +299,13 @@ def test_search_open1_zero_budget(capsys):
     assert code == 0
     assert "searched_tables: 0" in out
     assert "best: none" in out
+
+
+def test_search_open1_negative_budget_is_usage_error(capsys):
+    code, out, err = run(capsys, "search-open1", "--budget", "-5")
+    assert code == 2
+    assert out == ""
+    assert "count must be nonnegative, got -5" in err
 
 
 def test_search_open1_json_report(capsys, tmp_path):
