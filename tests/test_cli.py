@@ -1,5 +1,6 @@
 """Command behavior, exit codes, output format, and determinism."""
 
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import greenheight
-from greenheight import cli, green, rewriting
+from greenheight import _accel, cli, core, green, ideals, rewriting
 from greenheight.constructions import bi_ideal_family, left_ideal_cs_family
 from greenheight.errors import EngineBug
 
@@ -291,6 +292,41 @@ def test_verify_small_order_oracle_stdout_is_pinned(capsys):
                    if not line.startswith("elapsed_ms:"))
     assert hashlib.sha256(kept.encode()).hexdigest() == (
         "1025e0eea2debf133b95a1123d44774bba6112f8f7e6110320098acc1bfe900b"
+    )
+
+
+def test_verify_small_order_oracle_forced_failures_are_pinned(capsys, monkeypatch, tmp_path):
+    # every bound report is made to fail, so the violation counts, the first
+    # violation and the subset-then-kind order of the messages all show
+    real = ideals.bound_report
+
+    def failing(s, handle):
+        report = real(s, handle)
+        return dataclasses.replace(report, passed=False,
+                                   relative_height=report.chain_param + 1)
+
+    monkeypatch.setattr(ideals, "bound_report", failing)
+    target = tmp_path / "oracle.json"
+    code, out, _ = run(capsys, "verify", "small-order-oracle", "--order", "3",
+                       "--json", str(target))
+    assert code == 1
+    kept = "".join(line for line in out.splitlines(keepends=True)
+                   if not line.startswith("elapsed_ms:"))
+    assert hashlib.sha256(kept.encode()).hexdigest() == (
+        "f8e9ea97a522fd0598ec0ae06d18eebb86ced981fa3a7dce150114d52cbe4ab2"
+    )
+    cases = json.loads(target.read_text())["cases"]
+    assert hashlib.sha256(json.dumps(cases, sort_keys=True).encode()).hexdigest() == (
+        "c20b2a3ed3dde1de355854b6e052c0fcf086af867ba9cc83592c91caf0441161"
+    )
+    messages = []
+    for m in (1, 2, 3):
+        for tab in _accel.enumerate_assoc_tables(m):
+            s = core.from_table([str(i) for i in range(m)], tab)
+            messages.extend(cli._table_violations(s))
+    assert len(messages) == 1990
+    assert hashlib.sha256("\n".join(messages).encode()).hexdigest() == (
+        "f641f61a1c46364f45e034a517e68b43e068ed44fe0e81dd820a23795e53d990"
     )
 
 
