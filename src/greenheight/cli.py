@@ -421,26 +421,20 @@ def _table_violations(s) -> list:
     if (hr == 1) != (_minimal_right_ideal_union(s) == frozenset(range(s.order))):
         v.append("height-1 union lemma fails")
     reg = green.regular_elements(s)
-    for mask in range(1, 1 << s.order):
-        members = frozenset(i for i in range(s.order) if mask >> i & 1)
-        for kind in ideals.IDEAL_KINDS:
-            if not ideals.is_kind(s, members, kind):
-                continue
-            handle = core.SubsetHandle(s, members, kind)
-            report = ideals.bound_report(s, handle)
-            where = f"{kind} {sorted(members)}"
-            if not report.passed:
-                v.append(f"{report.theorem_id} bound fails on {where}")
-            if report.sanity_bound is not None and report.relative_height > report.sanity_bound:
-                v.append(f"sanity bound fails on {where}")
-            if kind == "bi_ideal" and all(
-                green.has_local_right_identity(handle, a) for a in members
-            ):
-                if report.relative_height != report.chain_param:
-                    v.append(f"local-right-identity proposition fails on {where}")
-            if kind == "left_ideal" and members <= reg:
-                if report.relative_height != report.chain_param:
-                    v.append(f"regular-left-ideal proposition fails on {where}")
+    for handle in ideals.ideal_subsets(s):
+        kind, members = handle.kind, handle.members
+        report = ideals.bound_report(s, handle)
+        where = f"{kind} {sorted(members)}"
+        if not report.passed:
+            v.append(f"{report.theorem_id} bound fails on {where}")
+        if report.sanity_bound is not None and report.relative_height > report.sanity_bound:
+            v.append(f"sanity bound fails on {where}")
+        if report.relative_height == report.chain_param:
+            continue
+        if kind == "bi_ideal" and all(green.has_local_right_identity(handle, a) for a in members):
+            v.append(f"local-right-identity proposition fails on {where}")
+        if kind == "left_ideal" and members <= reg:
+            v.append(f"regular-left-ideal proposition fails on {where}")
     return v
 
 
@@ -448,10 +442,12 @@ _ORACLE_COUNTS = {1: 1, 2: 8, 3: 113}
 
 
 def suite_small_order_oracle(args):
-    max_order = args.order or 3
+    max_order = 3 if args.order is None else args.order
     if not 1 <= max_order <= 5:
         raise ValueError("--order must be between 1 and 5")
     samples = args.samples
+    if max_order >= 4 and samples == 0:
+        raise ValueError("--samples must be positive when --order is 4 or more")
     cases = []
     for m in range(1, max_order + 1):
         if m <= 3:
@@ -519,16 +515,11 @@ def cmd_verify(args) -> int:
 def _best_bi_ideal_score(s):
     """Max of relative_height - (3*chain_param - 2) over all bi-ideals."""
     best = None
-    for mask in range(1, 1 << s.order):
-        members = frozenset(i for i in range(s.order) if mask >> i & 1)
-        if not ideals.is_kind(s, members, "bi_ideal"):
-            continue
-        handle = core.SubsetHandle(s, members, "bi_ideal")
-        h = ideals.relative_height(handle)
-        n = ideals.chain_param(s, handle)
+    for handle in ideals.ideal_subsets(s, ("bi_ideal",)):
+        h, n = ideals.relative_height(handle), ideals.chain_param(s, handle)
         score = h - (3 * n - 2)
         if best is None or score > best[0]:
-            best = (score, h, n, tuple(sorted(members)))
+            best = (score, h, n, handle.sorted_members)
     return best
 
 

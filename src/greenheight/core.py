@@ -136,29 +136,27 @@ def closure_violation(s: FiniteSemigroup, members, kind: str):
         raise ValueError(f"unknown kind {kind!r}")
     mem = _as_index_array(s, members, "member set")
     t = s.table
-    m = s.order
-    inside = np.zeros(m, dtype=bool)
+    inside = np.zeros(s.order, dtype=bool)
     inside[mem] = True
 
     def first_escape(prods):
         bad = np.argwhere(~inside[prods])
         return None if bad.size == 0 else tuple(int(v) for v in bad[0])
 
-    pair = t[np.ix_(mem, mem)]
     if kind in ("subsemigroup", "bi_ideal"):
-        hit = first_escape(pair)
+        hit = first_escape(t[np.ix_(mem, mem)])
         if hit is not None:
             i, j = hit
             a, b = int(mem[i]), int(mem[j])
             return ("product", a, b, int(t[a, b]))
     if kind in ("right_ideal", "two_sided_ideal"):
-        hit = first_escape(t[np.ix_(mem, np.arange(m))])
+        hit = first_escape(t[mem])
         if hit is not None:
             i, c = hit
             a = int(mem[i])
             return ("right", a, c, int(t[a, c]))
     if kind in ("left_ideal", "two_sided_ideal"):
-        hit = first_escape(t[np.ix_(np.arange(m), mem)])
+        hit = first_escape(t[:, mem])
         if hit is not None:
             c, j = hit
             a = int(mem[j])
@@ -211,23 +209,19 @@ class SubsetHandle:
 def restrict_to_subsemigroup(handle: SubsetHandle) -> FiniteSemigroup:
     """The handle's members as a standalone semigroup.
 
-    Element i of the result is handle.sorted_members[i]; that tuple is kept
-    on the result as parent_map. Names are inherited.
+    Element i of the result is handle.sorted_members[i], kept as parent_map;
+    names are inherited. Cached on the parent by member set, for every kind.
     """
     s = handle.parent
-    mem = np.array(handle.sorted_members, dtype=np.int64)
-    back = np.full(s.order, -1, dtype=np.int32)
-    back[mem] = np.arange(len(mem), dtype=np.int32)
-    sub = back[s.table[np.ix_(mem, mem)]]
-    if (sub < 0).any():
-        i, j = (int(v) for v in np.argwhere(sub < 0)[0])
-        a, b = int(mem[i]), int(mem[j])
-        raise NotClosed(
-            handle.kind, ("product", a, b, int(s.table[a, b])),
-            f"members not closed: {s.names[a]}*{s.names[b]} escapes",
-        )
-    names = [s.names[i] for i in handle.sorted_members]
-    return FiniteSemigroup(names, sub, parent_map=handle.sorted_members)
+    key = ("restrict", handle.members)
+    if key not in s._cache:
+        mem = np.array(handle.sorted_members, dtype=np.int64)
+        back = np.full(s.order, -1, dtype=np.int32)
+        back[mem] = np.arange(len(mem), dtype=np.int32)
+        names = [s.names[i] for i in handle.sorted_members]
+        s._cache[key] = FiniteSemigroup(names, back[s.table[np.ix_(mem, mem)]],
+                                        parent_map=handle.sorted_members)
+    return s._cache[key]
 
 
 def parse_table_text(text: str) -> FiniteSemigroup:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, green
-from .errors import EngineBug, PreconditionViolated
+from .errors import EngineBug, NotClosed, PreconditionViolated
 
 IDEAL_KINDS = ("bi_ideal", "right_ideal", "left_ideal", "two_sided_ideal")
 _INTERSECT_KINDS = ("bi_ideal", "left_ideal", "subsemigroup")
@@ -60,6 +60,20 @@ def generate(s: core.FiniteSemigroup, xs, kind: str) -> core.SubsetHandle:
 def is_kind(s: core.FiniteSemigroup, members, kind: str) -> bool:
     """Does the subset satisfy the closure law of the kind?"""
     return core.closure_violation(s, members, kind) is None
+
+
+def ideal_subsets(s: core.FiniteSemigroup, kinds=IDEAL_KINDS):
+    """Handles for all 2^m - 1 nonempty subsets, in increasing bitmask (bit i
+    for element i), each with the kinds in `kinds` order whose closure law
+    holds; the handle's own check is the only closure check."""
+    for mask in range(1, 1 << s.order):
+        members = frozenset(i for i in range(s.order) if mask >> i & 1)
+        for kind in kinds:
+            try:
+                handle = core.SubsetHandle(s, members, kind)
+            except NotClosed:
+                continue
+            yield handle
 
 
 def relative_height(handle: core.SubsetHandle) -> int:

@@ -251,6 +251,30 @@ def test_verify_small_order_oracle_rejects_large(capsys):
     assert "error:" in err
 
 
+def test_verify_small_order_oracle_order_zero_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "small-order-oracle", "--order", "0")
+    assert code == 2
+    assert out == ""
+    assert "--order must be between 1 and 5" in err
+
+
+def test_verify_zero_samples_at_sampled_orders_is_usage_error(capsys):
+    for order in ("4", "5"):
+        code, out, err = run(capsys, "verify", "small-order-oracle", "--order", order,
+                             "--samples", "0")
+        assert code == 2
+        assert out == ""
+        assert "error: --samples must be positive" in err
+
+
+def test_verify_zero_samples_below_sampled_orders_runs(capsys):
+    code, out, _ = run(capsys, "verify", "small-order-oracle", "--order", "3",
+                       "--samples", "0")
+    assert code == 0
+    assert "case order 3: pass" in out
+    assert "failures: 0" in out
+
+
 def test_verify_negative_samples_is_usage_error(capsys):
     code, out, err = run(capsys, "verify", "small-order-oracle", "--order", "3",
                          "--samples", "-1")
@@ -332,6 +356,13 @@ def test_verify_small_order_oracle_forced_failures_are_pinned(capsys, monkeypatc
 
 def test_search_open1_zero_budget(capsys):
     code, out, _ = run(capsys, "search-open1", "--budget", "0")
+    assert code == 0
+    assert "searched_tables: 0" in out
+    assert "best: none" in out
+
+
+def test_search_open1_zero_budget_at_sampled_orders(capsys):
+    code, out, _ = run(capsys, "search-open1", "--budget", "0", "--max-order", "5")
     assert code == 0
     assert "searched_tables: 0" in out
     assert "best: none" in out

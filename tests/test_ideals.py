@@ -12,6 +12,7 @@ from greenheight import (
     chain_param,
     from_table,
     generate,
+    ideal_subsets,
     is_kind,
     kernel,
     leq,
@@ -57,6 +58,53 @@ def test_is_kind_matches_oracle_on_sampled_order_four():
                 assert is_kind(s, members, kind) == oracles.naive_is_kind(
                     rows, members, kind
                 )
+
+
+def _scanned_tables():
+    for m in (1, 2, 3):
+        yield from _accel.enumerate_assoc_tables(m)
+    yield from _accel.sample_assoc_tables(4, 20, seed=27)
+
+
+def test_ideal_subsets_match_oracle_in_bitmask_then_kind_order():
+    for t in _scanned_tables():
+        s = make(t)
+        rows = t.tolist()
+        m = len(rows)
+        expected = []
+        for bits in range(1, 1 << m):
+            members = frozenset(i for i in range(m) if bits >> i & 1)
+            for kind in ALL_KINDS:
+                if oracles.naive_is_kind(rows, members, kind):
+                    expected.append((members, kind))
+        handles = list(ideal_subsets(s, ALL_KINDS))
+        assert [(h.members, h.kind) for h in handles] == expected
+        assert all(h.parent is s for h in handles)
+        default = [(h.members, h.kind) for h in ideal_subsets(s)]
+        assert default == [pair for pair in expected if pair[1] in IDEAL_KINDS]
+
+
+def test_restriction_is_shared_by_member_set():
+    # handles of different kinds on one member set restrict to one object,
+    # and relative heights read through it still match the oracle
+    shared = 0
+    for t in _scanned_tables():
+        s = make(t)
+        rows = t.tolist()
+        by_members = {}
+        for h in ideal_subsets(s, ALL_KINDS):
+            sub = restrict_to_subsemigroup(h)
+            shared += h.members in by_members
+            assert by_members.setdefault(h.members, sub) is sub
+            assert sub.parent_map == h.sorted_members
+            assert relative_height(h) == oracles.naive_relative_height(rows, h.members)
+        whole = frozenset(range(s.order))
+        first, *rest = (SubsetHandle(s, whole, kind) for kind in ALL_KINDS)
+        sub = restrict_to_subsemigroup(first)
+        assert all(restrict_to_subsemigroup(h) is sub for h in rest)
+        # the cache belongs to the parent, not to its table
+        assert restrict_to_subsemigroup(SubsetHandle(make(t), whole)) is not sub
+    assert shared > 1000
 
 
 def test_generate_right_ideal_is_principal_set():
