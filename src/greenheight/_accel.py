@@ -1,4 +1,4 @@
-"""Hot kernels over small tables: the associativity witness search (numpy),
+"""Hot kernels: the exact associativity check and witness search (numpy),
 and one backtracking fill on plain Python ints that both enumerates every
 associative table of order <= 4, trying cell values in ascending order, and
 samples them, trying values in an order shuffled by splitmix64, so a sample
@@ -15,8 +15,10 @@ import numpy as np
 numba_kernels = None
 
 _MASK64 = (1 << 64) - 1
-# rows per block of the witness search, to bound its memory
-_WITNESS_ROWS = 32
+# cells per block of the witness scan, to bound its memory (32 rows at order 256)
+_WITNESS_CELLS = 1 << 21
+# order from which Light's test goes first: a measured speed crossover only
+_LIGHT_MIN_ORDER = 48
 # failed sampler attempts in a row after which the node budget is deemed
 # unworkable; valid inputs were seen to need at most 6
 _MAX_FAILED_ATTEMPTS = 1000
@@ -24,15 +26,46 @@ _MAX_FAILED_ATTEMPTS = 1000
 
 def assoc_witness(table):
     """Lexicographically first (a, b, c) with (a*b)*c != a*(b*c), or None
-    if the table is associative. Scans rows in blocks to bound memory."""
+    if the table is associative; exact at every order. From order
+    _LIGHT_MIN_ORDER up it first runs Light's test (Clifford and Preston,
+    1961, section 1.2): (x*g)*y == x*(g*y) for all x, y and all g in A, where
+    A's closure under right multiplication by A is S. The middles that pass
+    form a subsemigroup, so then the table is associative. This costs
+    m*m*|A|, or m**3 where no smaller A exists, as in null and left-zero
+    semigroups. Below that order, and on failure, every element is a middle."""
     t = np.ascontiguousarray(table, dtype=np.int32)
-    m = t.shape[0]
-    for a0 in range(0, m, _WITNESS_ROWS):
-        rows = t[a0 : a0 + _WITNESS_ROWS]
-        neq = t[rows, :] != rows[:, t]
+    if len(t) >= _LIGHT_MIN_ORDER and _first_failure(t, _generators(t)) is None:
+        return None
+    return _first_failure(t, slice(None))
+
+
+def _generators(t):
+    """Sorted A for assoc_witness: elements by how often they occur as entries,
+    fewest first, each added if not yet reached; O(m*|A|) lookups in all."""
+    reached = np.zeros(len(t), dtype=bool)
+    gens = []
+    for g in np.argsort(np.bincount(t.ravel(), minlength=len(t)), kind="stable").tolist():
+        if not reached[g]:
+            gens.append(g)
+            # the reached set times g, then each new element times every generator
+            new = np.append(t[reached, g], g)
+            while new.size:
+                new = np.unique(new[~reached[new]])
+                reached[new] = True
+                new = t[new][:, gens].ravel()
+    return np.array(sorted(gens))
+
+
+def _first_failure(t, middles):
+    """Lex-first (a, k, c) with (a*b)*c != a*(b*c), b the k-th of middles (a slice
+    or sorted indices), or None; a block of rows has <= _WITNESS_CELLS cells or 1 row."""
+    left, right = t[:, middles], t[middles]
+    step = max(1, _WITNESS_CELLS // left.size)
+    for a0 in range(0, len(t), step):
+        neq = t[left[a0 : a0 + step]] != t[a0 : a0 + step, right]
         if neq.any():
-            i, b, c = np.unravel_index(int(np.argmax(neq)), neq.shape)
-            return int(i) + a0, int(b), int(c)
+            i, k, c = np.unravel_index(int(np.argmax(neq)), neq.shape)
+            return int(i) + a0, int(k), int(c)
     return None
 
 

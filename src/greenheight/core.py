@@ -14,9 +14,6 @@ import numpy as np
 from . import _accel
 from .errors import NotAssociative, NotClosed, ParseError
 
-ASSOC_EXHAUSTIVE_LIMIT = 256
-ASSOC_SAMPLE_TRIPLES = 1_000_000
-
 KINDS = ("bi_ideal", "right_ideal", "left_ideal", "two_sided_ideal", "subsemigroup")
 
 
@@ -40,7 +37,7 @@ class FiniteSemigroup:
                 raise ValueError(f"bad element name {n!r}")
         if table.size and (table.min() < 0 or table.max() >= m):
             raise ValueError("table entries must be element indices")
-        witness = _find_nonassoc(table)
+        witness = _accel.assoc_witness(table)
         if witness is not None:
             raise NotAssociative(witness)
         table.setflags(write=False)
@@ -70,21 +67,6 @@ class FiniteSemigroup:
     def __repr__(self):
         ident = "" if self.identity is None else f", identity={self.names[self.identity]!r}"
         return f"FiniteSemigroup(order={self.order}{ident})"
-
-
-def _find_nonassoc(table):
-    m = table.shape[0]
-    if m <= ASSOC_EXHAUSTIVE_LIMIT:
-        return _accel.assoc_witness(table)
-    # too many triples; spot-check a fixed random sample
-    rng = np.random.default_rng(0)
-    idx = rng.integers(0, m, size=(3, ASSOC_SAMPLE_TRIPLES), dtype=np.int64)
-    a, b, c = idx
-    bad = np.nonzero(table[table[a, b], c] != table[a, table[b, c]])[0]
-    if bad.size:
-        k = int(bad[0])
-        return int(a[k]), int(b[k]), int(c[k])
-    return None
 
 
 def _find_identity(table):

@@ -27,6 +27,17 @@ def check_associative(t) -> bool:
     )
 
 
+def naive_assoc_witness(t):
+    """Lexicographically first (a, b, c) with (ab)c != a(bc), or None."""
+    m = len(t)
+    for a in range(m):
+        for b in range(m):
+            for c in range(m):
+                if t[t[a][b]][c] != t[a][t[b][c]]:
+                    return a, b, c
+    return None
+
+
 def principal_set(t, a: int, relation: str) -> frozenset:
     """{a} together with the products the relation quantifies over."""
     m = len(t)

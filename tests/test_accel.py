@@ -1,12 +1,19 @@
 """Table enumeration, the associativity witness and the seeded sampler."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
 from greenheight import _accel
+from greenheight.constructions import (
+    bi_ideal_family,
+    left_ideal_cs_family,
+    null_semigroup,
+    right_ideal_tower,
+)
 
 
 def test_enumerate_counts():
@@ -74,6 +81,90 @@ def test_assoc_witness_is_lex_first():
                         if (a2, b2, c2) >= (a, b, c):
                             break
                         assert t[t[a2, b2], c2] == t[a2, t[b2, c2]]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: bi_ideal_family(5).semigroup,
+        lambda: left_ideal_cs_family(10).semigroup,
+        lambda: bi_ideal_family(6).semigroup,
+        lambda: right_ideal_tower(4).semigroup,
+    ],
+    ids=["bi5", "left10", "bi6", "tower4"],
+)
+def test_assoc_witness_matches_oracle_above_light_cutoff(build):
+    t = np.array(build().table)
+    m = len(t)
+    # orders 49-85: the generating-set test runs before any full scan
+    assert m >= _accel._LIGHT_MIN_ORDER
+    assert _accel.assoc_witness(t) is None
+    assert oracles.check_associative(t.tolist())
+    rng = np.random.default_rng(m)
+    rejected = 0
+    for _ in range(8):
+        bad = t.copy()
+        i, j = rng.integers(0, m, size=2)
+        bad[i, j] = (bad[i, j] + rng.integers(1, m)) % m
+        w = _accel.assoc_witness(bad)
+        assert w == oracles.naive_assoc_witness(bad.tolist())
+        rejected += w is not None
+    assert rejected > 0
+
+
+def test_generators_reach_every_element_by_right_multiplication():
+    # the premise of Light's test: A and its right products by A cover S
+    z = np.arange(50)
+    tables = [
+        bi_ideal_family(5).semigroup.table,
+        right_ideal_tower(4).semigroup.table,
+        null_semigroup(50).table,
+        np.repeat(z[:, None], 50, axis=1),  # left zero
+        (z[:, None] + z[None, :]) % 50,  # cyclic group
+    ]
+    rng = np.random.default_rng(17)
+    for t in list(tables):
+        bad = np.array(t)
+        bad[tuple(rng.integers(0, len(bad), size=2))] = 0
+        tables.append(bad)
+    for t in tables:
+        t = np.ascontiguousarray(t, dtype=np.int32)
+        gens = _accel._generators(t).tolist()
+        assert gens == sorted(set(gens))
+        reached, todo = set(gens), list(gens)
+        while todo:
+            x = todo.pop()
+            for g in gens:
+                y = int(t[x, g])
+                if y not in reached:
+                    reached.add(y)
+                    todo.append(y)
+        assert reached == set(range(len(t)))
+
+
+def test_assoc_witness_finds_a_failure_at_every_middle():
+    # order-60 null semigroups whose one failing triple (i, j, j) has middle j
+    m = 60
+    for j in range(m - 1):
+        i = (j + 1) % (m - 1)
+        t = np.full((m, m), m - 1, dtype=np.int32)
+        t[i, j] = i
+        assert _accel.assoc_witness(t) == (i, j, j)
+
+
+def test_assoc_witness_memory_is_bounded_by_cells():
+    # order-600 null semigroup whose one non-associative triple is (150, 3, 3)
+    m = 600
+    t = np.full((m, m), m - 1, dtype=np.int32)
+    t[150, 3] = 150
+    tracemalloc.start()
+    try:
+        w = _accel.assoc_witness(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w == (150, 3, 3)
+    assert peak < 32 * 2**20
 
 
 def test_splitmix64_reference_vector():

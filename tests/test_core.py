@@ -88,6 +88,23 @@ def test_from_table_witness_is_lex_first():
     assert exc.value.triple == (0, 0, 1)
 
 
+def one_bad_cell_null_table(m, i, j):
+    """Null semigroup of order m with zero m-1, except t[i][j] = i: its only
+    non-associative triple is (i, j, j)."""
+    t = [[m - 1] * m for _ in range(m)]
+    t[i][j] = i
+    return t
+
+
+@pytest.mark.parametrize("m", [260, 300])
+@pytest.mark.parametrize("i, j", [(5, 200), (7, 11), (150, 3)])
+def test_one_bad_triple_rejected_above_old_exhaustive_limit(m, i, j):
+    # the only failing triple, so also the lexicographically first
+    with pytest.raises(NotAssociative) as exc:
+        from_table([str(k) for k in range(m)], one_bad_cell_null_table(m, i, j))
+    assert exc.value.triple == (i, j, j)
+
+
 def test_identity_detection():
     assert full_transformation_monoid(2).identity is not None
     assert null_semigroup(3).identity is None
