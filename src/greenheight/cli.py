@@ -225,8 +225,8 @@ def _family_case(fi, extra_expected=None, extra_computed=None):
     computed = {
         "order": s.order,
         "height_r": green.height(s, "R"),
-        "relative_height": ideals.relative_height(handle),
-        "chain_param": ideals.chain_param(s, handle),
+        "relative_height": report.relative_height,
+        "chain_param": report.chain_param,
         "complement": complement,
         "complete": ok,
         "bound_pass": report.passed,
@@ -409,21 +409,18 @@ def _minimal_right_ideal_union(s):
 def _table_violations(s) -> list:
     """Every invariant the small-order oracle asserts, on one semigroup."""
     v = []
-    try:
-        kinfo = green.kernel(s)
-        if not kinfo.is_completely_simple:
-            v.append("kernel is not completely simple")
-    except RuntimeError as exc:
-        v.append(f"kernel: {exc}")
+    cs = green.kernel(s).is_completely_simple
+    if not cs:
+        v.append("kernel is not completely simple")
     hr = green.height(s, "R")
     if hr > green.height(s, "J"):
         v.append("H_R exceeds H_J")
     if (hr == 1) != (_minimal_right_ideal_union(s) == frozenset(range(s.order))):
         v.append("height-1 union lemma fails")
     reg = green.regular_elements(s)
-    for handle in ideals.ideal_subsets(s):
-        kind, members = handle.kind, handle.members
-        report = ideals.bound_report(s, handle)
+    for rec in ideals.ideal_subsets(s):
+        kind, members = rec.kind, rec.members
+        report = ideals.bound_verdict(kind, rec.relative_height, rec.chain_param, cs)
         where = f"{kind} {sorted(members)}"
         if not report.passed:
             v.append(f"{report.theorem_id} bound fails on {where}")
@@ -431,8 +428,10 @@ def _table_violations(s) -> list:
             v.append(f"sanity bound fails on {where}")
         if report.relative_height == report.chain_param:
             continue
-        if kind == "bi_ideal" and all(green.has_local_right_identity(handle, a) for a in members):
-            v.append(f"local-right-identity proposition fails on {where}")
+        if kind == "bi_ideal":
+            handle = core.SubsetHandle(s, members, kind)
+            if all(green.has_local_right_identity(handle, a) for a in members):
+                v.append(f"local-right-identity proposition fails on {where}")
         if kind == "left_ideal" and members <= reg:
             v.append(f"regular-left-ideal proposition fails on {where}")
     return v
@@ -515,11 +514,11 @@ def cmd_verify(args) -> int:
 def _best_bi_ideal_score(s):
     """Max of relative_height - (3*chain_param - 2) over all bi-ideals."""
     best = None
-    for handle in ideals.ideal_subsets(s, ("bi_ideal",)):
-        h, n = ideals.relative_height(handle), ideals.chain_param(s, handle)
+    for rec in ideals.ideal_subsets(s, ("bi_ideal",)):
+        h, n = rec.relative_height, rec.chain_param
         score = h - (3 * n - 2)
         if best is None or score > best[0]:
-            best = (score, h, n, handle.sorted_members)
+            best = (score, h, n, tuple(sorted(rec.members)))
     return best
 
 

@@ -53,7 +53,7 @@ def _below(s: core.FiniteSemigroup, relation: str):
     return below
 
 
-def _longest_chains(below, ids=None):
+def longest_chains(below, ids=None):
     """below[i][j] is true when j < i in a strict order. lengths[i] counts
     the members of ids (default: all) on a longest chain of members with
     top i, and is 0 outside ids. Members are visited by the number of
@@ -90,7 +90,7 @@ class ClassPoset:
         self.class_of = class_of
         self.strict = strict
         self._below_rows = strict.T.tolist()
-        self.height = max(_longest_chains(self._below_rows))
+        self.height = max(longest_chains(self._below_rows))
 
     def class_index(self, a: int) -> int:
         return int(self.class_of[int(a)])
@@ -119,11 +119,11 @@ class ClassPoset:
         sel = set(int(i) for i in class_ids)
         if not sel:
             return 0
-        return max(_longest_chains(self._below_rows, sel))
+        return max(longest_chains(self._below_rows, sel))
 
     def chains_above(self):
         """lengths[i] = classes on a longest chain whose bottom is class i."""
-        return _longest_chains(self.strict.tolist())
+        return longest_chains(self.strict.tolist())
 
     def to_dot(self) -> str:
         """Hasse diagram, one node per class, edges larger -> smaller."""
@@ -273,4 +273,4 @@ def inverse_structure(s: core.FiniteSemigroup) -> InverseStructure:
     e, f = es[:, None], es[None, :]
     below = (t[e, f] == f) & (t[f, e] == f)  # below[i, j]: es[j] <= es[i]
     np.fill_diagonal(below, False)
-    return InverseStructure("inverse", max(_longest_chains(below.tolist())))
+    return InverseStructure("inverse", max(longest_chains(below.tolist())))

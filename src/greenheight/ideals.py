@@ -1,9 +1,10 @@
 """Bi-ideals and one-/two-sided ideals: generation, recognition, relative
 R-height, the chain parameter, height-bound reports, and kernel chains.
 
-The relative order inside a handle is always computed on the restricted
-semigroup, never by restricting the parent preorder; the two genuinely
-differ (the 5-element Brandt example is the regression case).
+The relative order inside a subset is always computed inside it, on the
+restricted semigroup for a handle and from the products c*M in the
+ideal_subsets scan, never by restricting the parent preorder; the two
+genuinely differ (the 5-element Brandt example is the regression case).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, green
-from .errors import EngineBug, NotClosed, PreconditionViolated
+from .errors import EngineBug, PreconditionViolated
 
 IDEAL_KINDS = ("bi_ideal", "right_ideal", "left_ideal", "two_sided_ideal")
 _INTERSECT_KINDS = ("bi_ideal", "left_ideal", "subsemigroup")
@@ -62,18 +63,104 @@ def is_kind(s: core.FiniteSemigroup, members, kind: str) -> bool:
     return core.closure_violation(s, members, kind) is None
 
 
+# ideal_subsets walks all 2^m - 1 subsets, so it refuses larger tables
+_SCAN_MAX_ORDER = 16
+
+
+@dataclass(frozen=True, slots=True)
+class SubsetRecord:
+    """One subset of the ideal_subsets scan with a kind whose law it obeys,
+    its relative R-height and its chain parameter."""
+
+    members: frozenset
+    kind: str
+    relative_height: int
+    chain_param: int
+
+
+def _mask(elements) -> int:
+    out = 0
+    for x in elements:
+        out |= 1 << x
+    return out
+
+
 def ideal_subsets(s: core.FiniteSemigroup, kinds=IDEAL_KINDS):
-    """Handles for all 2^m - 1 nonempty subsets, in increasing bitmask (bit i
-    for element i), each with the kinds in `kinds` order whose closure law
-    holds; the handle's own check is the only closure check."""
-    for mask in range(1, 1 << s.order):
-        members = frozenset(i for i in range(s.order) if mask >> i & 1)
+    """A SubsetRecord for each nonempty subset, in increasing bitmask (bit i
+    for element i), and each kind in `kinds` order whose closure law holds.
+
+    Subsets are Python-int bitmasks, and nothing is restricted to a
+    semigroup of its own. With xM the mask of x*M for every x, the laws
+    read: M*M inside M for subsemigroups; aS inside M for every a in M for
+    right ideals, Sa for left ideals, both for two-sided ones; M*M and
+    x*M inside M for every x in M*S for bi-ideals. Because M is closed
+    under products, b <=_R c inside M iff b is in {c} | c*M, so the
+    relative R-height is the longest strict chain of those down-sets.
+    The chain parameter reads the R-classes of s, as chain_param does.
+
+    The scan is exponential in the order: tables of more than 16 elements,
+    and kinds outside core.KINDS, raise ValueError at the call.
+    """
+    kinds = tuple(kinds)
+    for kind in kinds:
+        if kind not in core.KINDS:
+            raise ValueError(f"unknown kind {kind!r}")
+    if s.order > _SCAN_MAX_ORDER:
+        raise ValueError(f"ideal_subsets scans tables of at most {_SCAN_MAX_ORDER}"
+                         f" elements, got {s.order}")
+    return _scan(s, kinds)
+
+
+def _scan(s, kinds):
+    m = s.order
+    t = s.table.tolist()
+    elements = range(m)
+    right = [_mask(row) for row in t]  # right[a]: aS
+    left = [_mask(col) for col in zip(*t)]  # left[a]: Sa
+    # x*M for every x packed in one int, the mask of x*M at bits m*x..m*x+m-1
+    shifts = [m * x for x in elements]
+    column = [sum(1 << (t[x][b] + m * x) for x in elements) for b in elements]
+    every = (1 << m) - 1
+    poset = green.class_poset(s, "R")
+    class_masks = [_mask(cls) for cls in poset.classes]
+    # per mask M: packed x*M, M*S and S*M, each one element off a smaller M
+    packed, ms_of, sm_of = [0], [0], [0]
+    for mask in range(1, 1 << m):
+        low = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        xms = packed[rest] | column[low]
+        ms = ms_of[rest] | right[low]
+        sm = sm_of[rest] | left[low]
+        packed.append(xms)
+        ms_of.append(ms)
+        sm_of.append(sm)
+        xm = [xms >> shift & every for shift in shifts]
+        members = [a for a in elements if mask >> a & 1]
+        closed = all(xm[a] | mask == mask for a in members)
+        laws = {
+            "subsemigroup": closed,
+            "right_ideal": ms | mask == mask,
+            "left_ideal": sm | mask == mask,
+        }
+        laws["two_sided_ideal"] = laws["right_ideal"] and laws["left_ideal"]
+        laws["bi_ideal"] = closed and all(
+            xm[x] | mask == mask for x in elements if ms >> x & 1)
+        subset = None
         for kind in kinds:
-            try:
-                handle = core.SubsetHandle(s, members, kind)
-            except NotClosed:
+            if not laws[kind]:
                 continue
-            yield handle
+            if subset is None:
+                downs = list({1 << c | xm[c] for c in members})
+                below = [[d != e and d | e == e for d in downs] for e in downs]
+                height = max(green.longest_chains(below))
+                params = {}
+                subset = frozenset(members)
+            meets = kind in _INTERSECT_KINDS
+            if meets not in params:
+                params[meets] = poset.longest_chain(
+                    i for i, cm in enumerate(class_masks)
+                    if (cm & mask if meets else cm | mask == mask))
+            yield SubsetRecord(subset, kind, height, params[meets])
 
 
 def relative_height(handle: core.SubsetHandle) -> int:
@@ -145,28 +232,36 @@ class BoundReport:
 
 
 def bound_report(s: core.FiniteSemigroup, handle: core.SubsetHandle) -> BoundReport:
-    """Check the height bound matching (kind, kernel shape) on one handle.
+    """Check the height bound matching (kind, kernel shape) on one handle."""
+    if handle.kind not in IDEAL_KINDS:
+        raise ValueError("bound_report requires an ideal kind, not "
+                         f"{handle.kind!r}")
+    n = chain_param(s, handle)
+    h = relative_height(handle)
+    return bound_verdict(handle.kind, h, n, green.kernel(s).is_completely_simple)
+
+
+def bound_verdict(kind: str, relative_height: int, chain_param: int,
+                  cs_kernel: bool) -> BoundReport:
+    """The height-bound theorem for (kind, kernel shape), applied to h and n.
 
     With a completely simple kernel the sharper variants apply (3n-2 for
     bi-ideals, 2n-1 for left ideals) and the looser generic bounds are
     reported as sanity lines; a finite kernel is always completely simple,
     so the generic bounds can never be exercised as primary here.
     """
-    if handle.kind not in IDEAL_KINDS:
-        raise ValueError("bound_report requires an ideal kind, not "
-                         f"{handle.kind!r}")
-    n = chain_param(s, handle)
-    h = relative_height(handle)
-    cs = green.kernel(s).is_completely_simple
+    if kind not in IDEAL_KINDS:
+        raise ValueError(f"bound_verdict requires an ideal kind, not {kind!r}")
+    h, n, cs = relative_height, chain_param, cs_kernel
     sanity = None
-    if handle.kind == "bi_ideal":
+    if kind == "bi_ideal":
         if cs:
             theorem, bound, sanity = "bi-ideal-cs-kernel", 3 * n - 2, 3 * n - 1
         else:
             theorem, bound = "bi-ideal", 3 * n - 1
-    elif handle.kind == "right_ideal":
+    elif kind == "right_ideal":
         theorem, bound = "right-ideal", 2 * n - 1
-    elif handle.kind == "left_ideal":
+    elif kind == "left_ideal":
         if cs:
             theorem, bound, sanity = "left-ideal-cs-kernel", 2 * n - 1, 2 * n
         else:
@@ -174,7 +269,7 @@ def bound_report(s: core.FiniteSemigroup, handle: core.SubsetHandle) -> BoundRep
     else:
         theorem, bound = "two-sided-ideal", n
     return BoundReport(
-        kind=handle.kind,
+        kind=kind,
         theorem_id=theorem,
         relative_height=h,
         chain_param=n,

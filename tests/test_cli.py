@@ -223,6 +223,17 @@ def test_engine_bug_is_internal_error_exit_three(capsys, monkeypatch, bi2_presen
         assert err == "error: internal: class order is not antisymmetric: engine bug\n"
 
 
+def test_kernel_engine_bug_in_small_order_oracle_exits_three(capsys, monkeypatch):
+    def broken_kernel(s):
+        raise EngineBug("minimal J-class is not a two-sided ideal")
+
+    monkeypatch.setattr(green, "kernel", broken_kernel)
+    code, out, err = run(capsys, "verify", "small-order-oracle", "--order", "1")
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal: minimal J-class is not a two-sided ideal\n"
+
+
 def test_lost_normal_form_is_internal_error_exit_three(capsys, monkeypatch, bi2_presentation):
     enumerate_all = rewriting.enumerate_irreducibles
 
@@ -320,16 +331,16 @@ def test_verify_small_order_oracle_stdout_is_pinned(capsys):
 
 
 def test_verify_small_order_oracle_forced_failures_are_pinned(capsys, monkeypatch, tmp_path):
-    # every bound report is made to fail, so the violation counts, the first
+    # every bound verdict is made to fail, so the violation counts, the first
     # violation and the subset-then-kind order of the messages all show
-    real = ideals.bound_report
+    real = ideals.bound_verdict
 
-    def failing(s, handle):
-        report = real(s, handle)
+    def failing(kind, relative_height, chain_param, cs_kernel):
+        report = real(kind, relative_height, chain_param, cs_kernel)
         return dataclasses.replace(report, passed=False,
                                    relative_height=report.chain_param + 1)
 
-    monkeypatch.setattr(ideals, "bound_report", failing)
+    monkeypatch.setattr(ideals, "bound_verdict", failing)
     target = tmp_path / "oracle.json"
     code, out, _ = run(capsys, "verify", "small-order-oracle", "--order", "3",
                        "--json", str(target))

@@ -8,6 +8,7 @@ from greenheight import (
     PreconditionViolated,
     SubsetHandle,
     bound_report,
+    bound_verdict,
     chain_into_kernel,
     chain_param,
     from_table,
@@ -64,6 +65,7 @@ def _scanned_tables():
     for m in (1, 2, 3):
         yield from _accel.enumerate_assoc_tables(m)
     yield from _accel.sample_assoc_tables(4, 20, seed=27)
+    yield from _accel.sample_assoc_tables(5, 8, seed=29)
 
 
 def test_ideal_subsets_match_oracle_in_bitmask_then_kind_order():
@@ -77,11 +79,36 @@ def test_ideal_subsets_match_oracle_in_bitmask_then_kind_order():
             for kind in ALL_KINDS:
                 if oracles.naive_is_kind(rows, members, kind):
                     expected.append((members, kind))
-        handles = list(ideal_subsets(s, ALL_KINDS))
-        assert [(h.members, h.kind) for h in handles] == expected
-        assert all(h.parent is s for h in handles)
-        default = [(h.members, h.kind) for h in ideal_subsets(s)]
+        records = list(ideal_subsets(s, ALL_KINDS))
+        assert [(r.members, r.kind) for r in records] == expected
+        default = [(r.members, r.kind) for r in ideal_subsets(s)]
         assert default == [pair for pair in expected if pair[1] in IDEAL_KINDS]
+
+
+def test_ideal_subsets_records_match_handles_oracle_and_bound_report():
+    for t in _scanned_tables():
+        s = make(t)
+        rows = t.tolist()
+        cs = kernel(s).is_completely_simple
+        for r in ideal_subsets(s, ALL_KINDS):
+            h = SubsetHandle(s, r.members, r.kind)
+            assert r.relative_height == relative_height(h)
+            assert r.relative_height == oracles.naive_relative_height(rows, r.members)
+            assert r.chain_param == chain_param(s, h)
+            assert r.chain_param == oracles.naive_chain_param(rows, r.members, r.kind)
+            if r.kind in IDEAL_KINDS:
+                verdict = bound_verdict(r.kind, r.relative_height, r.chain_param, cs)
+                assert verdict == bound_report(s, h)
+
+
+def test_ideal_subsets_rejects_unknown_kinds_and_large_orders():
+    s = left_zero_semigroup(2)
+    with pytest.raises(ValueError, match="unknown kind 'quasi_ideal'"):
+        ideal_subsets(s, ("bi_ideal", "quasi_ideal"))
+    with pytest.raises(ValueError, match="at most 16 elements, got 17"):
+        ideal_subsets(left_zero_semigroup(17))
+    first = next(ideal_subsets(left_zero_semigroup(16)))
+    assert (first.members, first.kind) == (frozenset({0}), "bi_ideal")
 
 
 def test_restriction_is_shared_by_member_set():
@@ -92,7 +119,8 @@ def test_restriction_is_shared_by_member_set():
         s = make(t)
         rows = t.tolist()
         by_members = {}
-        for h in ideal_subsets(s, ALL_KINDS):
+        for r in ideal_subsets(s, ALL_KINDS):
+            h = SubsetHandle(s, r.members, r.kind)
             sub = restrict_to_subsemigroup(h)
             shared += h.members in by_members
             assert by_members.setdefault(h.members, sub) is sub
