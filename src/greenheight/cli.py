@@ -525,6 +525,9 @@ def _best_bi_ideal_score(s):
 def cmd_search_open1(args) -> int:
     budget = args.budget
     max_order = args.max_order
+    sampled_orders = range(4, max_order + 1)
+    if sampled_orders and not -4 <= args.seed < (1 << 64) - max_order:
+        raise ValueError(f"--seed must be in [-4, 2**64 - {max_order}), got {args.seed}")
     searched = 0
     best = None  # (score, order, table tuple, h, n, members)
 
@@ -548,7 +551,6 @@ def cmd_search_open1(args) -> int:
             consider(tab, m)
         searched += len(tables)
         remaining -= len(tables)
-    sampled_orders = range(4, max_order + 1)
     for pos, m in enumerate(sampled_orders):
         if remaining <= 0:
             break

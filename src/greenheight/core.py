@@ -70,12 +70,9 @@ class FiniteSemigroup:
 
 
 def _find_identity(table):
-    m = table.shape[0]
-    eye = np.arange(m, dtype=table.dtype)
-    for e in range(m):
-        if np.array_equal(table[e], eye) and np.array_equal(table[:, e], eye):
-            return e
-    return None
+    eye = np.arange(table.shape[0], dtype=table.dtype)
+    hits = np.flatnonzero((table == eye).all(axis=1) & (table == eye[:, None]).all(axis=0))
+    return int(hits[0]) if hits.size else None
 
 
 def from_table(names, table) -> FiniteSemigroup:

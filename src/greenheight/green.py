@@ -4,10 +4,11 @@ local right identities, and inverse-semigroup classification.
 
 Each preorder is one m-by-m boolean "below" matrix, with below[b, a] true
 when a <= b. The S^1 convention is kept without materializing an identity:
-a <=_R b iff a = b or a in bS, so the R matrix is the identity plus one
-scatter of the table's rows, and L the same from its columns. a <=_J b iff
-a <=_L c <=_R b for some c, so J is the boolean product R.L; H is R and L.
-Classes are the mutually reachable elements.
+a <=_R b iff a = b or a in bS, so R is the identity plus one scatter of the
+rows, L the same from the columns, J the boolean product R.L (a <=_L c <=_R
+b for some c), and H is R and L. Classes are the mutually reachable
+elements. The kernel is the union of the minimal R-classes, so it needs no
+J product; regularity and inverses share one gather, true where aba = a.
 """
 
 from __future__ import annotations
@@ -28,6 +29,17 @@ def _boolean_product(x, y):
     return (x.astype(np.float32) @ y) > 0
 
 
+def _scatter_below(t, relation: str):
+    """The R or L below matrix of the table t, by one scatter."""
+    below = np.eye(len(t), dtype=bool)
+    idx = np.arange(len(t))
+    if relation == "R":
+        below[idx[:, None], t] = True  # below[b, b*x]
+    else:
+        below[idx, t] = True  # below[b, x*b]
+    return below
+
+
 def _below(s: core.FiniteSemigroup, relation: str):
     """below[b, a] is true when a <= b in the relation's preorder."""
     if relation not in RELATIONS:
@@ -35,15 +47,8 @@ def _below(s: core.FiniteSemigroup, relation: str):
     cached = s._cache.get(("below", relation))
     if cached is not None:
         return cached
-    t = s.table
-    m = s.order
     if relation in ("R", "L"):
-        below = np.eye(m, dtype=bool)
-        idx = np.arange(m)
-        if relation == "R":
-            below[idx[:, None], t] = True  # below[b, b*x]
-        else:
-            below[idx, t] = True  # below[b, x*b]
+        below = _scatter_below(s.table, relation)
     elif relation == "J":
         below = _boolean_product(_below(s, "R"), _below(s, "L"))
     else:  # H
@@ -184,37 +189,38 @@ class KernelInfo:
 
 
 def kernel(s: core.FiniteSemigroup) -> KernelInfo:
-    """The unique minimal two-sided ideal, with its minimal right ideals.
+    """The unique minimal two-sided ideal K, with its minimal right ideals.
 
-    Every claim is re-verified on the table (ideal closure, right-ideal
-    closure, kernel coverage); failures raise EngineBug since they are
-    impossible for an associative table and would indicate an engine bug.
+    K is the union of the minimal R-classes, the minimal right ideals; both
+    facts are re-verified on the table, and a failure raises EngineBug. K is
+    completely simple when R.L is all true on its sub-table (closed, so
+    associative without a second check) and its R and L are symmetric.
     """
     cached = s._cache.get("kernel")
     if cached is not None:
         return cached
-    jp = class_poset(s, "J")
-    bottoms = jp.minimal_classes()
-    if len(bottoms) != 1:
-        raise EngineBug("finite semigroup without a unique minimal J-class")
-    members = frozenset(jp.classes[bottoms[0]])
-    if core.closure_violation(s, members, "two_sided_ideal") is not None:
-        raise EngineBug("minimal J-class is not a two-sided ideal")
     rp = class_poset(s, "R")
-    mins = []
-    for i in rp.minimal_classes():
-        cls = frozenset(rp.classes[i])
-        if core.closure_violation(s, cls, "right_ideal") is not None:
-            raise EngineBug("minimal R-class is not a right ideal")
-        mins.append(cls)
-    if frozenset().union(*mins) != members:
-        raise EngineBug("minimal right ideals do not cover the kernel")
-    sub = core.restrict_to_subsemigroup(core.SubsetHandle(s, members, "two_sided_ideal"))
-    simple = len(class_poset(sub, "J").classes) == 1
-    cs = simple and height(sub, "R") == 1 and height(sub, "L") == 1
-    info = KernelInfo(members, cs, tuple(mins))
+    mins = tuple(frozenset(rp.classes[i]) for i in rp.minimal_classes())
+    inside = np.zeros(s.order, dtype=bool)
+    inside[list(frozenset().union(*mins))] = True
+    k = np.flatnonzero(inside)
+    t, cls = s.table, rp.class_of
+    if not (cls[t[k]] == cls[k][:, None]).all():
+        raise EngineBug("minimal R-class is not a right ideal")
+    if not inside[t[:, k]].all():
+        raise EngineBug("union of the minimal R-classes is not a two-sided ideal")
+    sub = np.searchsorted(k, t[np.ix_(k, k)])  # K's sub-table, relabelled 0..|K|-1
+    r, l = _scatter_below(sub, "R"), _scatter_below(sub, "L")
+    cs = bool(_boolean_product(r, l).all() and (r == r.T).all() and (l == l.T).all())
+    info = KernelInfo(frozenset(k.tolist()), cs, mins)
     s._cache["kernel"] = info
     return info
+
+
+def _sandwich(t):
+    """A[a, b] is true when a*b*a == a."""
+    a = np.arange(len(t))[:, None]
+    return t[t, a] == a
 
 
 def regular_elements(s: core.FiniteSemigroup) -> frozenset:
@@ -222,8 +228,7 @@ def regular_elements(s: core.FiniteSemigroup) -> frozenset:
     cached = s._cache.get("regular")
     if cached is not None:
         return cached
-    t = s.table
-    out = frozenset(a for a in range(s.order) if bool((t[t[a], a] == a).any()))
+    out = frozenset(np.flatnonzero(_sandwich(s.table).any(axis=1)).tolist())
     s._cache["regular"] = out
     return out
 
@@ -258,17 +263,13 @@ def inverse_structure(s: core.FiniteSemigroup) -> InverseStructure:
     idempotent_height is the longest chain (in elements) of idempotents
     under e <= f iff ef = fe = e.
     """
-    t = s.table
-    m = s.order
-    if len(regular_elements(s)) != m:
+    sandwich = _sandwich(s.table)
+    if not sandwich.any(axis=1).all():
         return InverseStructure("not_regular")
-    for a in range(m):
-        inverses = 0
-        for b in range(m):
-            if int(t[t[a, b], a]) == a and int(t[t[b, a], b]) == b:
-                inverses += 1
-        if inverses != 1:
-            return InverseStructure("regular_not_inverse")
+    # b is an inverse of a iff a*b*a == a and b*a*b == b
+    if not ((sandwich & sandwich.T).sum(axis=1) == 1).all():
+        return InverseStructure("regular_not_inverse")
+    t = s.table
     es = np.array(idempotents(s))
     e, f = es[:, None], es[None, :]
     below = (t[e, f] == f) & (t[f, e] == f)  # below[i, j]: es[j] <= es[i]

@@ -191,6 +191,24 @@ def naive_idempotents(t) -> frozenset:
     return frozenset(a for a in range(len(t)) if t[a][a] == a)
 
 
+def naive_identity(t):
+    """The two-sided identity element, or None."""
+    m = len(t)
+    for e in range(m):
+        if all(t[e][x] == x and t[x][e] == x for x in range(m)):
+            return e
+    return None
+
+
+def naive_inverse_counts(t):
+    """counts[a] = number of b with a*b*a == a and b*a*b == b."""
+    m = len(t)
+    return [
+        sum(1 for b in range(m) if t[t[a][b]][a] == a and t[t[b][a]][b] == b)
+        for a in range(m)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # rewriting oracles
 

@@ -380,6 +380,18 @@ def test_search_open1_negative_budget_is_usage_error(capsys):
     assert "count must be nonnegative, got -5" in err
 
 
+def test_search_open1_seed_range_is_checked_at_the_command(capsys):
+    code, out, _ = run(capsys, "search-open1", "--budget", "125", "--seed", "-4")
+    assert code == 0
+    assert "searched_tables: 125" in out
+    for seed, max_order in (("-5", "4"), (str(2**64 - 1), "4"), (str(2**64 - 5), "5")):
+        code, out, err = run(capsys, "search-open1", "--budget", "125", "--seed", seed,
+                             "--max-order", max_order)
+        assert code == 2
+        assert out == ""
+        assert f"--seed must be in [-4, 2**64 - {max_order}), got {seed}" in err
+
+
 def test_search_open1_json_report(capsys, tmp_path):
     target = tmp_path / "search.json"
     code, _, _ = run(capsys, "search-open1", "--budget", "12", "--seed", "3",

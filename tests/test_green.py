@@ -1,8 +1,10 @@
 """Green's preorders, class posets, kernel, and regularity cross-checks."""
 
+import numpy as np
 import pytest
 
 import oracles
+from greenheight import green
 from greenheight import (
     class_poset,
     from_table,
@@ -25,7 +27,8 @@ from greenheight.constructions import (
     symmetric_inverse_monoid,
     trivial_semigroup,
 )
-from greenheight.green import RELATIONS
+from greenheight.errors import EngineBug
+from greenheight.green import RELATIONS, ClassPoset
 
 ALL_SMALL = [t for m in (1, 2, 3) for t in _accel.enumerate_assoc_tables(m)]
 
@@ -227,13 +230,21 @@ def test_kernel_matches_oracle_on_all_small_tables():
         assert frozenset().union(*got_min) == info.members
 
 
-def test_kernel_matches_oracle_on_sampled_order_four():
-    for t in _accel.sample_assoc_tables(4, 30, seed=11):
+def test_kernel_identity_and_regular_match_oracle_on_every_order_four_table():
+    for t in _accel.enumerate_assoc_tables(4):
         s = make(t)
         rows = t.tolist()
         info = kernel(s)
-        assert info.members == oracles.naive_kernel(rows)
-        assert info.is_completely_simple
+        assert info.members == oracles.naive_kernel(rows), rows
+        want_min = {frozenset(r) for r in oracles.naive_minimal_right_ideals(rows)}
+        assert {frozenset(r) for r in info.minimal_right_ideals} == want_min, rows
+        sub = oracles.sub_table(rows, info.members)
+        cs = (len(oracles.naive_classes(sub, "J")) == 1
+              and oracles.naive_height(sub, "R") == 1
+              and oracles.naive_height(sub, "L") == 1)
+        assert info.is_completely_simple == cs, rows
+        assert s.identity == oracles.naive_identity(rows), rows
+        assert regular_elements(s) == oracles.naive_regular(rows), rows
 
 
 def test_kernel_known_cases():
@@ -301,3 +312,47 @@ def test_heights_are_cached_consistently():
     p1 = class_poset(s, "R")
     p2 = class_poset(s, "R")
     assert p1 is p2
+
+
+def _naive_inverse_kind(rows):
+    if oracles.naive_regular(rows) != frozenset(range(len(rows))):
+        return "not_regular"
+    if all(c == 1 for c in oracles.naive_inverse_counts(rows)):
+        return "inverse"
+    return "regular_not_inverse"
+
+
+def test_inverse_structure_matches_oracle():
+    tables = [t.tolist() for m in (1, 2, 3, 4) for t in _accel.enumerate_assoc_tables(m)]
+    tables += [symmetric_inverse_monoid(3).table.tolist(),
+               full_transformation_monoid(3).table.tolist()]
+    kinds = set()
+    for rows in tables:
+        got = inverse_structure(make(rows))
+        kinds.add(got.kind)
+        assert got.kind == _naive_inverse_kind(rows), rows
+        if got.kind == "inverse":
+            es = sorted(oracles.naive_idempotents(rows))
+            chain = oracles.longest_chain(
+                [frozenset({e}) for e in es],
+                lambda x, y: rows[min(x)][min(y)] == min(x) == rows[min(y)][min(x)],
+            )
+            assert got.idempotent_height == chain, rows
+    assert kinds == {"not_regular", "regular_not_inverse", "inverse"}
+
+
+def test_kernel_engine_bug_checks_fire(monkeypatch):
+    # right zero (a*b = b): the L poset's minimal singletons are not right ideals
+    rz = from_table(["a", "b"], [[0, 1], [0, 1]])
+    real = green.class_poset
+    monkeypatch.setattr(green, "class_poset",
+                        lambda s, rel="R": real(s, "L" if rel == "R" else rel))
+    with pytest.raises(EngineBug, match="right ideal"):
+        kernel(rz)
+    # left zero {a, b} with an identity 1: {a} is a right ideal, b*a = b leaves it
+    lz1 = from_table(["a", "b", "1"], [[0, 0, 0], [1, 1, 1], [0, 1, 2]])
+    fake = ClassPoset(lz1, "R", ((0,), (1, 2)), np.array([0, 1, 1], dtype=np.int32),
+                      np.array([[False, True], [False, False]]))  # {a} below {b, 1}
+    monkeypatch.setattr(green, "class_poset", lambda s, rel="R": fake)
+    with pytest.raises(EngineBug, match="two-sided ideal"):
+        kernel(lz1)
