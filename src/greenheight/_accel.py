@@ -1,27 +1,22 @@
 """Hot kernels: the exact associativity check and witness search (numpy),
-and one backtracking fill on plain Python ints that both enumerates every
-associative table of order <= 4, trying cell values in ascending order, and
-samples them, trying values in an order shuffled by splitmix64, so a sample
-depends on nothing but the sampler's arguments.
+and one backtracking fill on plain Python ints that enumerates one
+associative table per isomorphism class through order 5, pruned by
+associativity and by a partial lex-leader test over the relabellings.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 
 import numpy as np
 
 # no compiled kernels exist; kept because perfbench/child.py reads it
 numba_kernels = None
 
-_MASK64 = (1 << 64) - 1
 # cells per block of the witness scan, to bound its memory (32 rows at order 256)
 _WITNESS_CELLS = 1 << 21
 # order from which Light's test goes first: a measured speed crossover only
 _LIGHT_MIN_ORDER = 48
-# failed sampler attempts in a row after which the node budget is deemed
-# unworkable; valid inputs were seen to need at most 6
-_MAX_FAILED_ATTEMPTS = 1000
 
 
 def assoc_witness(table):
@@ -69,32 +64,6 @@ def _first_failure(t, middles):
     return None
 
 
-def _mix64(state):
-    """One splitmix64 step on 64-bit ints: (next state, output)."""
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return state, z ^ (z >> 31)
-
-
-def _shuffler(m, seed):
-    """A candidates() for the fill that returns a new Fisher-Yates shuffle
-    of range(m) on each call, all drawn from one splitmix64 stream."""
-    state, _ = _mix64(seed)
-
-    def shuffled():
-        nonlocal state
-        cand = list(range(m))
-        for k in range(m - 1, 0, -1):
-            state, z = _mix64(state)
-            j = z % (k + 1)
-            cand[k], cand[j] = cand[j], cand[k]
-        return cand
-
-    return shuffled
-
-
 def _placement_ok(t, m, a, b):
     """Whether setting cell (a, b) of the flat partial table t, where -1
     marks an empty cell, kept it associative: checks exactly the triples
@@ -134,23 +103,48 @@ def _placement_ok(t, m, a, b):
     return True
 
 
-def _fill(m, candidates, node_budget):
+def _fill(m):
     """Depth-first backtracking over the cells of an m-by-m table in row-major
-    order, each newly reached cell trying the values candidates() returns in
-    turn. Yields every associative table as a flat list, in the order met,
-    and stops when no branch is left or after node_budget placements."""
+    order, each cell trying its values in ascending order. Yields, as flat
+    lists in lexicographic order, the associative tables that are least among
+    their relabellings: one per isomorphism class.
+
+    At the end of each row the partial table is compared, cell by cell in
+    row-major order, with its image under each non-identity relabelling p
+    (the image has p(x*y) at (p(x), p(y))). A comparison stops at the first
+    cell that either side has not filled. The branch is cut when an image is
+    smaller at a cell both have filled: every completion then has a smaller
+    relabelling too, so no lex-least table is lost, and at the last cell the
+    test is exact."""
     cells = m * m
     t = [-1] * cells
-    nodes = 0
+    # per relabelling p: p, and for each cell of the image the cell of t it maps from
+    identity = tuple(range(m))
+    images = []
+    for p in itertools.permutations(identity):
+        if p != identity:
+            inv = sorted(identity, key=p.__getitem__)
+            images.append((p, [inv[x] * m + inv[y] for x in identity for y in identity]))
+
+    def least(depth):
+        for p, src in images:
+            for c in range(depth + 1):
+                v = t[src[c]]
+                if v < 0:
+                    break
+                if p[v] != t[c]:
+                    if p[v] < t[c]:
+                        return False
+                    break
+        return True
 
     def place(depth):
-        nonlocal nodes
-        for v in candidates():
-            nodes += 1
-            if nodes > node_budget:
-                return
+        row_end = depth % m == m - 1
+        for v in range(m):
             t[depth] = v
             if not _placement_ok(t, m, *divmod(depth, m)):
+                continue
+            if row_end and not least(depth):
                 continue
             if depth + 1 < cells:
                 yield from place(depth + 1)
@@ -162,49 +156,10 @@ def _fill(m, candidates, node_budget):
 
 
 def enumerate_assoc_tables(m: int):
-    """Every associative table of order 1 <= m <= 4, in lexicographic order
-    of the flattened cells, which is the order the fill meets them in."""
-    if not 1 <= m <= 4:
-        raise ValueError(f"exhaustive enumeration needs 1 <= order <= 4, got {m}")
-    ascending = list(range(m))
-    tables = list(_fill(m, lambda: ascending, math.inf))
-    return np.array(tables, dtype=np.int32).reshape(-1, m, m)
-
-
-def sample_assoc_tables(m: int, count: int, seed: int = 0, node_budget: int = 200_000):
-    """Draw associative m-by-m tables by seeded backtracking fill, as an
-    int32 array of shape (count, m, m).
-
-    Draws are with replacement and not uniform over associative tables;
-    the output depends only on (m, count, seed, node_budget). Each attempt
-    stops after node_budget placements. Raises ValueError for m < 1,
-    count < 0, a seed outside [0, 2**64), node_budget < m*m, and when
-    1000 attempts in a row run out of nodes, which means node_budget is
-    too small for order m.
-    """
-    if m < 1:
-        raise ValueError("order must be at least 1")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    # a table takes m*m placements, so a smaller budget could never finish
-    if node_budget < m * m:
-        raise ValueError(f"node_budget must be at least m*m = {m * m}, got {node_budget}")
-    shuffled = _shuffler(m, int(seed))
-    tables = []
-    failed = 0
-    while len(tables) < count:
-        # one attempt: the first table of a fill with fresh shuffles per cell
-        t = next(_fill(m, shuffled, node_budget), None)
-        if t is not None:
-            tables.append(t)
-            failed = 0
-            continue
-        failed += 1
-        if failed == _MAX_FAILED_ATTEMPTS:
-            raise ValueError(
-                f"node_budget {node_budget} is too small for order {m}: "
-                f"{failed} attempts in a row ran out of nodes"
-            )
-    return np.array(tables, dtype=np.int32).reshape(-1, m, m)
+    """One associative table of order 1 <= m <= 5 per isomorphism class, the
+    lexicographically least of the flattened cells over all relabellings, as
+    an int32 array of shape (classes, m, m) in increasing lexicographic order.
+    The counts are 1, 5, 24, 188 and 1915 (OEIS A001423)."""
+    if not 1 <= m <= 5:
+        raise ValueError(f"enumeration needs 1 <= order <= 5, got {m}")
+    return np.array(list(_fill(m)), dtype=np.int32).reshape(-1, m, m)

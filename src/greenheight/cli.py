@@ -4,8 +4,10 @@ check bounds, run the verification suites, and search the open question.
 Output is line-oriented `key: value` facts in decimal. Exit codes: 0 for
 success / all-pass, 1 for a negative or failing result, 2 for usage and
 input errors, 3 for an internal error (an engine invariant failed). Every
-command is deterministic for fixed (input, flags, seed); the one exception
-is the elapsed_ms line of `verify`.
+command is deterministic for fixed input and flags; the one exception is
+the elapsed_ms line of `verify`. `verify small-order-oracle` and
+`search-open1` walk one table per isomorphism class, in the order of
+`_accel.enumerate_assoc_tables`; both still accept `--seed` and ignore it.
 """
 
 from __future__ import annotations
@@ -437,10 +439,14 @@ def _table_violations(s) -> list:
     return v
 
 
-_ORACLE_COUNTS = {1: 1, 2: 8, 3: 113}
+# semigroups of order m up to isomorphism (OEIS A001423)
+_ORACLE_COUNTS = {1: 1, 2: 5, 3: 24, 4: 188, 5: 1915}
 
 
 def suite_small_order_oracle(args):
+    """Every check of _table_violations is invariant under relabelling, so one
+    table per isomorphism class checks all of them; above order 3 only the
+    first --samples classes are checked."""
     max_order = 3 if args.order is None else args.order
     if not 1 <= max_order <= 5:
         raise ValueError("--order must be between 1 and 5")
@@ -449,12 +455,11 @@ def suite_small_order_oracle(args):
         raise ValueError("--samples must be positive when --order is 4 or more")
     cases = []
     for m in range(1, max_order + 1):
-        if m <= 3:
-            tables = _accel.enumerate_assoc_tables(m)
-            expected = {"tables": _ORACLE_COUNTS[m], "violations": 0}
-        else:
-            tables = _accel.sample_assoc_tables(m, samples, seed=args.seed)
-            expected = {"tables": samples, "violations": 0}
+        tables = _accel.enumerate_assoc_tables(m)
+        expected = {"tables": _ORACLE_COUNTS[m], "violations": 0}
+        if m >= 4:
+            tables = tables[:samples]
+            expected["tables"] = min(samples, _ORACLE_COUNTS[m])
         violations = 0
         first = None
         names = [str(i) for i in range(m)]
@@ -523,11 +528,7 @@ def _best_bi_ideal_score(s):
 
 
 def cmd_search_open1(args) -> int:
-    budget = args.budget
     max_order = args.max_order
-    sampled_orders = range(4, max_order + 1)
-    if sampled_orders and not -4 <= args.seed < (1 << 64) - max_order:
-        raise ValueError(f"--seed must be in [-4, 2**64 - {max_order}), got {args.seed}")
     searched = 0
     best = None  # (score, order, table tuple, h, n, members)
 
@@ -542,8 +543,8 @@ def cmd_search_open1(args) -> int:
             table_rows = tuple(tuple(int(x) for x in row) for row in tab)
             best = (score, m, table_rows, h, n, members)
 
-    remaining = budget
-    for m in range(1, min(3, max_order) + 1):
+    remaining = args.budget
+    for m in range(1, max_order + 1):
         if remaining <= 0:
             break
         tables = _accel.enumerate_assoc_tables(m)[:remaining]
@@ -551,25 +552,11 @@ def cmd_search_open1(args) -> int:
             consider(tab, m)
         searched += len(tables)
         remaining -= len(tables)
-    for pos, m in enumerate(sampled_orders):
-        if remaining <= 0:
-            break
-        # an equal share of what is left; the last order takes all of it
-        share = remaining // (len(sampled_orders) - pos)
-        if share <= 0:
-            continue
-        tables = _accel.sample_assoc_tables(m, share, seed=args.seed + m)
-        for tab in tables:
-            consider(tab, m)
-        searched += len(tables)
-        remaining -= share
     print(f"searched_tables: {searched}")
     print(f"max_order: {max_order}")
-    print(f"seed: {args.seed}")
     report = {
         "searched_tables": searched,
         "max_order": max_order,
-        "seed": args.seed,
         "best": None,
     }
     if best is None:
@@ -656,8 +643,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_parse_n_range, help="parameter range A..B")
     p.add_argument("--order", type=int, help="small-order-oracle: max order")
     p.add_argument("--samples", type=_nonnegative_int, default=100_000,
-                   help="small-order-oracle: sample count per order above 3")
-    p.add_argument("--seed", type=int, default=0)
+                   help="small-order-oracle: at most this many isomorphism classes "
+                        "per order above 3 (the default covers all)")
+    p.add_argument("--seed", type=int, default=0, help="ignored")
     p.add_argument("--json", help="write the machine-readable report here")
     p.set_defaults(func=cmd_verify)
 
@@ -666,9 +654,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="search for a bi-ideal beating the completely-simple bound",
     )
     p.add_argument("--budget", type=_nonnegative_int, default=200,
-                   help="number of tables to examine")
+                   help="number of tables to examine, one per isomorphism class")
     p.add_argument("--max-order", type=int, default=4, choices=range(1, 6))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="ignored")
     p.add_argument("--json", help="write the report here")
     p.set_defaults(func=cmd_search_open1)
 

@@ -3,14 +3,20 @@
 Everything here recomputes from first principles with plain loops, sets,
 and dicts. No numpy, no shared code paths with the package: the only
 interface is a multiplication table given as a list of lists of ints. The
-one exception is presentation_table_all_pairs, which keeps the engine's
+exceptions are presentation_table_all_pairs, which keeps the engine's
 earlier table construction (one reduce_word per pair of normal forms) as
-the reference for the faster build that replaced it.
+the reference for the faster build that replaced it, and labelled_tables
+and relabelled, which turn the engine's isomorphism-class representatives
+into labelled test tables, as int32 arrays like the engine's own.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import random
+
+import numpy as np
 
 
 def as_rows(table):
@@ -279,6 +285,65 @@ def brute_force_tables(m: int):
         if check_associative(t):
             out.append(tuple(tuple(r) for r in t))
     return out
+
+
+def relabel(t, p):
+    """The table of t under the relabelling x -> p[x]: p(x*y) at (p(x), p(y))."""
+    m = len(t)
+    out = [[0] * m for _ in range(m)]
+    for x in range(m):
+        for y in range(m):
+            out[p[x]][p[y]] = p[t[x][y]]
+    return out
+
+
+def lex_least_relabelling(t):
+    """The least relabelling of t, rows flattened, as a tuple of row-tuples."""
+    m = len(t)
+    return min(
+        tuple(tuple(r) for r in relabel(t, p)) for p in itertools.permutations(range(m))
+    )
+
+
+def automorphism_count(t) -> int:
+    """Relabellings p with p(x*y) == p(x)*p(y) for all x, y."""
+    m = len(t)
+    return sum(
+        all(p[t[x][y]] == t[p[x]][p[y]] for x in range(m) for y in range(m))
+        for p in itertools.permutations(range(m))
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _representatives(m: int):
+    """The engine's class representatives of order m, as lists of rows."""
+    from greenheight import _accel
+
+    return tuple(as_rows(t) for t in _accel.enumerate_assoc_tables(m))
+
+
+@functools.lru_cache(maxsize=None)
+def labelled_tables(m: int):
+    """Every associative table of order m, labelled: each relabelling of each
+    class representative, deduplicated, in lexicographic order of the
+    flattened cells; a read-only int32 array of shape (count, m, m)."""
+    tables = sorted(
+        {tuple(itertools.chain.from_iterable(relabel(t, p)))
+         for t in _representatives(m) for p in itertools.permutations(range(m))}
+    )
+    out = np.array(tables, dtype=np.int32).reshape(-1, m, m)
+    out.flags.writeable = False
+    return out
+
+
+def relabelled(m: int, count: int, seed: int):
+    """count random labelled tables of order m: seeded picks of class
+    representatives, each under a random relabelling; an int32 array of
+    shape (count, m, m). Picks are with replacement, uniform over classes."""
+    reps = _representatives(m)
+    rng = random.Random(seed)
+    tables = [relabel(rng.choice(reps), rng.sample(range(m), m)) for _ in range(count)]
+    return np.array(tables, dtype=np.int32).reshape(-1, m, m)
 
 
 def transformation_table(maps):

@@ -1,6 +1,8 @@
-"""Table enumeration, the associativity witness and the seeded sampler."""
+"""Table enumeration up to isomorphism and the associativity witness."""
 
 import hashlib
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,45 +18,95 @@ from greenheight.constructions import (
 )
 
 
+# semigroups up to isomorphism (OEIS A001423) and labelled (OEIS A023814)
+CLASSES = {1: 1, 2: 5, 3: 24, 4: 188, 5: 1915}
+LABELLED = {1: 1, 2: 8, 3: 113, 4: 3492, 5: 183732}
+
+
 def test_enumerate_counts():
-    assert len(_accel.enumerate_assoc_tables(1)) == 1
-    assert len(_accel.enumerate_assoc_tables(2)) == 8
-    assert len(_accel.enumerate_assoc_tables(3)) == 113
+    for m, count in CLASSES.items():
+        tables = _accel.enumerate_assoc_tables(m)
+        assert tables.dtype == np.int32 and tables.shape == (count, m, m)
+        flat = [tuple(t.ravel().tolist()) for t in tables]
+        # strictly increasing: search-open1 and the oracle take prefixes with [:n]
+        assert all(x < y for x, y in zip(flat, flat[1:]))
+        assert all(oracles.check_associative(t) for t in tables.tolist())
+
+
+def test_enumerate_covers_every_labelled_table():
+    # orbit-stabilizer: a class with automorphism group Aut has m!/|Aut| tables
+    for m, count in LABELLED.items():
+        reps = _accel.enumerate_assoc_tables(m).tolist()
+        fact = math.factorial(m)
+        assert sum(fact // oracles.automorphism_count(t) for t in reps) == count
 
 
 def test_enumerate_matches_brute_force_oracle():
     for m in (1, 2, 3):
-        tables = _accel.enumerate_assoc_tables(m)
-        got = {tuple(map(tuple, t.tolist())) for t in tables}
-        assert got == set(oracles.brute_force_tables(m))
-        # search-open1 takes a prefix of this order with [:remaining]
-        flat = [t.ravel().tolist() for t in tables]
-        assert flat == sorted(flat)
+        got = [tuple(map(tuple, t)) for t in _accel.enumerate_assoc_tables(m).tolist()]
+        want = {oracles.lex_least_relabelling(t) for t in oracles.brute_force_tables(m)}
+        assert got == sorted(want)
 
 
 def test_enumerate_order_four():
-    tables = _accel.enumerate_assoc_tables(4)
-    assert tables.dtype == np.int32 and tables.shape == (3492, 4, 4)  # OEIS A023814
-    flat = [tuple(t.ravel().tolist()) for t in tables]
-    # strictly increasing: lexicographic order and no table twice
-    assert all(x < y for x, y in zip(flat, flat[1:]))
+    tables = _accel.enumerate_assoc_tables(4).tolist()
     for t in tables:
-        assert oracles.check_associative(t.tolist())
-    # the pinned sampler draw lies inside the enumeration
-    known = set(flat)
-    for t in _accel.sample_assoc_tables(4, 20, seed=3):
-        assert tuple(t.ravel().tolist()) in known
+        assert oracles.lex_least_relabelling(t) == tuple(map(tuple, t))
+    # every labelled table relabels to exactly one representative
+    reps = {tuple(map(tuple, t)) for t in tables}
+    for t in oracles.labelled_tables(4).tolist():
+        assert oracles.lex_least_relabelling(t) in reps
+
+
+def test_enumerate_order_five_keeps_the_least_table_of_each_class():
+    # no relabelling of a representative is smaller, so no two are isomorphic
+    t = _accel.enumerate_assoc_tables(5)
+    flat = t.reshape(len(t), -1)
+    for p in itertools.permutations(range(5)):
+        p = np.array(p)
+        inv = np.argsort(p)
+        image = p[t][:, inv][:, :, inv].reshape(len(t), -1)
+        diff = image - flat
+        first = diff[np.arange(len(t)), np.argmax(diff != 0, axis=1)]
+        assert (first >= 0).all()
+
+
+def test_labelled_tables_match_the_earlier_exhaustive_enumerator():
+    # sha256 of the int32 bytes of every labelled table of order m, as the
+    # enumerator returned them before it kept one table per class
+    digests = {
+        1: "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",
+        2: "5a0c400bae67f78acb6edb5c196cb58c8fffa7ef314a7c7fbaa89d4433623d0a",
+        3: "9ae18e0f796dd0e60cae718d8dad1b9fc210d769aa183f44f55917729b00ce2b",
+        4: "e61112d8668f24096f32f1aa50eb2a28d2e78c7741cf727b5e428cf0ab80184b",
+    }
+    for m, digest in digests.items():
+        tables = oracles.labelled_tables(m)
+        assert tables.dtype == np.int32 and len(tables) == LABELLED[m]
+        assert hashlib.sha256(tables.tobytes()).hexdigest() == digest
+
+
+def test_relabelled_tables_are_seeded_associative_relabellings():
+    a = oracles.relabelled(4, 25, seed=11)
+    assert a.dtype == np.int32 and a.shape == (25, 4, 4)
+    assert np.array_equal(a, oracles.relabelled(4, 25, seed=11))
+    assert not np.array_equal(a, oracles.relabelled(4, 25, seed=12))
+    reps = {tuple(t.ravel().tolist()) for t in _accel.enumerate_assoc_tables(4)}
+    for t in a.tolist():
+        assert oracles.check_associative(t)
+        least = oracles.lex_least_relabelling(t)
+        assert tuple(x for row in least for x in row) in reps
 
 
 def test_enumerate_rejects_large_order():
-    # order 5 would take minutes; order 0 has no tables to fill
-    for m in (0, 5):
+    # order 6 would take minutes; order 0 has no tables to fill
+    for m in (0, 6):
         with pytest.raises(ValueError, match="order"):
             _accel.enumerate_assoc_tables(m)
 
 
 def test_assoc_witness_none_iff_associative():
-    for t in _accel.enumerate_assoc_tables(3):
+    for t in oracles.labelled_tables(3):
         assert _accel.assoc_witness(t) is None
     bad = np.array([[1, 0], [0, 0]])
     w = _accel.assoc_witness(bad)
@@ -165,74 +217,3 @@ def test_assoc_witness_memory_is_bounded_by_cells():
         tracemalloc.stop()
     assert w == (150, 3, 3)
     assert peak < 32 * 2**20
-
-
-def test_splitmix64_reference_vector():
-    state = 0
-    expected = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
-    for want in expected:
-        state, z = _accel._mix64(state)
-        assert z == want
-
-
-def test_sampler_tables_are_associative_and_deterministic():
-    a = _accel.sample_assoc_tables(4, 25, seed=11)
-    b = _accel.sample_assoc_tables(4, 25, seed=11)
-    c = _accel.sample_assoc_tables(4, 25, seed=12)
-    assert len(a) == 25
-    assert all(np.array_equal(x, y) for x, y in zip(a, b))
-    assert any(not np.array_equal(x, y) for x, y in zip(a, c))
-    for t in a:
-        assert oracles.check_associative(t.tolist())
-
-
-def test_sampler_output_is_pinned():
-    # digests of the samples drawn before the node budget was validated
-    ts = _accel.sample_assoc_tables(4, 20, seed=3)
-    assert ts.dtype == np.int32 and ts.shape == (20, 4, 4)
-    assert hashlib.sha256(ts.tobytes()).hexdigest() == (
-        "f2c75c48063a8e7d697513f3e8c93fb07a3849058604213e05e03029bd2eee0e"
-    )
-    ts = _accel.sample_assoc_tables(2, 5, seed=3, node_budget=4)
-    assert hashlib.sha256(ts.tobytes()).hexdigest() == (
-        "5a09ed9f13ea2cbba23195c277464b78b877188ad881ea5a45428e2abcc315f6"
-    )
-    ts = _accel.sample_assoc_tables(3, 50, seed=9)
-    assert ts.dtype == np.int32 and ts.shape == (50, 3, 3)
-    assert hashlib.sha256(ts.tobytes()).hexdigest() == (
-        "0182243d772abb6e5b1be784ddcfaeb339e61b25380905c7b4769aebce1dafb9"
-    )
-    ts = _accel.sample_assoc_tables(5, 3, seed=5)
-    assert ts.dtype == np.int32 and ts.shape == (3, 5, 5)
-    assert hashlib.sha256(ts.tobytes()).hexdigest() == (
-        "27ce347692b5473638f95db05e6c45a6dfec7f608dc5d6d3d18c02b76a9e2183"
-    )
-    # at this budget 85 of the 105 attempts run out of nodes
-    ts = _accel.sample_assoc_tables(4, 20, seed=3, node_budget=30)
-    assert ts.dtype == np.int32 and ts.shape == (20, 4, 4)
-    assert hashlib.sha256(ts.tobytes()).hexdigest() == (
-        "f81e2b3dc3a1b534c0daaf5efd9ba71d1d5ea98ce4ff1b7f010848bd83fee3c6"
-    )
-
-
-def test_sampler_rejects_unworkable_budget():
-    # below m*m no attempt can finish; at m*m almost every attempt runs out
-    # of nodes, and these budgets used to restart forever
-    for m, budget in ((1, 0), (2, 3), (4, 15), (4, 16), (5, 25)):
-        with pytest.raises(ValueError, match="node_budget"):
-            _accel.sample_assoc_tables(m, 1, node_budget=budget)
-
-
-def test_sampler_order_one_and_two():
-    ts = _accel.sample_assoc_tables(1, 3, seed=0)
-    assert all(t.tolist() == [[0]] for t in ts)
-    ts = _accel.sample_assoc_tables(2, 40, seed=0)
-    seen = {tuple(map(tuple, t.tolist())) for t in ts}
-    assert seen <= set(oracles.brute_force_tables(2))
-    assert len(seen) > 1
-
-
-def test_sampler_rejects_seed_outside_64_bits():
-    for seed in (-1, 2**64):
-        with pytest.raises(ValueError, match="seed"):
-            _accel.sample_assoc_tables(2, 1, seed=seed)

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import greenheight
+import oracles
 from greenheight import _accel, cli, core, green, ideals, rewriting
 from greenheight.constructions import bi_ideal_family, left_ideal_cs_family
 from greenheight.errors import EngineBug
@@ -309,13 +311,32 @@ def test_search_open1_deterministic(capsys):
 
 
 def test_search_open1_stdout_is_pinned(capsys):
-    # digest taken before the enumerator and the sampler shared one fill
+    # digest taken when the search first walked one table per isomorphism class
     code, out, _ = run(capsys, "search-open1", "--budget", "60",
                        "--max-order", "4", "--seed", "7")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "1b8814dd17b41671319a06ee0832a21c61d89588f77bb99d787f339d9d080333"
+        "b8762d851f270455dc66545702ded9e89823bfb8f2f57e051670b1902fbe5abc"
     )
+
+
+def test_search_open1_walks_classes_in_order_and_ignores_seed(capsys, monkeypatch):
+    orders = []
+    real = cli._best_bi_ideal_score
+
+    def counting(s):
+        orders.append(s.order)
+        return real(s)
+
+    monkeypatch.setattr(cli, "_best_bi_ideal_score", counting)
+    code, out, _ = run(capsys, "search-open1", "--budget", "200", "--max-order", "4")
+    assert code == 0
+    assert "searched_tables: 200" in out
+    # every class of orders 1-3 (1 + 5 + 24), then the first 170 of order 4
+    assert orders == [1] + [2] * 5 + [3] * 24 + [4] * 170
+    for seed in ("-5", str(2**64)):
+        assert run(capsys, "search-open1", "--budget", "200", "--seed", seed)[1] == out
+    assert "seed" not in out
 
 
 def test_verify_small_order_oracle_stdout_is_pinned(capsys):
@@ -328,6 +349,23 @@ def test_verify_small_order_oracle_stdout_is_pinned(capsys):
     assert hashlib.sha256(kept.encode()).hexdigest() == (
         "1025e0eea2debf133b95a1123d44774bba6112f8f7e6110320098acc1bfe900b"
     )
+
+
+def test_verify_small_order_oracle_checks_every_class_through_order_five(capsys, tmp_path):
+    target = tmp_path / "oracle.json"
+    code, out, _ = run(capsys, "verify", "small-order-oracle", "--order", "5",
+                       "--json", str(target))
+    assert code == 0
+    assert "failures: 0" in out
+    tables = [c["computed"]["tables"] for c in json.loads(target.read_text())["cases"]]
+    assert tables == [1, 5, 24, 188, 1915]  # OEIS A001423
+    # --samples caps the classes checked above order 3; --seed is ignored
+    code, _, _ = run(capsys, "verify", "small-order-oracle", "--order", "4",
+                     "--samples", "20", "--seed", "9", "--json", str(target))
+    assert code == 0
+    cases = json.loads(target.read_text())["cases"]
+    assert [c["computed"]["tables"] for c in cases] == [1, 5, 24, 20]
+    assert cases[-1]["expected"] == {"tables": 20, "violations": 0}
 
 
 def test_verify_small_order_oracle_forced_failures_are_pinned(capsys, monkeypatch, tmp_path):
@@ -348,21 +386,31 @@ def test_verify_small_order_oracle_forced_failures_are_pinned(capsys, monkeypatc
     kept = "".join(line for line in out.splitlines(keepends=True)
                    if not line.startswith("elapsed_ms:"))
     assert hashlib.sha256(kept.encode()).hexdigest() == (
-        "f8e9ea97a522fd0598ec0ae06d18eebb86ced981fa3a7dce150114d52cbe4ab2"
+        "20811b1c6d49becdd803198cb145334762b55673acbbb97f2b73c5e4cf388636"
     )
     cases = json.loads(target.read_text())["cases"]
     assert hashlib.sha256(json.dumps(cases, sort_keys=True).encode()).hexdigest() == (
-        "c20b2a3ed3dde1de355854b6e052c0fcf086af867ba9cc83592c91caf0441161"
+        "18a5a075db6edfba01b88b8ed850f45decb69d0e2cb84f26375b6a3ffcdad72b"
     )
     messages = []
     for m in (1, 2, 3):
-        for tab in _accel.enumerate_assoc_tables(m):
+        for tab in oracles.labelled_tables(m):
             s = core.from_table([str(i) for i in range(m)], tab)
             messages.extend(cli._table_violations(s))
     assert len(messages) == 1990
     assert hashlib.sha256("\n".join(messages).encode()).hexdigest() == (
         "f641f61a1c46364f45e034a517e68b43e068ed44fe0e81dd820a23795e53d990"
     )
+    # the oracle's 6 + 54 + 424 messages, one class each, count m!/|Aut| times
+    # over the labelled tables: the message count is invariant under relabelling
+    assert [c["computed"]["violations"] for c in cases] == [6, 54, 424]
+    weighted = 0
+    for m in (1, 2, 3):
+        for rep in _accel.enumerate_assoc_tables(m):
+            s = core.from_table([str(i) for i in range(m)], rep)
+            weighted += len(cli._table_violations(s)) * (
+                math.factorial(m) // oracles.automorphism_count(rep.tolist()))
+    assert weighted == 1990
 
 
 def test_search_open1_zero_budget(capsys):
@@ -380,18 +428,6 @@ def test_search_open1_negative_budget_is_usage_error(capsys):
     assert "count must be nonnegative, got -5" in err
 
 
-def test_search_open1_seed_range_is_checked_at_the_command(capsys):
-    code, out, _ = run(capsys, "search-open1", "--budget", "125", "--seed", "-4")
-    assert code == 0
-    assert "searched_tables: 125" in out
-    for seed, max_order in (("-5", "4"), (str(2**64 - 1), "4"), (str(2**64 - 5), "5")):
-        code, out, err = run(capsys, "search-open1", "--budget", "125", "--seed", seed,
-                             "--max-order", max_order)
-        assert code == 2
-        assert out == ""
-        assert f"--seed must be in [-4, 2**64 - {max_order}), got {seed}" in err
-
-
 def test_search_open1_json_report(capsys, tmp_path):
     target = tmp_path / "search.json"
     code, _, _ = run(capsys, "search-open1", "--budget", "12", "--seed", "3",
@@ -405,11 +441,12 @@ def test_search_open1_json_report(capsys, tmp_path):
 
 
 def test_search_open1_score_never_positive_exhaustive_small(capsys):
-    # all 122 tables of order <= 3: max over bi-ideals of
+    # all 30 isomorphism classes of order <= 3: max over bi-ideals of
     # height - (3 * chain - 2) stays at zero
     code, out, _ = run(capsys, "search-open1", "--budget", "122",
                        "--max-order", "3")
     assert code == 0
+    assert "searched_tables: 30" in out
     assert "best_score: 0" in out
 
 

@@ -16,7 +16,6 @@ from greenheight import (
     leq,
     regular_elements,
 )
-from greenheight import _accel
 from greenheight.constructions import (
     bi_ideal_family,
     brandt_example,
@@ -30,7 +29,7 @@ from greenheight.constructions import (
 from greenheight.errors import EngineBug
 from greenheight.green import RELATIONS, ClassPoset
 
-ALL_SMALL = [t for m in (1, 2, 3) for t in _accel.enumerate_assoc_tables(m)]
+ALL_SMALL = [t for m in (1, 2, 3) for t in oracles.labelled_tables(m)]
 
 
 def make(t):
@@ -69,7 +68,7 @@ def test_height_matches_oracle_on_all_small_tables():
 
 
 def test_height_matches_oracle_on_sampled_order_five():
-    for t in _accel.sample_assoc_tables(5, 40, seed=17):
+    for t in oracles.relabelled(5, 40, seed=17):
         s = make(t)
         rows = t.tolist()
         for rel in RELATIONS:
@@ -85,7 +84,7 @@ def strict_of(poset):
 
 
 def test_poset_strict_order_properties():
-    for t in _accel.sample_assoc_tables(4, 40, seed=8):
+    for t in oracles.relabelled(4, 40, seed=8):
         s = make(t)
         for rel in ("R", "J"):
             poset = class_poset(s, rel)
@@ -123,7 +122,7 @@ def assert_covers_are_transitive_reduction(poset):
 
 
 def test_covers_are_transitive_reduction():
-    for t in _accel.sample_assoc_tables(4, 25, seed=9):
+    for t in oracles.relabelled(4, 25, seed=9):
         assert_covers_are_transitive_reduction(class_poset(make(t), "R"))
 
 
@@ -171,7 +170,7 @@ def test_leq_classes_consistent_with_members():
 
 
 def test_longest_chain_restricted_matches_oracle():
-    for t in _accel.sample_assoc_tables(4, 25, seed=10):
+    for t in oracles.relabelled(4, 25, seed=10):
         s = make(t)
         rows = t.tolist()
         poset = class_poset(s, "R")
@@ -187,7 +186,7 @@ def test_longest_chain_restricted_matches_oracle():
 
 
 def test_public_strict_order_and_chains_above():
-    for t in _accel.sample_assoc_tables(4, 25, seed=10):
+    for t in oracles.relabelled(4, 25, seed=10):
         poset = class_poset(make(t), "R")
         n = len(poset.classes)
         assert poset.strict.tolist() == strict_of(poset)
@@ -231,7 +230,7 @@ def test_kernel_matches_oracle_on_all_small_tables():
 
 
 def test_kernel_identity_and_regular_match_oracle_on_every_order_four_table():
-    for t in _accel.enumerate_assoc_tables(4):
+    for t in oracles.labelled_tables(4):
         s = make(t)
         rows = t.tolist()
         info = kernel(s)
@@ -264,7 +263,7 @@ def test_kernel_known_cases():
 
 
 def test_regular_and_idempotents_match_oracle():
-    for t in ALL_SMALL + list(_accel.sample_assoc_tables(4, 25, seed=12)):
+    for t in ALL_SMALL + list(oracles.relabelled(4, 25, seed=12)):
         s = make(t)
         rows = t.tolist()
         assert regular_elements(s) == oracles.naive_regular(rows)
@@ -323,7 +322,7 @@ def _naive_inverse_kind(rows):
 
 
 def test_inverse_structure_matches_oracle():
-    tables = [t.tolist() for m in (1, 2, 3, 4) for t in _accel.enumerate_assoc_tables(m)]
+    tables = [t.tolist() for m in (1, 2, 3, 4) for t in oracles.labelled_tables(m)]
     tables += [symmetric_inverse_monoid(3).table.tolist(),
                full_transformation_monoid(3).table.tolist()]
     kinds = set()

@@ -1,5 +1,7 @@
 """Ideal-kind subsets: generation, relative heights, bounds, kernel chains."""
 
+import itertools
+
 import pytest
 
 import oracles
@@ -13,6 +15,7 @@ from greenheight import (
     chain_param,
     from_table,
     generate,
+    height,
     ideal_subsets,
     is_kind,
     kernel,
@@ -28,6 +31,7 @@ from greenheight.constructions import (
     left_zero_semigroup,
     null_semigroup,
 )
+from greenheight.green import RELATIONS
 
 ALL_KINDS = IDEAL_KINDS + ("subsemigroup",)
 
@@ -38,7 +42,7 @@ def make(t):
 
 def test_is_kind_matches_oracle_on_all_small_tables():
     for m in (1, 2, 3):
-        for t in _accel.enumerate_assoc_tables(m):
+        for t in oracles.labelled_tables(m):
             s = make(t)
             rows = t.tolist()
             for bits in range(1, 1 << m):
@@ -50,7 +54,7 @@ def test_is_kind_matches_oracle_on_all_small_tables():
 
 
 def test_is_kind_matches_oracle_on_sampled_order_four():
-    for t in _accel.sample_assoc_tables(4, 20, seed=21):
+    for t in oracles.relabelled(4, 20, seed=21):
         s = make(t)
         rows = t.tolist()
         for bits in range(1, 16):
@@ -63,9 +67,9 @@ def test_is_kind_matches_oracle_on_sampled_order_four():
 
 def _scanned_tables():
     for m in (1, 2, 3):
-        yield from _accel.enumerate_assoc_tables(m)
-    yield from _accel.sample_assoc_tables(4, 20, seed=27)
-    yield from _accel.sample_assoc_tables(5, 8, seed=29)
+        yield from oracles.labelled_tables(m)
+    yield from oracles.relabelled(4, 20, seed=27)
+    yield from oracles.relabelled(5, 8, seed=29)
 
 
 def test_ideal_subsets_match_oracle_in_bitmask_then_kind_order():
@@ -136,7 +140,7 @@ def test_restriction_is_shared_by_member_set():
 
 
 def test_generate_right_ideal_is_principal_set():
-    for t in _accel.sample_assoc_tables(4, 20, seed=22):
+    for t in oracles.relabelled(4, 20, seed=22):
         s = make(t)
         rows = t.tolist()
         for a in range(4):
@@ -150,7 +154,7 @@ def test_generate_right_ideal_is_principal_set():
 
 def test_generate_is_minimal_superset():
     # generated subset sits inside every kind-closed superset of the seeds
-    for t in _accel.enumerate_assoc_tables(3):
+    for t in oracles.labelled_tables(3):
         s = make(t)
         rows = t.tolist()
         for a in range(3):
@@ -174,7 +178,7 @@ def test_relative_height_matches_oracle():
     assert relative_height(fi.distinguished) == oracles.naive_relative_height(
         rows, fi.distinguished.members
     )
-    for t in _accel.sample_assoc_tables(4, 15, seed=23):
+    for t in oracles.relabelled(4, 15, seed=23):
         s = make(t)
         rows = t.tolist()
         for bits in range(1, 16):
@@ -186,7 +190,7 @@ def test_relative_height_matches_oracle():
 
 
 def test_chain_param_matches_oracle_all_kinds():
-    for t in _accel.sample_assoc_tables(4, 15, seed=24):
+    for t in oracles.relabelled(4, 15, seed=24):
         s = make(t)
         rows = t.tolist()
         for bits in range(1, 16):
@@ -203,7 +207,7 @@ def test_chain_param_matches_oracle_all_kinds():
 def test_right_ideal_intersect_equals_contained():
     # an R-class meeting a right ideal lies inside it, so the two chain
     # selections coincide on right ideals
-    for t in _accel.sample_assoc_tables(4, 20, seed=26):
+    for t in oracles.relabelled(4, 20, seed=26):
         s = make(t)
         rows = t.tolist()
         for bits in range(1, 16):
@@ -246,7 +250,7 @@ def test_bound_report_family_values_and_json():
 
 def test_bound_report_all_kinds_on_small_tables():
     # every bound holds with zero exceptions over all order <= 3 tables
-    for t in _accel.enumerate_assoc_tables(3):
+    for t in oracles.labelled_tables(3):
         s = make(t)
         for bits in range(1, 8):
             members = frozenset(i for i in range(3) if bits >> i & 1)
@@ -315,7 +319,7 @@ def test_chain_into_kernel_preconditions():
 
 
 def test_chain_into_kernel_on_sampled_ideals():
-    for t in _accel.sample_assoc_tables(4, 10, seed=25):
+    for t in oracles.relabelled(4, 10, seed=25):
         s = make(t)
         for bits in range(1, 16):
             members = frozenset(i for i in range(4) if bits >> i & 1)
@@ -335,3 +339,46 @@ def test_relative_height_of_whole_semigroup():
     from greenheight import height
 
     assert relative_height(whole) == height(s, "R")
+
+
+def _invariants(t):
+    s = make(t)
+    records = sorted((r.kind, r.relative_height, r.chain_param) for r in ideal_subsets(s))
+    return records, kernel(s).is_completely_simple, [height(s, rel) for rel in RELATIONS]
+
+
+def test_scan_kernel_and_heights_are_invariant_under_relabelling():
+    # the premise of the small-order oracle, which checks one table per class:
+    # every labelled table of order <= 4 reads as its class representative
+    for m in (1, 2, 3, 4):
+        want = {}
+        for rep in _accel.enumerate_assoc_tables(m).tolist():
+            facts = _invariants(rep)
+            for p in itertools.permutations(range(m)):
+                want[tuple(itertools.chain.from_iterable(oracles.relabel(rep, p)))] = facts
+        labelled = oracles.labelled_tables(m)
+        assert len(want) == len(labelled)
+        for t in labelled:
+            assert _invariants(t) == want[tuple(t.ravel().tolist())]
+
+
+def test_census_of_largest_relative_heights_through_order_five():
+    # the largest relative R-height per kind and chain parameter n over every
+    # semigroup of order <= 5, against the bounds 3n - 2 (bi-ideals), 2n - 1
+    # (one-sided) and n (two-sided): two-sided ideals attain n for every n,
+    # one-sided ideals 2n - 1 only for n <= 2 (for n = 2 first at order 5),
+    # and bi-ideals 3n - 2 only for n = 1
+    best = {}
+    for m in range(1, 6):
+        for t in _accel.enumerate_assoc_tables(m):
+            for rec in ideal_subsets(make(t)):
+                key = (rec.kind, rec.chain_param)
+                best[key] = max(best.get(key, 0), rec.relative_height)
+    census = {kind: [best[kind, n] for n in range(1, 6)] for kind in IDEAL_KINDS}
+    assert census == {
+        "bi_ideal": [1, 3, 4, 4, 5],
+        "left_ideal": [1, 3, 4, 4, 5],
+        "right_ideal": [1, 3, 3, 4, 5],
+        "two_sided_ideal": [1, 2, 3, 4, 5],
+    }
+    assert len(best) == 4 * 5
