@@ -1,5 +1,7 @@
 """Reference families, extensions, and monoids against closed formulas."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,21 @@ from greenheight.constructions import (
     symmetric_inverse_monoid,
     trivial_semigroup,
 )
+
+# the Brandt bases of the pins and the definition test
+BRANDT_BASES = {
+    "trivial": trivial_semigroup,
+    "left-zero-2": lambda: left_zero_semigroup(2),
+    "left-zero-3": lambda: left_zero_semigroup(3),
+    "bi-family-2": lambda: bi_ideal_family(2).semigroup,
+    "null-3": lambda: null_semigroup(3),
+}
+# the bases of `verify null-extension`
+NULL_BASES = {
+    "left-family-3": lambda: left_ideal_cs_family(3).semigroup,
+    "trivial": trivial_semigroup,
+    "left-zero-2": lambda: left_zero_semigroup(2),
+}
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -258,3 +275,80 @@ def test_table_and_presentation_text_round_trip():
     again = parse_table_text(fi.to_table_text())
     assert (again.table == fi.semigroup.table).all()
     assert again.names == fi.semigroup.names
+
+
+# sha256 of table.tobytes() followed by the names joined by newlines, as the
+# cell-by-cell builders produced them
+PINNED_TABLES = [
+    ("T1", lambda: full_transformation_monoid(1),
+     "a91b7f2ab93de821abeec1750258e4d4f5f09831b0a11dda47e89ddf6944d819"),
+    ("T2", lambda: full_transformation_monoid(2),
+     "9212b8e013c44b9d3f1d12197b536e9200d7eccf2ede1690862ebe7b4133ff5c"),
+    ("T3", lambda: full_transformation_monoid(3),
+     "7fabbdf4dfc316e31d6130e2610c7082043576608414f485d4a48abd83ceb062"),
+    ("T4", lambda: full_transformation_monoid(4),
+     "f194e59c3249029503bc7914307cb068b66ed64c0abc21787e44927f5d129952"),
+    ("I1", lambda: symmetric_inverse_monoid(1),
+     "24399e84b1721ddb5e59c3adc20b5397cf2a05b65ca4fd8ca5aca0c404cab476"),
+    ("I2", lambda: symmetric_inverse_monoid(2),
+     "072e3889bf3f64e70bb8178ad9fae106939ec86602b05a784ebc39f284d14148"),
+    ("I3", lambda: symmetric_inverse_monoid(3),
+     "d1bf951f9194f815642ea5b0fc632fbc8631b79e945865861c694ec9d828c7af"),
+    ("tower n=1", lambda: right_ideal_tower(1).semigroup,
+     "8ef944676348d1cbcced936576e18c44fa0d3a0754ffe595e915de9928f86dcc"),
+    ("tower n=2", lambda: right_ideal_tower(2).semigroup,
+     "9376fca5c394c3c15171457cf4b32751c889250fe9c2fd0512ececffc787fef9"),
+    ("tower n=3", lambda: right_ideal_tower(3).semigroup,
+     "a9b5dfa099f9f25fa39e6e3bf5212d33e32f1794e91c03ecbc3b78de9e964114"),
+    ("tower n=4", lambda: right_ideal_tower(4).semigroup,
+     "1a07d41b7577e0183c9bacf4fa24ea85757eb0b8a8f2a2502e124d7abff0c6d1"),
+    ("tower n=5", lambda: right_ideal_tower(5).semigroup,
+     "45e0d690b2313c963d121c7e55f1892f89e14e4518eac8bbdd15672c92c2b28b"),
+    ("brandt trivial k=1", lambda: brandt_extension(BRANDT_BASES["trivial"](), 1),
+     "b9e111851b6755ae5d14c5ab481239e68d9fd03c96dcd23136702bc656ebd494"),
+    ("brandt trivial k=2", lambda: brandt_extension(BRANDT_BASES["trivial"](), 2),
+     "9376fca5c394c3c15171457cf4b32751c889250fe9c2fd0512ececffc787fef9"),
+    ("brandt trivial k=3", lambda: brandt_extension(BRANDT_BASES["trivial"](), 3),
+     "5107ea55e01907fc9a68ab841372208a6b2c1c91b2da5f074f08c213162b6e6a"),
+    ("brandt left-zero-2 k=1", lambda: brandt_extension(BRANDT_BASES["left-zero-2"](), 1),
+     "25ca89bd529261ede59a0ef158d4541472c7fdb273461871dccb94894a6f628c"),
+    ("brandt left-zero-2 k=2", lambda: brandt_extension(BRANDT_BASES["left-zero-2"](), 2),
+     "5b1d01bb470da452a4905c3450804b9b84a7fa075121104f296a1beb9f30f33f"),
+    ("brandt left-zero-2 k=3", lambda: brandt_extension(BRANDT_BASES["left-zero-2"](), 3),
+     "57f77ef2061168c651e122830f5cef9f6f2937e7c9b6b6bda44db1864f21c331"),
+    ("brandt left-zero-3 k=1", lambda: brandt_extension(BRANDT_BASES["left-zero-3"](), 1),
+     "4f9be7ff85fd54f46aaabeb59dd41a7027755b76fb67476e4117ec30cd80f25e"),
+    ("brandt left-zero-3 k=2", lambda: brandt_extension(BRANDT_BASES["left-zero-3"](), 2),
+     "b364dbe955813c28de38a5ceae8014a7d20dbd79b093ecd3d47a8e00e8c4a0ac"),
+    ("brandt left-zero-3 k=3", lambda: brandt_extension(BRANDT_BASES["left-zero-3"](), 3),
+     "52c1da7e01f0b8046bd557fd8c594983f91d6460c0a37f9c39224be146822254"),
+    ("brandt bi-family-2 k=1", lambda: brandt_extension(BRANDT_BASES["bi-family-2"](), 1),
+     "c9b12c24297ef16943f483a8f713229242f39e360089e6ebeb0d403b211a45aa"),
+    ("brandt bi-family-2 k=2", lambda: brandt_extension(BRANDT_BASES["bi-family-2"](), 2),
+     "87790f5a08fbad6d8abecf5125c55114ad7736ba6ccc6ec476d7bbeb7a78e832"),
+    ("brandt bi-family-2 k=3", lambda: brandt_extension(BRANDT_BASES["bi-family-2"](), 3),
+     "72c6f21ea6d13a877e30e121e5e6d5f5ea4ef1f1e51cf7c44e217e92fcc11554"),
+    ("brandt null-3 k=1", lambda: brandt_extension(BRANDT_BASES["null-3"](), 1),
+     "e7b0a910fc7b8214cd3e8a44664c9924a43b9784d291d9e2609959453a50fd8c"),
+    ("brandt null-3 k=2", lambda: brandt_extension(BRANDT_BASES["null-3"](), 2),
+     "19f5b580cc6da1d74da8b66173539ab4d72be046a0536857ad55a2598b943dea"),
+    ("brandt null-3 k=3", lambda: brandt_extension(BRANDT_BASES["null-3"](), 3),
+     "6439f831a85d5530403430f1857da6faeff7285755c291d23a823ceac71b0d66"),
+    ("null left-family-3", lambda: null_extension(NULL_BASES["left-family-3"]())[0],
+     "96d30f2d1f4be44d4cc22e48ea197ecf4e06fc2f7569287c498bcfbd93fd9c28"),
+    ("null trivial", lambda: null_extension(NULL_BASES["trivial"]())[0],
+     "e77648b575669be625a1897b83a9ae76fa3e84188a3108379d407ed8bef3a094"),
+    ("null left-zero-2", lambda: null_extension(NULL_BASES["left-zero-2"]())[0],
+     "c9d245d2ec318009bf10c1cf706cb45bba3b7d2ee06231a86616e9e149c6bdaf"),
+    ("null null-2", lambda: null_extension(null_semigroup(2))[0],
+     "dbf08f62a32a3113d602bdd139606078c5742651559bb65747bbe6d6d5b36d12"),
+]
+
+
+@pytest.mark.parametrize("build, digest", [p[1:] for p in PINNED_TABLES],
+                         ids=[p[0] for p in PINNED_TABLES])
+def test_construction_tables_are_pinned(build, digest):
+    s = build()
+    h = hashlib.sha256(s.table.tobytes())
+    h.update("\n".join(s.names).encode())
+    assert h.hexdigest() == digest
