@@ -530,7 +530,7 @@ def _best_bi_ideal_score(s):
 def cmd_search_open1(args) -> int:
     max_order = args.max_order
     searched = 0
-    best = None  # (score, order, table tuple, h, n, members)
+    best = None  # the report's "best" record; its keys are in print order
 
     def consider(tab, m):
         nonlocal best
@@ -538,10 +538,16 @@ def cmd_search_open1(args) -> int:
         if found is None:
             return
         score, h, n, members = found
-        key = (score, -m)
-        if best is None or key > (best[0], -best[1]):
-            table_rows = tuple(tuple(int(x) for x in row) for row in tab)
-            best = (score, m, table_rows, h, n, members)
+        if best is None or (score, -m) > (best["score"], -best["order"]):
+            best = {
+                "score": score,
+                "order": m,
+                "relative_height": h,
+                "chain_param": n,
+                "target_bound": 3 * n - 1,
+                "bi_ideal": list(members),
+                "table": tab.tolist(),
+            }
 
     remaining = args.budget
     for m in range(1, max_order + 1):
@@ -554,33 +560,15 @@ def cmd_search_open1(args) -> int:
         remaining -= len(tables)
     print(f"searched_tables: {searched}")
     print(f"max_order: {max_order}")
-    report = {
-        "searched_tables": searched,
-        "max_order": max_order,
-        "best": None,
-    }
     if best is None:
         print("best: none")
     else:
-        score, m, table_rows, h, n, members = best
-        print(f"best_score: {score}")
-        print(f"best_order: {m}")
-        print(f"best_relative_height: {h}")
-        print(f"best_chain_param: {n}")
-        print(f"best_target_bound: {3 * n - 1}")
-        print(f"best_bi_ideal: {' '.join(str(i) for i in members)}")
-        print(f"best_table: {';'.join(' '.join(str(x) for x in row) for row in table_rows)}")
-        report["best"] = {
-            "score": score,
-            "order": m,
-            "relative_height": h,
-            "chain_param": n,
-            "target_bound": 3 * n - 1,
-            "bi_ideal": list(members),
-            "table": [list(r) for r in table_rows],
-        }
+        shown = dict(best, bi_ideal=" ".join(str(i) for i in best["bi_ideal"]),
+                     table=";".join(" ".join(str(x) for x in row) for row in best["table"]))
+        for key, value in shown.items():
+            print(f"best_{key}: {value}")
     if args.json:
-        _write_json(args.json, report)
+        _write_json(args.json, {"searched_tables": searched, "max_order": max_order, "best": best})
     return 0
 
 

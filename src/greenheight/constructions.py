@@ -2,6 +2,9 @@
 bi-ideal/left-ideal witnesses, Brandt extensions and the iterated
 right-ideal tower, null extensions, full transformation monoids, symmetric
 inverse monoids, and a few stock small semigroups.
+
+The extensions and the map monoids build their tables by whole-array numpy
+operations; both map monoids share one composition builder.
 """
 
 from __future__ import annotations
@@ -99,26 +102,14 @@ def brandt_extension(s: core.FiniteSemigroup, k: int) -> core.FiniteSemigroup:
     m = s.order
     size = k * k * m + 1
     zero = size - 1
-    names = []
-    for i in range(1, k + 1):
-        for a in range(m):
-            for j in range(1, k + 1):
-                names.append(f"({i},{s.names[a]},{j})")
+    names = [f"({p},{b},{q})" for p in range(1, k + 1) for b in s.names for q in range(1, k + 1)]
     names.append("0")
+    # 0-based (i, a, j) of every non-zero element, in index order
+    i, a, j = (v.astype(np.int32) for v in np.unravel_index(np.arange(size - 1), (k, m, k)))
     table = np.full((size, size), zero, dtype=np.int32)
-    st = s.table
-
-    def idx(i, a, j):
-        return ((i - 1) * m + a) * k + (j - 1)
-
-    for i in range(1, k + 1):
-        for a in range(m):
-            for j in range(1, k + 1):
-                row = idx(i, a, j)
-                for b in range(m):
-                    ab = int(st[a, b])
-                    for q in range(1, k + 1):
-                        table[row, idx(j, b, q)] = idx(i, ab, q)
+    table[:-1, :-1] = np.where(
+        j[:, None] == i, (i[:, None] * m + s.table[a[:, None], a]) * k + j, zero
+    )
     return core.from_table(names, table)
 
 
@@ -199,14 +190,25 @@ def null_extension(t_sem: core.FiniteSemigroup):
     table = np.full((size, size), zero, dtype=np.int32)
     st = t_sem.table
     table[:m, :m] = st
-    for a in range(m):
-        for b in range(m):
-            ab = int(st[a, b])
-            table[a, m + b] = m + ab
-            table[m + a, b] = m + ab
+    table[:m, m:2 * m] = m + st
+    table[m:2 * m, :m] = m + st
     s = core.from_table(names, table)
     handle = core.SubsetHandle(s, frozenset(range(m, size)), "two_sided_ideal")
     return s, handle
+
+
+def _composition_table(maps: np.ndarray) -> np.ndarray:
+    """Composition table of total maps on {0..k-1}, composing left to right.
+
+    The rows of `maps` are the maps, in increasing lexicographic order, and
+    the composites must be among them. Cell (f, g) is the row of g(f(x)):
+    `maps.T[maps]` gathers every g(f(x)) at once, and searchsorted finds the
+    base-k code of each composite among the codes of the rows.
+    """
+    k = maps.shape[1]
+    weights = k ** np.arange(k - 1, -1, -1)
+    composites = maps.T[maps]  # [f, x, g] = g(f(x))
+    return np.searchsorted(maps @ weights, weights @ composites)
 
 
 def full_transformation_monoid(n: int) -> core.FiniteSemigroup:
@@ -214,14 +216,8 @@ def full_transformation_monoid(n: int) -> core.FiniteSemigroup:
     if not 1 <= n <= 4:
         raise ValueError("n must be between 1 and 4")
     maps = list(itertools.product(range(n), repeat=n))
-    index = {f: i for i, f in enumerate(maps)}
     names = ["".join(str(v) for v in f) for f in maps]
-    m = len(maps)
-    table = np.zeros((m, m), dtype=np.int32)
-    for i, f in enumerate(maps):
-        for j, g in enumerate(maps):
-            table[i, j] = index[tuple(g[f[x]] for x in range(n))]
-    return core.from_table(names, table)
+    return core.from_table(names, _composition_table(np.array(maps)))
 
 
 def symmetric_inverse_monoid(n: int) -> core.FiniteSemigroup:
@@ -234,15 +230,10 @@ def symmetric_inverse_monoid(n: int) -> core.FiniteSemigroup:
         for f in itertools.product(range(-1, n), repeat=n)
         if len({v for v in f if v >= 0}) == sum(1 for v in f if v >= 0)
     ]
-    index = {f: i for i, f in enumerate(maps)}
     names = ["".join(str(v) if v >= 0 else "-" for v in f) for f in maps]
-    m = len(maps)
-    table = np.zeros((m, m), dtype=np.int32)
-    for i, f in enumerate(maps):
-        for j, g in enumerate(maps):
-            fg = tuple(-1 if f[x] < 0 else g[f[x]] for x in range(n))
-            table[i, j] = index[fg]
-    return core.from_table(names, table)
+    # shifted by one, "undefined" is the point 0, which every map fixes
+    total = np.array([(-1, *f) for f in maps]) + 1
+    return core.from_table(names, _composition_table(total))
 
 
 def baer_levi_semigroup(*_args, **_kwargs):

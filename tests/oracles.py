@@ -347,11 +347,14 @@ def relabelled(m: int, count: int, seed: int):
 
 
 def transformation_table(maps):
-    """Composition table for right actions: (f then g)(x) = g(f(x))."""
+    """Composition table for right actions: (f then g)(x) = g(f(x)).
+
+    An image of -1 means "undefined", and stays undefined under any g, so
+    partial maps compose too."""
     index = {f: i for i, f in enumerate(maps)}
     size = len(maps)
     table = [[0] * size for _ in range(size)]
     for i, f in enumerate(maps):
         for j, g in enumerate(maps):
-            table[i][j] = index[tuple(g[x] for x in f)]
+            table[i][j] = index[tuple(-1 if x < 0 else g[x] for x in f)]
     return table

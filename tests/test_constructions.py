@@ -1,6 +1,7 @@
 """Reference families, extensions, and monoids against closed formulas."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -142,28 +143,21 @@ def test_brandt_extension_k_one_is_zero_adjunction():
 
 
 def test_brandt_extension_multiplication_matches_definition():
-    base = left_zero_semigroup(2)
-    k = 2
-    t = brandt_extension(base, k)
-    z = t.order - 1
-    m = base.order
+    for build, k in itertools.product(BRANDT_BASES.values(), (1, 2, 3)):
+        base = build()
+        t = brandt_extension(base, k)
+        z = t.order - 1
+        m = base.order
 
-    def idx(i, a, j):
-        return ((i - 1) * m + a) * k + (j - 1)
+        def idx(i, a, j):
+            return ((i - 1) * m + a) * k + (j - 1)
 
-    for i in (1, 2):
-        for a in range(m):
-            for j in (1, 2):
-                for p in (1, 2):
-                    for b in range(m):
-                        for q in (1, 2):
-                            got = t.product(idx(i, a, j), idx(p, b, q))
-                            if j == p:
-                                want = idx(i, base.product(a, b), q)
-                            else:
-                                want = z
-                            assert got == want
-    assert all(t.product(z, x) == z and t.product(x, z) == z for x in range(t.order))
+        ks = range(1, k + 1)
+        for i, a, j, p, b, q in itertools.product(ks, range(m), ks, ks, range(m), ks):
+            got = t.product(idx(i, a, j), idx(p, b, q))
+            want = idx(i, base.product(a, b), q) if j == p else z
+            assert got == want
+        assert all(t.product(z, x) == z and t.product(x, z) == z for x in range(t.order))
 
 
 def test_right_ideal_tower_orders_and_heights():
@@ -195,23 +189,24 @@ def test_tower_heights_step_by_one_and_two():
 
 
 def test_null_extension_structure():
-    t_sem = left_ideal_cs_family(3).semigroup
-    s, handle = null_extension(t_sem)
-    m = t_sem.order
-    assert s.order == 2 * m + 1
-    assert handle.kind == "two_sided_ideal"
-    assert len(handle) == m + 1  # the mirrored copy plus the zero
-    assert relative_height(handle) == 2
-    assert chain_param(s, handle) == height(t_sem, "R") + 1
-    # mirrored copy multiplies to zero and mirrors the R-order
-    z = s.order - 1
-    for a in range(m):
-        for b in range(m):
-            assert s.product(m + a, m + b) == z
-            assert leq(s, m + a, m + b, "R") == leq(t_sem, a, b, "R")
-            # mixed products land on the mirrored copy, tracking T
-            assert s.product(a, m + b) == m + t_sem.product(a, b)
-            assert s.product(m + a, b) == m + t_sem.product(a, b)
+    for build in NULL_BASES.values():
+        t_sem = build()
+        s, handle = null_extension(t_sem)
+        m = t_sem.order
+        assert s.order == 2 * m + 1
+        assert handle.kind == "two_sided_ideal"
+        assert len(handle) == m + 1  # the mirrored copy plus the zero
+        assert relative_height(handle) == 2
+        assert chain_param(s, handle) == height(t_sem, "R") + 1
+        # mirrored copy multiplies to zero and mirrors the R-order
+        z = s.order - 1
+        for a in range(m):
+            for b in range(m):
+                assert s.product(m + a, m + b) == z
+                assert leq(s, m + a, m + b, "R") == leq(t_sem, a, b, "R")
+                # mixed products land on the mirrored copy, tracking T
+                assert s.product(a, m + b) == m + t_sem.product(a, b)
+                assert s.product(m + a, b) == m + t_sem.product(a, b)
 
 
 def test_null_extension_name_collisions_avoided():
@@ -221,15 +216,24 @@ def test_null_extension_name_collisions_avoided():
 
 
 def test_full_transformation_monoid_tables():
-    import itertools
-
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         s = full_transformation_monoid(n)
         assert s.order == n ** n
         maps = sorted(itertools.product(range(n), repeat=n))
         assert s.table.tolist() == oracles.transformation_table(maps)
     with pytest.raises(ValueError):
         full_transformation_monoid(5)
+
+
+def test_symmetric_inverse_monoid_tables():
+    for n, order in ((1, 2), (2, 7), (3, 34)):
+        s = symmetric_inverse_monoid(n)
+        assert s.order == order
+        # partial injections, -1 for "undefined": no defined image repeats
+        maps = sorted(f for f in itertools.product(range(-1, n), repeat=n)
+                      if len(set(f) - {-1}) == n - f.count(-1))
+        assert s.table.tolist() == oracles.transformation_table(maps)
+        assert s.names == tuple("".join("-" if v < 0 else str(v) for v in f) for f in maps)
 
 
 def test_full_transformation_heights():
