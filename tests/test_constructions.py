@@ -225,17 +225,6 @@ def test_full_transformation_monoid_tables():
         full_transformation_monoid(5)
 
 
-def test_symmetric_inverse_monoid_tables():
-    for n, order in ((1, 2), (2, 7), (3, 34)):
-        s = symmetric_inverse_monoid(n)
-        assert s.order == order
-        # partial injections, -1 for "undefined": no defined image repeats
-        maps = sorted(f for f in itertools.product(range(-1, n), repeat=n)
-                      if len(set(f) - {-1}) == n - f.count(-1))
-        assert s.table.tolist() == oracles.transformation_table(maps)
-        assert s.names == tuple("".join("-" if v < 0 else str(v) for v in f) for f in maps)
-
-
 def test_full_transformation_heights():
     for n in (1, 2, 3):
         s = full_transformation_monoid(n)
@@ -244,6 +233,14 @@ def test_full_transformation_heights():
 
 
 def test_symmetric_inverse_monoid():
+    for n, order in ((1, 2), (2, 7), (3, 34)):
+        s = symmetric_inverse_monoid(n)
+        assert s.order == order
+        # partial injections, -1 for "undefined": no defined image repeats
+        maps = sorted(f for f in itertools.product(range(-1, n), repeat=n)
+                      if len(set(f) - {-1}) == n - f.count(-1))
+        assert s.table.tolist() == oracles.transformation_table(maps)
+        assert s.names == tuple("".join("-" if v < 0 else str(v) for v in f) for f in maps)
     s3 = symmetric_inverse_monoid(3)
     assert s3.order == 34
     assert height(s3, "R") == 4
