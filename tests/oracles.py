@@ -183,6 +183,25 @@ def naive_kernel(t) -> frozenset:
     return best
 
 
+def naive_kernel_chain(t, members, k: int):
+    """First k-tuple of members, in lexicographic order, whose first element
+    is in the kernel and which rises strictly in the R-order of members as a
+    semigroup of its own, as a list; None when no such tuple exists."""
+    mem = sorted(members)
+    sub = sub_table(t, mem)
+    pos = {a: i for i, a in enumerate(mem)}
+    kern = naive_kernel(t)
+
+    def below(a, b):
+        return (naive_leq(sub, pos[a], pos[b], "R")
+                and not naive_leq(sub, pos[b], pos[a], "R"))
+
+    for chain in itertools.product(mem, repeat=k):
+        if chain[0] in kern and all(below(a, b) for a, b in zip(chain, chain[1:])):
+            return list(chain)
+    return None
+
+
 def naive_minimal_right_ideals(t):
     rights = list(all_subsets_of_kind(t, "right_ideal"))
     return [r for r in rights if not any(q < r for q in rights)]

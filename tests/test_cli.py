@@ -17,7 +17,16 @@ import greenheight
 import oracles
 from greenheight import _accel, cli, core, green, ideals, rewriting
 from greenheight.constructions import bi_ideal_family, left_ideal_cs_family
-from greenheight.errors import EngineBug
+from greenheight.errors import (
+    CapExceeded,
+    EngineBug,
+    NotAssociative,
+    NotClosed,
+    NotConfluent,
+    ParseError,
+    PreconditionViolated,
+    UnsupportedInfinite,
+)
 
 
 @pytest.fixture()
@@ -190,6 +199,44 @@ def test_verify_deterministic_modulo_elapsed(capsys):
     assert scrub(out1) == scrub(out2)
 
 
+@pytest.mark.parametrize("argv, n_cases, stdout_digest, cases_digest", [
+    (("brandt-tower", "--n", "1..4"), 7,
+     "2050e87104973e96819cf6fc13a16be6d465ad5c3c46d98b1f6f60da8c6a42eb",
+     "4be361c9b7ad81a88e3cdf48395243a79add39ec5d7cc1a7ab7f11aa8ed7e851"),
+    (("reference-monoids", "--n", "1..3"), 4,
+     "62e23365d1364a0d8c976871095cbc06459991db8318fa17c560858dad8569d1",
+     "26fd140e09291718aecfad921aa42bbe78e94ee76d64d7106074db37ffd863e8"),
+    (("bi-ideal-family", "--n", "2..4"), 3,
+     "bfa9e677942dc53689a6db7eaa64c254f3aa7ca51e50c8b3dbe716da21cda622",
+     "f47fe861b52aa653036febe481a065027e06337f6f67f18d2d28820b4941bc14"),
+    (("left-ideal-cs-family", "--n", "2..4"), 3,
+     "1a36499da524bf540aefe5de25451ee569aeb0ca8139ef4262166289f904f872",
+     "d27c85f5697a60945ced7d9bd2712ea40599dcec4e26fcebc654203a16a09ddf"),
+    (("small-order-oracle", "--order", "3"), 3,
+     "9c6b4eebdd67a11cb35888125843518c75d945ba6d0d33e942031252e66e1492",
+     "ec26b0f24804658490f20965b20f0ef457ca8f446cb3c4c6affaed2cc20f4615"),
+    (("null-extension",), 3,
+     "e0dd0b41bb1f5220f479904b48017623e3c6b0aa43a569a8c0022df70b98db20",
+     "d7248b582eb54994aa9d925a4d7bf5af46472766d8703292170527d1138fedd3"),
+    (("brandt-example",), 1,
+     "9b14e556722dae9e8c9e1d0981e7b38c0030edefd9fc5c1ec2798295d5acde59",
+     "d98a4f75b960d38e56b498cfb3cca77b622cd6403ab27a59bf2e986f55f41b1f"),
+])
+def test_verify_every_suite_is_pinned(capsys, tmp_path, argv, n_cases, stdout_digest,
+                                      cases_digest):
+    # digests taken while the suites still coerced every value for JSON
+    target = tmp_path / "suite.json"
+    code, out, err = run(capsys, "verify", *argv, "--json", str(target))
+    assert (code, err) == (0, "")
+    kept = "".join(line for line in out.splitlines(keepends=True)
+                   if not line.startswith("elapsed_ms:"))
+    assert hashlib.sha256(kept.encode()).hexdigest() == stdout_digest
+    cases = json.loads(target.read_text())["cases"]
+    assert len(cases) == n_cases
+    assert hashlib.sha256(json.dumps(cases, sort_keys=True).encode()).hexdigest() == (
+        cases_digest)
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     code, _, _ = run(capsys, "verify", "no-such-suite")
     assert code == 2
@@ -223,6 +270,31 @@ def test_engine_bug_is_internal_error_exit_three(capsys, monkeypatch, bi2_presen
         assert code == 3
         assert out == ""
         assert err == "error: internal: class order is not antisymmetric: engine bug\n"
+
+
+@pytest.mark.parametrize("exc, code, message", [
+    (ParseError(3, 4, "bad cell"), 2, "line 3, column 4: bad cell"),
+    (NotAssociative((0, 1, 2)), 2, "not associative: (0*1)*2 != 0*(1*2)"),
+    (NotConfluent(None, "unresolved critical pair"), 2, "unresolved critical pair"),
+    (PreconditionViolated("k must be at least 1"), 2, "k must be at least 1"),
+    (NotClosed("bi_ideal", None, "not a bi-ideal"), 2, "not a bi-ideal"),
+    (CapExceeded(10, 11), 2, "enumeration exceeded cap=10 (at least 11 irreducible words);"
+                             " the presented semigroup may be infinite"),
+    (UnsupportedInfinite("bicyclic", "no finite table"), 2,
+     "bicyclic is not representable here: no finite table"),
+    (OSError("disk unreadable"), 2, "disk unreadable"),
+    (KeyError("no element named 'q'"), 2, "no element named 'q'"),
+    (ValueError("bad value"), 2, "bad value"),
+    (EngineBug("class order is not antisymmetric"), 3,
+     "internal: class order is not antisymmetric"),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_every_error_type_maps_to_its_exit_code(capsys, monkeypatch, left3_table, exc, code,
+                                                message):
+    def failing(s, relation="R"):
+        raise exc
+
+    monkeypatch.setattr(green, "height", failing)
+    assert run(capsys, "height", left3_table) == (code, "", f"error: {message}\n")
 
 
 def test_kernel_engine_bug_in_small_order_oracle_exits_three(capsys, monkeypatch):

@@ -333,6 +333,23 @@ def test_chain_into_kernel_on_sampled_ideals():
             assert set(chain) <= members
 
 
+def test_chain_into_kernel_is_the_oracles_lexicographically_least_chain():
+    tables = [t for m in (1, 2, 3) for t in _accel.enumerate_assoc_tables(m)]
+    tables += list(oracles.relabelled(4, 10, seed=14))
+    checked = 0
+    for t in tables:
+        rows = oracles.as_rows(t)
+        s = make(t)
+        for kind in IDEAL_KINDS:
+            for members in oracles.all_subsets_of_kind(rows, kind):
+                handle = SubsetHandle(s, members, kind)
+                for k in range(1, oracles.naive_relative_height(rows, members) + 1):
+                    expected = oracles.naive_kernel_chain(rows, members, k)
+                    assert chain_into_kernel(s, handle, k) == expected
+                    checked += 1
+    assert checked == 864
+
+
 def test_relative_height_of_whole_semigroup():
     s = null_semigroup(4)
     whole = SubsetHandle(s, frozenset(range(s.order)), "two_sided_ideal")
