@@ -285,9 +285,11 @@ def chain_into_kernel(s: core.FiniteSemigroup, handle: core.SubsetHandle, k: int
     """A chain b1 <_B b2 <_B ... <_B bk of parent indices with b1 in K(S).
 
     Strictness is taken inside the handle's own semigroup. Requires
-    relative_height(handle) >= k; the chain then exists, and the
-    lexicographically smallest one (by parent index sequence) is returned.
+    relative_height(handle) >= k; the chain then exists. A greedy walk
+    returns the lexicographically least one (by parent index sequence).
     """
+    if handle.parent is not s:
+        raise ValueError("handle does not belong to this semigroup")
     if k < 1:
         raise PreconditionViolated("k must be at least 1")
     if handle.kind not in IDEAL_KINDS:
@@ -303,32 +305,15 @@ def chain_into_kernel(s: core.FiniteSemigroup, handle: core.SubsetHandle, k: int
         )
     kern = green.kernel(s).members
     parent_of = sub.parent_map
-    strict = poset.strict
-    cls_of = poset.class_of
-    # longest strict chain upward from each class, for pruning
+    cls_of = poset.class_of.tolist()
+    # up[c] >= k - pos leaves a class above c that passes, so no step backtracks
     up = poset.chains_above()
-
-    order = range(len(sub))
-
-    def dfs(prefix, last_cls):
-        pos = len(prefix)
-        if pos == k:
-            return prefix
-        for e in order:
-            c = int(cls_of[e])
-            if pos == 0:
-                if parent_of[e] not in kern:
-                    continue
-            elif not strict[last_cls, c]:
-                continue
-            if up[c] < k - pos:
-                continue
-            found = dfs(prefix + [e], c)
-            if found is not None:
-                return found
-        return None
-
-    found = dfs([], -1)
-    if found is None:
-        raise EngineBug("no kernel-rooted chain found despite sufficient height")
-    return [parent_of[e] for e in found]
+    fits = [p in kern for p in parent_of]
+    chain = []
+    for pos in range(k):
+        e = next((e for e, c in enumerate(cls_of) if fits[e] and up[c] >= k - pos), None)
+        if e is None:
+            raise EngineBug("no kernel-rooted chain found despite sufficient height")
+        chain.append(parent_of[e])
+        fits = poset.strict[cls_of[e], poset.class_of].tolist()
+    return chain

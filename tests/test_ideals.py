@@ -30,6 +30,7 @@ from greenheight.constructions import (
     left_ideal_cs_family,
     left_zero_semigroup,
     null_semigroup,
+    right_ideal_tower,
 )
 from greenheight.green import RELATIONS
 
@@ -316,6 +317,13 @@ def test_chain_into_kernel_preconditions():
     h = SubsetHandle(s, frozenset({0}), "subsemigroup")
     with pytest.raises(PreconditionViolated):
         chain_into_kernel(s, h, 1)
+
+
+def test_chain_into_kernel_rejects_a_handle_of_another_semigroup():
+    # a foreign handle is an input fault (ValueError), never an EngineBug
+    s = right_ideal_tower(3).semigroup
+    with pytest.raises(ValueError, match="handle does not belong to this semigroup"):
+        chain_into_kernel(s, bi_ideal_family(2).distinguished, 2)
 
 
 def test_chain_into_kernel_on_sampled_ideals():
