@@ -5,9 +5,12 @@ Output is line-oriented `key: value` facts in decimal. Exit codes: 0 for
 success / all-pass, 1 for a negative or failing result, 2 for usage and
 input errors, 3 for an internal error (an engine invariant failed). Every
 command is deterministic for fixed input and flags; the one exception is
-the elapsed_ms line of `verify`. `verify small-order-oracle` and
-`search-open1` walk one table per isomorphism class, in the order of
-`_accel.enumerate_assoc_tables`; both still accept `--seed` and ignore it.
+the elapsed_ms line of `verify`. The first declaration key gives the input
+kind: `letters`, `zero` or `rule` a presentation, `order` a table. Each
+`verify` suite has a sub-parser with only the flags it reads.
+`verify small-order-oracle` and `search-open1` walk one table per
+isomorphism class, in the order of `_accel.enumerate_assoc_tables`; both
+still accept `--seed` and ignore it.
 """
 
 from __future__ import annotations
@@ -56,23 +59,21 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _detect_input_kind(text: str) -> str:
+    """The kind of the first declaration key, read as both parsers read it."""
     for raw in text.splitlines():
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if body.startswith("letters:"):
-            return "presentation"
-        if body.startswith("order:"):
-            return "table"
-        break
-    raise ParseError(1, 1, "input must start with 'letters:' or 'order:'")
+        head, sep, _ = raw.split("#", 1)[0].partition(":")
+        key = head.strip()
+        if sep and key in ("letters", "zero", "rule", "order"):
+            return "table" if key == "order" else "presentation"
+        if sep or key:
+            break
+    raise ParseError(1, 1, "input must start with 'letters:', 'zero:', 'rule:' or 'order:'")
 
 
 def _load_input(args):
     """Returns (semigroup, rewriting system or None)."""
     text = Path(args.input).read_text()
-    kind = args.format or _detect_input_kind(text)
-    if kind == "presentation":
+    if _detect_input_kind(text) == "presentation":
         rs = rewriting.parse_presentation(text)
         return rewriting.semigroup_from_presentation(rs, cap=args.cap), rs
     return core.parse_table_text(text), None
@@ -209,9 +210,8 @@ def _family_case(fi, extra_expected=None, extra_computed=None):
 
 
 def suite_bi_ideal_family(args):
-    ns = args.n or range(2, 7)
     cases = []
-    for n in ns:
+    for n in args.n:
         fi = constructions.bi_ideal_family(n)
         expected, computed = _family_case(fi)
         cases.append(_case(f"n={n}", expected, computed))
@@ -219,9 +219,8 @@ def suite_bi_ideal_family(args):
 
 
 def suite_left_ideal_cs_family(args):
-    ns = args.n or range(2, 9)
     cases = []
-    for n in ns:
+    for n in args.n:
         fi = constructions.left_ideal_cs_family(n)
         jp = green.class_poset(fi.semigroup, "J")
         single_chain = all(len(c) <= 1 for c in jp.covers) and jp.height == len(jp.classes)
@@ -244,9 +243,8 @@ def _principal_right_ideal_heights(s):
 
 
 def suite_brandt_tower(args):
-    ns = args.n or range(1, 5)
     cases = []
-    for n in ns:
+    for n in args.n:
         fi = constructions.right_ideal_tower(n)
         expected = {
             "order": fi.expected["order"],
@@ -349,9 +347,8 @@ def suite_brandt_example(args):
 
 
 def suite_reference_monoids(args):
-    ns = args.n or range(1, 4)
     cases = []
-    for n in ns:
+    for n in args.n:
         s = constructions.full_transformation_monoid(n)
         expected = {rel: n for rel in green.RELATIONS}
         computed = {rel: green.height(s, rel) for rel in green.RELATIONS}
@@ -415,10 +412,9 @@ def suite_small_order_oracle(args):
     """Every check of _table_violations is invariant under relabelling, so one
     table per isomorphism class checks all of them; above order 3 only the
     first --samples classes are checked."""
-    max_order = 3 if args.order is None else args.order
+    max_order, samples = args.order, args.samples
     if not 1 <= max_order <= 5:
         raise ValueError("--order must be between 1 and 5")
-    samples = args.samples
     if max_order >= 4 and samples == 0:
         raise ValueError("--samples must be positive when --order is 4 or more")
     cases = []
@@ -454,6 +450,9 @@ _SUITE_FUNCS = {
     "reference-monoids": suite_reference_monoids,
     "small-order-oracle": suite_small_order_oracle,
 }
+# the suites that read --n, with the range each runs when it is omitted
+_SUITE_N_DEFAULTS = {"bi-ideal-family": "2..6", "left-ideal-cs-family": "2..8",
+                     "brandt-tower": "1..4", "reference-monoids": "1..3"}
 
 
 def cmd_verify(args) -> int:
@@ -538,11 +537,6 @@ def cmd_search_open1(args) -> int:
 
 def _add_input_flags(p):
     p.add_argument("input", help="presentation or table file")
-    p.add_argument(
-        "--format",
-        choices=("presentation", "table"),
-        help="override input kind detection",
-    )
     p.add_argument("--cap", type=int, default=rewriting.DEFAULT_CAP,
                    help="irreducible-word enumeration cap")
 
@@ -587,15 +581,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", choices=_SUITE_FUNCS)
-    p.add_argument("--n", type=_parse_n_range, help="parameter range A..B")
-    p.add_argument("--order", type=int, help="small-order-oracle: max order")
-    p.add_argument("--samples", type=_nonnegative_int, default=100_000,
-                   help="small-order-oracle: at most this many isomorphism classes "
-                        "per order above 3 (the default covers all)")
-    p.add_argument("--seed", type=int, default=0, help="ignored")
-    p.add_argument("--json", help="write the machine-readable report here")
     p.set_defaults(func=cmd_verify)
+    suites = p.add_subparsers(dest="suite", required=True)
+    for name in _SUITE_FUNCS:
+        q = suites.add_parser(name)
+        if name in _SUITE_N_DEFAULTS:
+            q.add_argument("--n", type=_parse_n_range, default=_SUITE_N_DEFAULTS[name],
+                           help="parameter range A..B (default %(default)s)")
+        if name == "small-order-oracle":
+            q.add_argument("--order", type=int, default=3,
+                           help="max order, 1 to 5 (default %(default)s)")
+            q.add_argument("--samples", type=_nonnegative_int, default=100_000,
+                           help="at most this many isomorphism classes per order "
+                                "above 3 (the default covers all)")
+            q.add_argument("--seed", type=int, default=0, help="ignored")
+        q.add_argument("--json", help="write the machine-readable report here")
 
     p = sub.add_parser(
         "search-open1",

@@ -33,11 +33,6 @@ class FamilyInstance:
     def to_table_text(self) -> str:
         return core.format_table_text(self.semigroup)
 
-    def to_presentation_text(self) -> str:
-        if self.presentation_text is None:
-            raise ValueError("this instance was not built from a presentation")
-        return self.presentation_text
-
 
 def bi_ideal_family(n: int) -> FamilyInstance:
     """Semigroup of order 12(n-1)+1 with R-height n whose bi-ideal generated

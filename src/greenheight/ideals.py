@@ -9,7 +9,6 @@ genuinely differ (the 5-element Brandt example is the regression case).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,9 +210,6 @@ class BoundReport:
             out["sanity_bound"] = self.sanity_bound
             out["sanity_note"] = "sanity only"
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
     def to_text(self) -> str:
         lines = [

@@ -174,13 +174,10 @@ def critical_pairs(rs: RewritingSystem):
     seen = set()
     out = []
 
-    def key_of(r):
-        return ("Z",) if r is ZERO else ("W", r)
-
     def emit(source, left, right, kind):
         if left == right:
             return
-        key = (source, frozenset((key_of(left), key_of(right))))
+        key = (source, frozenset((left, right)))  # ZERO equals no word
         if key in seen:
             return
         seen.add(key)

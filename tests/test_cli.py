@@ -155,10 +155,14 @@ def test_bad_flag_is_usage_error(capsys):
     assert code == 2
 
 
-def test_format_override_forces_parser(capsys, bi2_presentation):
-    code, _, err = run(capsys, "height", bi2_presentation, "--format", "table")
-    assert code == 2
-    assert "error:" in err
+def test_format_flag_is_refused(capsys, bi2_presentation):
+    # the input kind comes from the first declaration key alone
+    for argv in (("height",), ("classes",), ("poset",), ("elements",), ("complete",),
+                 ("bounds", "--kind", "bi", "--generators", "x")):
+        code, out, err = run(capsys, argv[0], bi2_presentation, *argv[1:],
+                             "--format", "presentation")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --format presentation" in err
 
 
 def test_input_without_declaration_is_parse_error(capsys, tmp_path):
@@ -166,7 +170,32 @@ def test_input_without_declaration_is_parse_error(capsys, tmp_path):
     p.write_text("hello world\n")
     code, _, err = run(capsys, "height", str(p))
     assert code == 2
-    assert "letters:" in err
+    for key in ("letters:", "zero:", "rule:", "order:"):
+        assert key in err
+
+
+def _bi2_lines():
+    return bi_ideal_family(2).presentation_text.splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("text", [
+    "".join([_bi2_lines()[1], _bi2_lines()[0], *_bi2_lines()[2:]]),  # zero: 0 first
+    "".join(_bi2_lines()[2:] + _bi2_lines()[:2]),  # rule: first, letters: last
+    "# bi n=2\n\n" + bi_ideal_family(2).presentation_text.replace("letters:", "letters :"),
+], ids=["zero-first", "rule-first", "spaced-letters"])
+def test_presentation_detected_from_any_declaration_key(capsys, tmp_path, bi2_presentation,
+                                                        text):
+    p = tmp_path / "reordered.txt"
+    p.write_text(text)
+    for command in ("height", "elements"):
+        assert run(capsys, command, str(p)) == run(capsys, command, bi2_presentation)
+    assert run(capsys, "height", str(p)) == (0, "R: 2\nL: 3\nJ: 3\nH: 2\n", "")
+
+
+def test_table_detected_with_spaced_order_key(capsys, tmp_path, left3_table):
+    p = tmp_path / "spaced.txt"
+    p.write_text(Path(left3_table).read_text().replace("order:", "  order :", 1))
+    assert run(capsys, "height", str(p)) == run(capsys, "height", left3_table)
 
 
 def test_verify_suite_passes_and_json(capsys, tmp_path):
@@ -235,6 +264,44 @@ def test_verify_every_suite_is_pinned(capsys, tmp_path, argv, n_cases, stdout_di
     assert len(cases) == n_cases
     assert hashlib.sha256(json.dumps(cases, sort_keys=True).encode()).hexdigest() == (
         cases_digest)
+
+
+# the flags each suite reads, beside --json; every suite refuses the rest
+_SUITE_READS = {
+    "bi-ideal-family": {"--n"},
+    "left-ideal-cs-family": {"--n"},
+    "brandt-tower": {"--n"},
+    "null-extension": set(),
+    "brandt-example": set(),
+    "reference-monoids": {"--n"},
+    "small-order-oracle": {"--order", "--samples", "--seed"},
+}
+_FLAG_VALUES = {"--n": "2", "--order": "1", "--samples": "1", "--seed": "5"}
+
+
+@pytest.mark.parametrize("flag", sorted(_FLAG_VALUES))
+@pytest.mark.parametrize("suite", list(cli._SUITE_FUNCS))
+def test_verify_suite_refuses_every_flag_it_does_not_read(capsys, suite, flag):
+    code, out, err = run(capsys, "verify", suite, flag, _FLAG_VALUES[flag])
+    if flag in _SUITE_READS[suite]:
+        assert (code, err) == (0, "")
+        assert "failures: 0" in out
+    else:
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {flag} {_FLAG_VALUES[flag]}" in err
+
+
+@pytest.mark.parametrize("suite, lo, hi", [
+    ("bi-ideal-family", 2, 6),
+    ("left-ideal-cs-family", 2, 8),
+    ("brandt-tower", 1, 4),
+    ("reference-monoids", 1, 3),
+])
+def test_verify_n_default_is_in_the_parser_and_its_help(capsys, suite, lo, hi):
+    assert cli.build_parser().parse_args(["verify", suite]).n == range(lo, hi + 1)
+    code, out, _ = run(capsys, "verify", suite, "--help")
+    assert code == 0
+    assert f"parameter range A..B (default {lo}..{hi})" in out
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

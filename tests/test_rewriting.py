@@ -1,5 +1,6 @@
 """Parsing, reduction, critical pairs, completeness, and enumeration."""
 
+import hashlib
 import random
 
 import pytest
@@ -305,3 +306,15 @@ def test_strategy_independence_on_complete_systems():
             mine = reduce_word(rs, rs.word(w))
             mine_str = "!" if mine is ZERO else rs.display(mine)
             assert mine_str == theirs, (w, mine_str, theirs)
+
+
+@pytest.mark.parametrize("family, digest", [
+    (bi_ideal_family, "8366e789acc1c71ef671cbd8878b2c05f393d6e1bf9eae24a4ff9c317c713bb7"),
+    (left_ideal_cs_family, "a23c596311865328f99b42e43068e452c5212b088cb47bc03f2c71dbb21c2260"),
+])
+def test_critical_pairs_of_the_families_are_pinned(family, digest):
+    # digests taken while the dedup keys still tagged ZERO apart from words
+    h = hashlib.sha256()
+    for n in range(2, 9):
+        h.update(repr(critical_pairs(parse_presentation(family(n).presentation_text))).encode())
+    assert h.hexdigest() == digest
