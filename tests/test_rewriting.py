@@ -163,6 +163,23 @@ def test_critical_pairs_include_zero_sided_pair():
     assert reduce_word(rs, p.right_result) is ZERO
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("letters: a\nzero: 0\nrule: aaaa -> 0\nrule: aa -> a\n",
+     [("aaaaa", "0", "aaaa", "overlap"), ("aaaa", "0", "aaa", "containment")]),
+    ("letters: b\nrule: bbbb -> b\nrule: bb -> b\n",
+     [("bbbbb", "bb", "bbbb", "overlap"), ("bbbb", "b", "bbb", "containment")]),
+])
+def test_critical_pairs_keep_one_pair_per_source_and_result_pair(text, expected):
+    # the two-letter lhs sits at three places in the four-letter one, with one result
+    rs = parse_presentation(text)
+
+    def show(w):
+        return "0" if w is ZERO else rs.display(w)
+
+    assert [(show(p.source), show(p.left_result), show(p.right_result), p.overlap_kind)
+            for p in critical_pairs(rs)] == expected
+
+
 def test_is_complete_families():
     for n in range(2, 6):
         for fam in (bi_ideal_family, left_ideal_cs_family):
