@@ -459,6 +459,21 @@ def test_search_open1_stdout_is_pinned(capsys):
     )
 
 
+def test_search_open1_order_five_is_pinned(capsys, tmp_path):
+    # all of orders 1-4 (218 classes), then the first 182 classes of order 5
+    target = tmp_path / "search.json"
+    code, out, _ = run(capsys, "search-open1", "--max-order", "5", "--budget", "400",
+                       "--json", str(target))
+    assert code == 0
+    assert "searched_tables: 400" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1812ac78154b7daf3e2c8af74e3b20e00471dcf4d80add0fe8bc314c6ae790c3"
+    )
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+        "95b8b017036186e99e9c89395ce98a1a3f9a91c21c33263d98b590b1caf2c98b"
+    )
+
+
 def test_search_open1_walks_classes_in_order_and_ignores_seed(capsys, monkeypatch):
     orders = []
     real = cli._best_bi_ideal_score
