@@ -1,7 +1,8 @@
 """Hot kernels: the exact associativity check and witness search (numpy),
 and one backtracking fill on plain Python ints that enumerates one
 associative table per isomorphism class through order 5, pruned by
-associativity and by a partial lex-leader test over the relabellings.
+associativity and by a partial lex-leader test over the relabellings, and
+run once per order in a process.
 """
 
 from __future__ import annotations
@@ -155,11 +156,21 @@ def _fill(m):
     return place(0)
 
 
+# order -> its read-only array of class representatives, filled on first use
+_TABLES = {}
+
+
 def enumerate_assoc_tables(m: int):
     """One associative table of order 1 <= m <= 5 per isomorphism class, the
     lexicographically least of the flattened cells over all relabellings, as
     an int32 array of shape (classes, m, m) in increasing lexicographic order.
-    The counts are 1, 5, 24, 188 and 1915 (OEIS A001423)."""
+    The counts are 1, 5, 24, 188 and 1915 (OEIS A001423). Each order is
+    filled once per process; later calls return the same read-only array."""
     if not 1 <= m <= 5:
         raise ValueError(f"enumeration needs 1 <= order <= 5, got {m}")
-    return np.array(list(_fill(m)), dtype=np.int32).reshape(-1, m, m)
+    tables = _TABLES.get(m)
+    if tables is None:
+        tables = np.array(list(_fill(m)), dtype=np.int32).reshape(-1, m, m)
+        tables.setflags(write=False)
+        _TABLES[m] = tables
+    return tables

@@ -58,16 +58,31 @@ def _below(s: core.FiniteSemigroup, relation: str):
     return below
 
 
+def _row_masks(rows):
+    """Each row of a boolean matrix as an int with bit j set where column j is."""
+    return [int.from_bytes(r.tobytes(), "little")
+            for r in np.packbits(rows, axis=1, bitorder="little")]
+
+
 def longest_chains(below, ids=None):
-    """below[i][j] is true when j < i in a strict order. lengths[i] counts
-    the members of ids (default: all) on a longest chain of members with
-    top i, and is 0 outside ids. Members are visited by the number of
-    elements below them, a linear extension: j < i puts j, and everything
-    below j, below i."""
-    counts = [sum(row) for row in below]
+    """below[i] is an int with bit j set when j < i in a strict order.
+    lengths[i] counts the members of ids (default: all) on a longest chain of
+    members with top i, and is 0 outside ids; bits of other elements are
+    ignored. Members are visited by the number of bits of below[i], which
+    must be a linear extension: j < i, both in ids, gives below[j] fewer bits,
+    as a transitive below does. levels[k] holds the members visited so far
+    whose longest chain has k + 1 members."""
+    counts = [b.bit_count() for b in below]
     lengths = [0] * len(below)
+    levels = []
     for i in sorted(range(len(below)) if ids is None else ids, key=counts.__getitem__):
-        lengths[i] = 1 + max(compress(lengths, below[i]), default=0)
+        k = len(levels)
+        while k and not below[i] & levels[k - 1]:
+            k -= 1
+        if k == len(levels):
+            levels.append(0)
+        levels[k] |= 1 << i
+        lengths[i] = k + 1
     return lengths
 
 
@@ -94,7 +109,7 @@ class ClassPoset:
         self.classes = classes
         self.class_of = class_of
         self.strict = strict
-        self._below_rows = strict.T.tolist()
+        self._below_rows = _row_masks(strict.T)
         self.height = max(longest_chains(self._below_rows))
 
     def class_index(self, a: int) -> int:
@@ -128,7 +143,7 @@ class ClassPoset:
 
     def chains_above(self):
         """lengths[i] = classes on a longest chain whose bottom is class i."""
-        return longest_chains(self.strict.tolist())
+        return longest_chains(_row_masks(self.strict))
 
     def to_dot(self) -> str:
         """Hasse diagram, one node per class, edges larger -> smaller."""
@@ -274,4 +289,4 @@ def inverse_structure(s: core.FiniteSemigroup) -> InverseStructure:
     e, f = es[:, None], es[None, :]
     below = (t[e, f] == f) & (t[f, e] == f)  # below[i, j]: es[j] <= es[i]
     np.fill_diagonal(below, False)
-    return InverseStructure("inverse", max(longest_chains(below.tolist())))
+    return InverseStructure("inverse", max(longest_chains(_row_masks(below))))

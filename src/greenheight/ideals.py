@@ -121,25 +121,29 @@ def _scan(s, kinds):
     column = [sum(1 << (t[x][b] + m * x) for x in elements) for b in elements]
     every = (1 << m) - 1
     poset = green.class_poset(s, "R")
-    class_masks = [_mask(cls) for cls in poset.classes]
-    # per mask M: packed x*M, M*S and S*M, each one element off a smaller M
-    packed, ms_of, sm_of = [0], [0], [0]
+    class_of = poset.class_of.tolist()
+    class_ids = range(len(poset.classes))
+    every_class = (1 << len(class_ids)) - 1
+    # per mask M: packed x*M, M*S, S*M and the R-classes of s that M meets,
+    # each one element off a smaller M
+    packed, ms_of, sm_of, meets = [0], [0], [0], [0]
     for mask in range(1, 1 << m):
         low = (mask & -mask).bit_length() - 1
         rest = mask & (mask - 1)
-        xms = packed[rest] | column[low]
-        ms = ms_of[rest] | right[low]
-        sm = sm_of[rest] | left[low]
-        packed.append(xms)
-        ms_of.append(ms)
-        sm_of.append(sm)
-        xm = [xms >> shift & every for shift in shifts]
+        packed.append(packed[rest] | column[low])
+        ms_of.append(ms_of[rest] | right[low])
+        sm_of.append(sm_of[rest] | left[low])
+        meets.append(meets[rest] | 1 << class_of[low])
+    chains = {}  # a selection of R-classes of s, as a mask -> its longest chain
+    for mask in range(1, 1 << m):
+        ms = ms_of[mask]
+        xm = [packed[mask] >> shift & every for shift in shifts]
         members = [a for a in elements if mask >> a & 1]
         closed = all(xm[a] | mask == mask for a in members)
         laws = {
             "subsemigroup": closed,
             "right_ideal": ms | mask == mask,
-            "left_ideal": sm | mask == mask,
+            "left_ideal": sm_of[mask] | mask == mask,
         }
         laws["two_sided_ideal"] = laws["right_ideal"] and laws["left_ideal"]
         laws["bi_ideal"] = closed and all(
@@ -149,17 +153,20 @@ def _scan(s, kinds):
             if not laws[kind]:
                 continue
             if subset is None:
-                downs = list({1 << c | xm[c] for c in members})
-                below = [[d != e and d | e == e for d in downs] for e in downs]
-                height = max(green.longest_chains(below))
-                params = {}
+                # one member per R-class of M, each over the rest of its c*M
+                tops = {1 << c | xm[c]: c for c in members}
+                below = [xm[c] & ~(1 << c) for c in elements]
+                height = max(green.longest_chains(below, tops.values()))
                 subset = frozenset(members)
-            meets = kind in _INTERSECT_KINDS
-            if meets not in params:
-                params[meets] = poset.longest_chain(
-                    i for i, cm in enumerate(class_masks)
-                    if (cm & mask if meets else cm | mask == mask))
-            yield SubsetRecord(subset, kind, height, params[meets])
+            if kind in _INTERSECT_KINDS:
+                selected = meets[mask]
+            else:  # the classes that meet no element outside M
+                selected = every_class & ~meets[every ^ mask]
+            n = chains.get(selected)
+            if n is None:
+                n = chains[selected] = poset.longest_chain(
+                    i for i in class_ids if selected >> i & 1)
+            yield SubsetRecord(subset, kind, height, n)
 
 
 def relative_height(handle: core.SubsetHandle) -> int:

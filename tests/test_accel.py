@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from greenheight import _accel
+from greenheight import _accel, cli
 from greenheight.constructions import (
     bi_ideal_family,
     left_ideal_cs_family,
@@ -98,11 +98,40 @@ def test_relabelled_tables_are_seeded_associative_relabellings():
         assert tuple(x for row in least for x in row) in reps
 
 
-def test_enumerate_rejects_large_order():
-    # order 6 would take minutes; order 0 has no tables to fill
+def test_enumerate_rejects_large_order(monkeypatch):
+    # order 6 would take minutes; order 0 has no tables to fill. The order is
+    # checked before the memo is read
+    monkeypatch.setattr(_accel, "_TABLES", {0: None, 6: None})
     for m in (0, 6):
         with pytest.raises(ValueError, match="order"):
             _accel.enumerate_assoc_tables(m)
+
+
+def test_enumerate_returns_one_read_only_array_per_order():
+    tables = _accel.enumerate_assoc_tables(4)
+    assert _accel.enumerate_assoc_tables(4) is tables
+    assert not tables.flags.writeable
+    with pytest.raises(ValueError):
+        tables[0, 0, 0] = 1
+
+
+def test_searches_fill_each_order_once_per_process(monkeypatch, capsys):
+    fills = []
+    real = _accel._fill
+
+    def counting(m):
+        fills.append(m)
+        return real(m)
+
+    monkeypatch.setattr(_accel, "_TABLES", {})
+    monkeypatch.setattr(_accel, "_fill", counting)
+    outs = []
+    for _ in range(2):
+        assert cli.main(["search-open1", "--max-order", "4"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert fills == [1, 2, 3, 4]
+    assert outs[0] == outs[1]
+    assert "searched_tables: 200" in outs[0]
 
 
 def test_assoc_witness_none_iff_associative():

@@ -1,5 +1,7 @@
 """Green's preorders, class posets, kernel, and regularity cross-checks."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,31 @@ def test_longest_chain_restricted_matches_oracle():
                 chosen, lambda ca, cb: oracles.naive_class_leq(rows, ca, cb, "R")
             )
             assert poset.longest_chain(sel) == want
+
+
+def test_longest_chains_on_masks_matches_oracle():
+    # random strict orders of up to 12 points: each point takes random points
+    # of lower rank, and everything below them, as its below mask
+    rng = random.Random(16)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        rank = rng.sample(range(n), n)
+        below = [0] * n
+        for i in sorted(range(n), key=rank.__getitem__):
+            for j in range(n):
+                if rank[j] < rank[i] and rng.random() < 0.3:
+                    below[i] |= 1 << j | below[j]
+        for ids in (None, [i for i in range(n) if rng.random() < 0.6]):
+            got = green.longest_chains(below, ids)
+            members = range(n) if ids is None else ids
+            for i in range(n):
+                if i not in members:
+                    assert got[i] == 0
+                    continue
+                # a longest chain among the members at or below i has top i
+                downs = [j for j in members if j == i or below[i] >> j & 1]
+                assert got[i] == oracles.longest_chain(
+                    downs, lambda a, b: a == b or bool(below[b] >> a & 1))
 
 
 def test_public_strict_order_and_chains_above():
