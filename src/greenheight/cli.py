@@ -608,13 +608,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="write the report here")
     p.set_defaults(func=cmd_search_open1)
 
+    # main reports a leftover argument through the innermost parser it reached
+    for p in (*sub.choices.values(), *suites.choices.values()):
+        p.set_defaults(parser=p)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            getattr(args, "parser", parser).error(
+                f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     if getattr(args, "command", None) is None:

@@ -162,6 +162,7 @@ def test_format_flag_is_refused(capsys, bi2_presentation):
         code, out, err = run(capsys, argv[0], bi2_presentation, *argv[1:],
                              "--format", "presentation")
         assert (code, out) == (2, "")
+        assert err.startswith(f"usage: greenheight {argv[0]} ")
         assert "unrecognized arguments: --format presentation" in err
 
 
@@ -288,7 +289,10 @@ def test_verify_suite_refuses_every_flag_it_does_not_read(capsys, suite, flag):
         assert "failures: 0" in out
     else:
         assert (code, out) == (2, "")
-        assert f"unrecognized arguments: {flag} {_FLAG_VALUES[flag]}" in err
+        # the suite's own usage, which lists the flags it does read
+        assert err.startswith(f"usage: greenheight verify {suite} [-h]")
+        assert (f"greenheight verify {suite}: error: unrecognized arguments:"
+                f" {flag} {_FLAG_VALUES[flag]}") in err
 
 
 @pytest.mark.parametrize("suite, lo, hi", [
