@@ -59,7 +59,7 @@ def _below(s: core.FiniteSemigroup, relation: str):
 
 
 def _row_masks(rows):
-    """Each row of a boolean matrix as an int with bit j set where column j is."""
+    """Each row of a boolean matrix as an int with bit j set where column j is true."""
     return [int.from_bytes(r.tobytes(), "little")
             for r in np.packbits(rows, axis=1, bitorder="little")]
 
@@ -70,11 +70,10 @@ def longest_chains(below, ids=None):
     members with top i, and is 0 outside ids; bits of other elements are
     ignored. Members are visited by the number of bits of below[i], which
     must be a linear extension: j < i, both in ids, gives below[j] fewer bits,
-    as a transitive below does. levels[k] holds the members visited so far
-    whose longest chain has k + 1 members."""
+    as a transitive below does."""
     counts = [b.bit_count() for b in below]
     lengths = [0] * len(below)
-    levels = []
+    levels = []  # levels[k]: the members visited so far with lengths k + 1
     for i in sorted(range(len(below)) if ids is None else ids, key=counts.__getitem__):
         k = len(levels)
         while k and not below[i] & levels[k - 1]:

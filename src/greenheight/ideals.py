@@ -153,7 +153,8 @@ def _scan(s, kinds):
             if not laws[kind]:
                 continue
             if subset is None:
-                # one member per R-class of M, each over the rest of its c*M
+                # one member c per R-class of M, keyed by its down-set; among
+                # those members, c*M without c holds the ones strictly below c
                 tops = {1 << c | xm[c]: c for c in members}
                 below = [xm[c] & ~(1 << c) for c in elements]
                 height = max(green.longest_chains(below, tops.values()))
