@@ -16,6 +16,7 @@ still accept `--seed` and ignore it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -541,6 +542,7 @@ def _add_input_flags(p):
                    help="irreducible-word enumeration cap")
 
 
+@functools.cache  # one parser per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="greenheight",

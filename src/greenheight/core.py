@@ -33,7 +33,7 @@ class FiniteSemigroup:
         if len(set(names)) != m:
             raise ValueError("element names must be distinct")
         for n in names:
-            if not n or any(ch.isspace() for ch in n):
+            if n.split() != [n]:  # empty, or holds whitespace
                 raise ValueError(f"bad element name {n!r}")
         if table.size and (table.min() < 0 or table.max() >= m):
             raise ValueError("table entries must be element indices")
@@ -235,9 +235,37 @@ def parse_table_text(text: str) -> FiniteSemigroup:
         raise ParseError(lineno, 1, f"expected {m} names, got {len(names)}")
     if len(lines) != 2 + m:
         raise ParseError(lines[-1][0], 1, f"expected {m} table rows, got {len(lines) - 2}")
+    rows = lines[2:]
+    table = _table_by_rows(rows, m)
+    if table is None:
+        table = _table_by_cells(rows, m)  # raises the first error, as line and message
+    try:
+        return FiniteSemigroup(names, table)
+    except NotAssociative:
+        raise
+    except ValueError as e:
+        raise ParseError(lines[0][0], 1, str(e)) from None
+
+
+def _table_by_rows(rows, m):
+    """The table of m row lines, one numpy conversion per row; None when a
+    row has the wrong length, a bad token or an entry out of range."""
+    table = np.empty((m, m), dtype=np.int32)
+    for a, (_, body) in enumerate(rows):
+        cells = body.split()
+        if len(cells) != m:  # a 1-entry row would broadcast
+            return None
+        try:
+            table[a] = np.array(cells, dtype=np.int32)
+        except (ValueError, OverflowError):
+            return None
+    return table if table.min() >= 0 and table.max() < m else None
+
+
+def _table_by_cells(rows, m):
+    """The table of m row lines, cell by cell, raising ParseError at the first bad one."""
     table = np.zeros((m, m), dtype=np.int32)
-    for a in range(m):
-        lineno, body = lines[2 + a]
+    for a, (lineno, body) in enumerate(rows):
         cells = body.split()
         if len(cells) != m:
             raise ParseError(lineno, 1, f"row has {len(cells)} entries, expected {m}")
@@ -249,16 +277,10 @@ def parse_table_text(text: str) -> FiniteSemigroup:
             if not 0 <= v < m:
                 raise ParseError(lineno, 1, f"table entry {v} out of range")
             table[a, b] = v
-    try:
-        return FiniteSemigroup(names, table)
-    except NotAssociative:
-        raise
-    except ValueError as e:
-        raise ParseError(lines[0][0], 1, str(e)) from None
+    return table
 
 
 def format_table_text(s: FiniteSemigroup) -> str:
     lines = [f"order: {s.order}", "names: " + " ".join(s.names)]
-    for a in range(s.order):
-        lines.append(" ".join(str(int(v)) for v in s.table[a]))
+    lines.extend(" ".join(map(str, row)) for row in s.table.tolist())
     return "\n".join(lines) + "\n"

@@ -103,7 +103,7 @@ class ClassPoset:
     """
 
     def __init__(self, semigroup, relation, classes, class_of, strict):
-        self.semigroup = semigroup
+        self.names = semigroup.names  # not the semigroup, whose cache holds this poset
         self.relation = relation
         self.classes = classes
         self.class_of = class_of
@@ -146,7 +146,7 @@ class ClassPoset:
 
     def to_dot(self) -> str:
         """Hasse diagram, one node per class, edges larger -> smaller."""
-        names = self.semigroup.names
+        names = self.names
         lines = [f"digraph {self.relation}_classes {{"]
         for i, cls in enumerate(self.classes):
             label = "{" + ", ".join(names[a] for a in cls) + "}"

@@ -1,6 +1,7 @@
 """Command behavior, exit codes, output format, and determinism."""
 
 import dataclasses
+import gc
 import hashlib
 import importlib
 import json
@@ -9,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -306,6 +308,47 @@ def test_verify_n_default_is_in_the_parser_and_its_help(capsys, suite, lo, hi):
     code, out, _ = run(capsys, "verify", suite, "--help")
     assert code == 0
     assert f"parameter range A..B (default {lo}..{hi})" in out
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run(capsys, "verify", "bi-ideal-family", "--n", "3..4")
+    assert (code, out.count("\ncase ")) == (0, 2)
+    code, out, _ = run(capsys, "verify", "bi-ideal-family")
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("case ")] == [
+        f"case n={n}: pass" for n in range(2, 7)]
+
+
+def test_each_semigroup_of_an_op_is_freed_without_the_cycle_collector(
+        capsys, monkeypatch, left3_table, bi2_presentation):
+    built = []
+    init = core.FiniteSemigroup.__init__
+
+    def tracked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(core.FiniteSemigroup, "__init__", tracked_init)
+    ops = [
+        ("height", left3_table),
+        ("classes", left3_table, "--relation", "J"),
+        ("poset", left3_table, "--relation", "J"),
+        ("bounds", bi2_presentation, "--kind", "bi", "--generators", "x", "y", "z", "tx"),
+        ("verify", "brandt-tower"),
+    ]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for argv in ops:
+            built.clear()
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            assert built, argv
+            assert [ref() for ref in built if ref() is not None] == [], argv
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

@@ -23,6 +23,7 @@ from greenheight.constructions import (
     full_transformation_monoid,
     left_zero_semigroup,
     null_semigroup,
+    right_ideal_tower,
 )
 
 LEFT_ZERO_3 = "order: 3\nnames: a b c\n0 0 0\n1 1 1\n2 2 2\n"
@@ -48,24 +49,60 @@ def test_format_round_trip():
     assert (again.table == s.table).all()
 
 
-@pytest.mark.parametrize(
-    "text, fragment",
-    [
-        ("names: a\n0\n", "order"),
-        ("order: 0\n", "positive"),
-        ("order: 2\n0 1\n1 0\n", "names"),
-        ("order: 2\nnames: a b\n0 1\n", "rows"),
-        ("order: 2\nnames: a b\n0 1 0\n1 0\n", "entries"),
-        ("order: 2\nnames: a b\n0 2\n1 0\n", "range"),
-        ("order: 2\nnames: a\n0 1\n1 0\n", "names"),
-        ("order: 2\nnames: a a\n0 1\n1 0\n", "distinct"),
-        ("order: 2\nnames: a b\n0 x\n1 0\n", "bad table entry"),
-    ],
-)
-def test_parse_table_errors(text, fragment):
+def test_format_writes_the_parsed_text_back():
+    assert format_table_text(parse_table_text(LEFT_ZERO_3)) == LEFT_ZERO_3
+
+
+def test_format_round_trip_of_tower_five():
+    s = right_ideal_tower(5).semigroup  # order 341
+    text = format_table_text(s)
+    assert text.splitlines()[2] == " ".join(str(v) for v in s.table[0].tolist())
+    again = parse_table_text(text)
+    assert again.names == s.names
+    assert (again.table == s.table).all()
+
+
+# (text, short name, the exact error); a case's id is "text-short name"
+PARSE_ERRORS = [
+    ("names: a\n0\n", "order", "line 1, column 1: expected 'order' declaration"),
+    ("order: 0\n", "positive", "line 1, column 1: order must be positive"),
+    ("order: 2\n0 1\n1 0\n", "names", "line 2, column 1: expected 'names' declaration"),
+    ("order: 2\nnames: a b\n0 1\n", "rows", "line 3, column 1: expected 2 table rows, got 1"),
+    ("order: 2\nnames: a b\n0 1 0\n1 0\n", "entries",
+     "line 3, column 1: row has 3 entries, expected 2"),
+    # one entry must not fill the row
+    ("order: 2\nnames: a b\n0\n1 0\n", "one entry",
+     "line 3, column 1: row has 1 entries, expected 2"),
+    ("order: 2\nnames: a b\n0 2\n1 0\n", "range", "line 3, column 1: table entry 2 out of range"),
+    ("order: 2\nnames: a b\n0 1\n-1 0\n", "negative",
+     "line 4, column 1: table entry -1 out of range"),
+    # past int32, still reported as out of range
+    ("order: 2\nnames: a b\n0 99999999999\n1 0\n", "past int32",
+     "line 3, column 1: table entry 99999999999 out of range"),
+    # the first bad row wins, whatever the kind of error in a later one
+    ("order: 2\nnames: a b\n0 2\n1 x\n", "first row wins",
+     "line 3, column 1: table entry 2 out of range"),
+    ("order: 3\nnames: a b c\n# rows\n0 0 0\n\n1 1 1\n2 2 -5\n", "line numbers",
+     "line 7, column 1: table entry -5 out of range"),
+    ("order: 2\nnames: a\n0 1\n1 0\n", "names", "line 2, column 1: expected 2 names, got 1"),
+    ("order: 2\nnames: a a\n0 1\n1 0\n", "distinct",
+     "line 1, column 1: element names must be distinct"),
+    ("order: 2\nnames: a b\n0 x\n1 0\n", "bad table entry", "line 3, column 1: bad table entry 'x'"),
+]
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param(text, message, id=f"{text}-{name}") for text, name, message in PARSE_ERRORS])
+def test_parse_table_errors(text, message):
     with pytest.raises(ParseError) as exc:
         parse_table_text(text)
-    assert fragment in str(exc.value)
+    assert str(exc.value) == message
+
+
+def test_parse_table_accepts_full_width_digits_and_signs():
+    # a full-width digit is a decimal digit to int()
+    s = parse_table_text("order: 4\nnames: a b c d\n0 0 0 0\n1 1 1 1\n2 2 2 2\n\uff13 +3 3 3\n")
+    assert s.table.tolist() == [[0] * 4, [1] * 4, [2] * 4, [3] * 4]
 
 
 def test_parse_table_rejects_non_associative():
@@ -111,6 +148,17 @@ def test_index_and_names():
     assert s.index("c") == 2
     with pytest.raises(KeyError):
         s.index("zz")
+
+
+@pytest.mark.parametrize("name", ["", "a b", "a\t", "\u2003a", "a\x1c", "\u3000"])
+def test_names_with_whitespace_are_refused(name):
+    with pytest.raises(ValueError, match="bad element name"):
+        from_table([name], [[0]])
+
+
+def test_names_of_non_space_characters_are_kept():
+    names = ("\u200b", "\xb7", "a\u2060")
+    assert from_table(names, [[0, 0, 0], [1, 1, 1], [2, 2, 2]]).names == names
 
 
 def test_product_of_sets_matches_triple_loop():
