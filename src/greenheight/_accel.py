@@ -2,7 +2,7 @@
 and one backtracking fill on plain Python ints that enumerates one
 associative table per isomorphism class through order 5, pruned by
 associativity and by a partial lex-leader test over the relabellings, and
-run once per order in a process.
+run once per order in a process; each table it gives is checked exactly.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from .errors import EngineBug
 
 # no compiled kernels exist; kept because perfbench/child.py reads it
 numba_kernels = None
@@ -165,12 +167,20 @@ def enumerate_assoc_tables(m: int):
     lexicographically least of the flattened cells over all relabellings, as
     an int32 array of shape (classes, m, m) in increasing lexicographic order.
     The counts are 1, 5, 24, 188 and 1915 (OEIS A001423). Each order is
-    filled once per process; later calls return the same read-only array."""
+    filled once per process, and each table is checked by assoc_witness then,
+    so its callers need not check it again; a failure raises EngineBug. Later
+    calls return the same read-only array."""
     if not 1 <= m <= 5:
         raise ValueError(f"enumeration needs 1 <= order <= 5, got {m}")
     tables = _TABLES.get(m)
     if tables is None:
         tables = np.array(list(_fill(m)), dtype=np.int32).reshape(-1, m, m)
+        for i, table in enumerate(tables):
+            witness = assoc_witness(table)
+            if witness is not None:
+                a, b, c = witness
+                raise EngineBug(f"enumerated table {i} of order {m} is not associative:"
+                                f" ({a}*{b})*{c} != {a}*({b}*{c})")
         tables.setflags(write=False)
         _TABLES[m] = tables
     return tables

@@ -374,8 +374,9 @@ def _minimal_right_ideal_union(s):
     return frozenset().union(*minimal)
 
 
-def _table_violations(s) -> list:
-    """Every invariant the small-order oracle asserts, on one semigroup."""
+def _table_violations(s, records=None) -> list:
+    """Every invariant the small-order oracle asserts, on one semigroup, with
+    `records` its ideal_subsets records (computed here when None)."""
     v = []
     cs = green.kernel(s).is_completely_simple
     if not cs:
@@ -386,7 +387,7 @@ def _table_violations(s) -> list:
     if (hr == 1) != (_minimal_right_ideal_union(s) == frozenset(range(s.order))):
         v.append("height-1 union lemma fails")
     reg = green.regular_elements(s)
-    for rec in ideals.ideal_subsets(s):
+    for rec in ideals.ideal_subsets(s) if records is None else records:
         kind, members = rec.kind, rec.members
         report = ideals.bound_verdict(kind, rec.relative_height, rec.chain_param, cs)
         where = f"{kind} {sorted(members)}"
@@ -428,8 +429,10 @@ def suite_small_order_oracle(args):
         violations = 0
         first = None
         names = [str(i) for i in range(m)]
-        for tab in tables:
-            bad = _table_violations(core.from_table(names, tab))
+        arrays = ideals.subset_arrays(tables)
+        for i, tab in enumerate(tables):
+            bad = _table_violations(core.from_table(names, tab),
+                                    ideals.subset_records(arrays, i))
             if bad:
                 violations += len(bad)
                 if first is None:
@@ -484,17 +487,6 @@ def cmd_verify(args) -> int:
 # open-question search
 
 
-def _best_bi_ideal_score(s):
-    """Max of relative_height - (3*chain_param - 2) over all bi-ideals."""
-    best = None
-    for rec in ideals.ideal_subsets(s, ("bi_ideal",)):
-        h, n = rec.relative_height, rec.chain_param
-        score = h - (3 * n - 2)
-        if best is None or score > best[0]:
-            best = (score, h, n, tuple(sorted(rec.members)))
-    return best
-
-
 def cmd_search_open1(args) -> int:
     max_order = args.max_order
     searched = 0
@@ -504,20 +496,26 @@ def cmd_search_open1(args) -> int:
             break
         tables = _accel.enumerate_assoc_tables(m)[:args.budget - searched]
         searched += len(tables)
-        for tab in tables:
-            found = _best_bi_ideal_score(core.from_table([str(i) for i in range(m)], tab))
-            # orders only ascend, so a later table wins on a higher score alone
-            if found is not None and (best is None or found[0] > best["score"]):
-                score, h, n, members = found
-                best = {
-                    "score": score,
-                    "order": m,
-                    "relative_height": h,
-                    "chain_param": n,
-                    "target_bound": 3 * n - 1,
-                    "bi_ideal": list(members),
-                    "table": tab.tolist(),
-                }
+        arrays = ideals.subset_arrays(tables)
+        h, n = arrays.relative_height, arrays.chain_param("bi_ideal")
+        # h - (3n - 2) on each bi-ideal; every table is a bi-ideal of itself
+        score = np.where(arrays.laws["bi_ideal"], h - (3 * n - 2), np.iinfo(np.int32).min)
+        cols = score.argmax(axis=1)  # the first mask of each table's best score
+        tops = score.max(axis=1)
+        i = int(tops.argmax())  # the first table of the order's best score
+        # orders only ascend, so a later table wins on a higher score alone
+        if best is None or tops[i] > best["score"]:
+            col = int(cols[i])
+            hi, ni = int(h[i, col]), int(n[i, col])
+            best = {
+                "score": int(tops[i]),
+                "order": m,
+                "relative_height": hi,
+                "chain_param": ni,
+                "target_bound": 3 * ni - 1,
+                "bi_ideal": [x for x in range(m) if col + 1 >> x & 1],
+                "table": tables[i].tolist(),
+            }
     print(f"searched_tables: {searched}")
     print(f"max_order: {max_order}")
     if best is None:

@@ -60,8 +60,10 @@ def _below(s: core.FiniteSemigroup, relation: str):
 
 def _row_masks(rows):
     """Each row of a boolean matrix as an int with bit j set where column j is true."""
-    return [int.from_bytes(r.tobytes(), "little")
-            for r in np.packbits(rows, axis=1, bitorder="little")]
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    width, data = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(data[i * width:(i + 1) * width], "little")
+            for i in range(len(packed))]
 
 
 def longest_chains(below, ids=None):

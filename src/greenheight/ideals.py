@@ -3,7 +3,7 @@ R-height, the chain parameter, height-bound reports, and kernel chains.
 
 The relative order inside a subset is always computed inside it, on the
 restricted semigroup for a handle and from the products c*M in the
-ideal_subsets scan, never by restricting the parent preorder; the two
+subset_arrays kernel, never by restricting the parent preorder; the two
 genuinely differ (the 5-element Brandt example is the regression case).
 """
 
@@ -62,7 +62,7 @@ def is_kind(s: core.FiniteSemigroup, members, kind: str) -> bool:
     return core.closure_violation(s, members, kind) is None
 
 
-# ideal_subsets walks all 2^m - 1 subsets, so it refuses larger tables
+# subset_arrays walks all 2^m - 1 subsets, as int32 masks
 _SCAN_MAX_ORDER = 16
 
 
@@ -77,25 +77,129 @@ class SubsetRecord:
     chain_param: int
 
 
-def _mask(elements) -> int:
-    out = 0
-    for x in elements:
-        out |= 1 << x
-    return out
+@dataclass(frozen=True, slots=True)
+class SubsetArrays:
+    """subset_arrays of a stack of N tables: row i is table i, column k - 1
+    is the subset M with bitmask k. laws maps each kind of core.KINDS to an
+    (N, 2^m - 1) bool array, true where M obeys its law. relative_height
+    is M's R-height inside M, and 0 where M is not closed under products.
+    meet_chain and inside_chain are the longest chains of the R-classes of
+    S that meet M and that lie inside M."""
+
+    laws: dict
+    relative_height: np.ndarray
+    meet_chain: np.ndarray
+    inside_chain: np.ndarray
+
+    def chain_param(self, kind: str) -> np.ndarray:
+        """The chain parameter of chain_param for each subset of the kind."""
+        return self.meet_chain if kind in _INTERSECT_KINDS else self.inside_chain
+
+
+def subset_arrays(tables) -> SubsetArrays:
+    """Laws, relative R-heights and chain parameters of every nonempty subset
+    of every table in a stack of shape (N, m, m), m <= 16, in whole-array
+    steps over the N * 2^m masks.
+
+    Every set is an int32 bitmask, bit i for element i. x*M for each x, M*S
+    and S*M take one OR-step per element over the mask axis. The laws read:
+    x*M inside M for every x in M for subsemigroups, and also for every x in
+    M*S for bi-ideals; M*S inside M for right ideals, S*M for left ideals,
+    both for two-sided ones. In a closed M, b <=_R c iff b is in the down-set
+    {c} | c*M, and a longest chain of R-classes counts the rounds that peel
+    off the minimal remaining members. The chain parameters peel the
+    R-classes of S with the same routine, on the column M = S, whose
+    down-sets are c*S^1. The tables are taken to be associative.
+    """
+    t = np.asarray(tables)
+    if t.ndim != 3 or t.shape[1] != t.shape[2]:
+        raise ValueError(f"subset_arrays needs an (N, m, m) stack, got shape {t.shape}")
+    n, m = t.shape[:2]
+    if m > _SCAN_MAX_ORDER:
+        raise ValueError(f"subset_arrays scans tables of at most {_SCAN_MAX_ORDER}"
+                         f" elements, got {m}")
+    size = 1 << m
+    masks = np.arange(size, dtype=np.int32)
+    bits = np.left_shift(np.int32(1), t.astype(np.int32))  # bits[:, x, y]: x*y
+    xm = np.zeros((n, size, m), dtype=np.int32)  # xm[:, k, x]: x*M for M = k
+    ms = np.zeros((n, size), dtype=np.int32)
+    sm = np.zeros((n, size), dtype=np.int32)
+    right = np.bitwise_or.reduce(bits, axis=2)  # right[:, a]: aS
+    left = np.bitwise_or.reduce(bits, axis=1)  # left[:, a]: Sa
+    for b in range(m):  # the masks with top bit b are those below it plus b
+        lo, hi = 1 << b, 2 << b
+        np.bitwise_or(xm[:, :lo], bits[:, None, :, b], out=xm[:, lo:hi])
+        np.bitwise_or(ms[:, :lo], right[:, b, None], out=ms[:, lo:hi])
+        np.bitwise_or(sm[:, :lo], left[:, b, None], out=sm[:, lo:hi])
+    element = np.arange(m, dtype=np.int32)
+    escapes = (xm & ~masks[:, None]) != 0  # x*M leaves M
+    closed = ~(escapes & (masks[:, None] >> element & 1).astype(bool)).any(axis=2)
+    in_ms = (ms[:, :, None] >> element & 1).astype(bool)
+    right_law = (ms & ~masks) == 0
+    left_law = (sm & ~masks) == 0
+    laws = {
+        "subsemigroup": closed,
+        "bi_ideal": closed & ~(escapes & in_ms).any(axis=2),
+        "right_ideal": right_law,
+        "left_ideal": left_law,
+        "two_sided_ideal": right_law & left_law,
+    }
+    down = xm | np.left_shift(np.int32(1), element)  # {c} | c*M
+    strict = _strict_below(down)
+    heights = _peel(strict, np.where(closed, masks, 0))
+    # M = S is the last column: the R-classes of S, and each element's class
+    below_s = strict[:, -1, None, :]
+    meets = np.zeros((n, size), dtype=np.int32)  # the classes M meets, as elements
+    same = down[:, -1] & ~strict[:, -1]
+    for b in range(m):
+        lo, hi = 1 << b, 2 << b
+        np.bitwise_or(meets[:, :lo], same[:, b, None], out=meets[:, lo:hi])
+    inside = (size - 1) & ~meets[:, ::-1]  # meets of the complement, reversed
+    return SubsetArrays(
+        laws={kind: law[:, 1:] for kind, law in laws.items()},
+        relative_height=heights[:, 1:],
+        meet_chain=_peel(below_s, meets)[:, 1:],
+        inside_chain=_peel(below_s, inside)[:, 1:],
+    )
+
+
+def _strict_below(down):
+    """down[..., c] is the down-set of c in a preorder on bits 0..m-1; the
+    strict down-sets: b < c iff b is in down[c] and c is not in down[b]."""
+    m = down.shape[-1]
+    element = np.arange(m, dtype=np.int32)
+    up = np.zeros_like(down)  # up[..., c]: the b whose down-set holds c
+    for b in range(m):
+        up |= (down[..., b, None] >> element & 1) << b
+    return down & ~up
+
+
+def _peel(strict, alive):
+    """The number of rounds that empty the mask alive when each round removes
+    the members with no member strictly below them, strict[..., c] holding
+    the strict down-set of c; strict and alive broadcast. When strict orders
+    the members, this is the longest chain of classes in alive. A cycle
+    cannot be peeled, and raises EngineBug after m rounds."""
+    m = strict.shape[-1]
+    weight = np.left_shift(np.int32(1), np.arange(m, dtype=np.int32))
+    rounds = np.zeros(np.broadcast_shapes(strict.shape[:-1], alive.shape), dtype=np.int32)
+    for _ in range(m):
+        if not alive.any():
+            return rounds
+        rounds += alive != 0
+        minimal = (strict & alive[..., None]) == 0
+        alive = alive & ~(minimal @ weight)
+    if alive.any():
+        raise EngineBug("a strict order to peel has a cycle; is the table associative?")
+    return rounds
 
 
 def ideal_subsets(s: core.FiniteSemigroup, kinds=IDEAL_KINDS):
     """A SubsetRecord for each nonempty subset, in increasing bitmask (bit i
-    for element i), and each kind in `kinds` order whose closure law holds.
-
-    Subsets are Python-int bitmasks, and nothing is restricted to a
-    semigroup of its own. With xM the mask of x*M for every x, the laws
-    read: M*M inside M for subsemigroups; aS inside M for every a in M for
-    right ideals, Sa for left ideals, both for two-sided ones; M*M and
-    x*M inside M for every x in M*S for bi-ideals. Because M is closed
-    under products, b <=_R c inside M iff b is in {c} | c*M, so the
-    relative R-height is the longest strict chain of those down-sets.
-    The chain parameter reads the R-classes of s, as chain_param does.
+    for element i), and each kind in `kinds` order whose closure law holds:
+    the records of subset_arrays on s's table alone, computed at the call.
+    The relative height is taken inside each subset, and the chain
+    parameter reads the R-classes of s, as chain_param does.
 
     The scan is exponential in the order: tables of more than 16 elements,
     and kinds outside core.KINDS, raise ValueError at the call.
@@ -107,67 +211,26 @@ def ideal_subsets(s: core.FiniteSemigroup, kinds=IDEAL_KINDS):
     if s.order > _SCAN_MAX_ORDER:
         raise ValueError(f"ideal_subsets scans tables of at most {_SCAN_MAX_ORDER}"
                          f" elements, got {s.order}")
-    return _scan(s, kinds)
+    return subset_records(subset_arrays(s.table[None]), 0, kinds)
 
 
-def _scan(s, kinds):
-    m = s.order
-    t = s.table.tolist()
-    elements = range(m)
-    right = [_mask(row) for row in t]  # right[a]: aS
-    left = [_mask(col) for col in zip(*t)]  # left[a]: Sa
-    # x*M for every x packed in one int, the mask of x*M at bits m*x..m*x+m-1
-    shifts = [m * x for x in elements]
-    column = [sum(1 << (t[x][b] + m * x) for x in elements) for b in elements]
-    every = (1 << m) - 1
-    poset = green.class_poset(s, "R")
-    class_of = poset.class_of.tolist()
-    class_ids = range(len(poset.classes))
-    every_class = (1 << len(class_ids)) - 1
-    # per mask M: packed x*M, M*S, S*M and the R-classes of s that M meets,
-    # each one element off a smaller M
-    packed, ms_of, sm_of, meets = [0], [0], [0], [0]
-    for mask in range(1, 1 << m):
-        low = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        packed.append(packed[rest] | column[low])
-        ms_of.append(ms_of[rest] | right[low])
-        sm_of.append(sm_of[rest] | left[low])
-        meets.append(meets[rest] | 1 << class_of[low])
-    chains = {}  # a selection of R-classes of s, as a mask -> its longest chain
-    for mask in range(1, 1 << m):
-        ms = ms_of[mask]
-        xm = [packed[mask] >> shift & every for shift in shifts]
-        members = [a for a in elements if mask >> a & 1]
-        closed = all(xm[a] | mask == mask for a in members)
-        laws = {
-            "subsemigroup": closed,
-            "right_ideal": ms | mask == mask,
-            "left_ideal": sm_of[mask] | mask == mask,
-        }
-        laws["two_sided_ideal"] = laws["right_ideal"] and laws["left_ideal"]
-        laws["bi_ideal"] = closed and all(
-            xm[x] | mask == mask for x in elements if ms >> x & 1)
-        subset = None
-        for kind in kinds:
-            if not laws[kind]:
-                continue
-            if subset is None:
-                # one member c per R-class of M, keyed by its down-set; among
-                # those members, c*M without c holds the ones strictly below c
-                tops = {1 << c | xm[c]: c for c in members}
-                below = [xm[c] & ~(1 << c) for c in elements]
-                height = max(green.longest_chains(below, tops.values()))
-                subset = frozenset(members)
-            if kind in _INTERSECT_KINDS:
-                selected = meets[mask]
-            else:  # the classes that meet no element outside M
-                selected = every_class & ~meets[every ^ mask]
-            n = chains.get(selected)
-            if n is None:
-                n = chains[selected] = poset.longest_chain(
-                    i for i in class_ids if selected >> i & 1)
-            yield SubsetRecord(subset, kind, height, n)
+def subset_records(arrays: SubsetArrays, row: int, kinds=IDEAL_KINDS):
+    """The SubsetRecords of table `row` of subset_arrays, in the order of
+    ideal_subsets: by mask, then by kind in `kinds` order."""
+    kinds = tuple(kinds)
+    if not kinds:
+        return
+    laws = np.stack([arrays.laws[kind][row] for kind in kinds], axis=1)
+    m = laws.shape[0].bit_length()
+    cols, which = np.nonzero(laws)
+    chains = [arrays.chain_param(kind)[row].tolist() for kind in kinds]
+    heights = arrays.relative_height[row].tolist()
+    members, last = None, -1
+    for col, j in zip(cols.tolist(), which.tolist()):
+        if col != last:
+            last, mask = col, col + 1
+            members = frozenset(i for i in range(m) if mask >> i & 1)
+        yield SubsetRecord(members, kinds[j], heights[col], chains[j][col])
 
 
 def relative_height(handle: core.SubsetHandle) -> int:

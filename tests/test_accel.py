@@ -246,3 +246,20 @@ def test_assoc_witness_memory_is_bounded_by_cells():
         tracemalloc.stop()
     assert w == (150, 3, 3)
     assert peak < 32 * 2**20
+
+
+def test_a_non_associative_table_from_the_fill_is_an_internal_error(monkeypatch, capsys):
+    real = _accel._fill
+
+    def broken(m):
+        # (0*0)*1 = 1*1 = 0, but 0*(0*1) = 0*0 = 1
+        return iter([[1, 0, 0, 0]]) if m == 2 else real(m)
+
+    monkeypatch.setattr(_accel, "_TABLES", {})
+    monkeypatch.setattr(_accel, "_fill", broken)
+    assert cli.main(["search-open1", "--max-order", "4"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: internal: enumerated table 0 of order 2 is not associative:"
+                   " (0*0)*1 != 0*(0*1)\n")
+    assert 2 not in _accel._TABLES

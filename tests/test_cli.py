@@ -522,22 +522,34 @@ def test_search_open1_order_five_is_pinned(capsys, tmp_path):
 
 
 def test_search_open1_walks_classes_in_order_and_ignores_seed(capsys, monkeypatch):
-    orders = []
-    real = cli._best_bi_ideal_score
+    shapes = []
+    real = ideals.subset_arrays
 
-    def counting(s):
-        orders.append(s.order)
-        return real(s)
+    def counting(tables):
+        shapes.append(tables.shape)
+        return real(tables)
 
-    monkeypatch.setattr(cli, "_best_bi_ideal_score", counting)
+    monkeypatch.setattr(ideals, "subset_arrays", counting)
     code, out, _ = run(capsys, "search-open1", "--budget", "200", "--max-order", "4")
     assert code == 0
     assert "searched_tables: 200" in out
-    # every class of orders 1-3 (1 + 5 + 24), then the first 170 of order 4
-    assert orders == [1] + [2] * 5 + [3] * 24 + [4] * 170
+    # one stack per order: every class of orders 1-3 (1 + 5 + 24), then the
+    # first 170 of order 4
+    assert shapes == [(1, 1, 1), (5, 2, 2), (24, 3, 3), (170, 4, 4)]
     for seed in ("-5", str(2**64)):
         assert run(capsys, "search-open1", "--budget", "200", "--seed", seed)[1] == out
     assert "seed" not in out
+
+
+def test_search_open1_builds_no_semigroup_and_no_poset(capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("search-open1 built a semigroup or a class poset")
+
+    monkeypatch.setattr(core.FiniteSemigroup, "__init__", refused)
+    monkeypatch.setattr(green, "class_poset", refused)
+    code, out, _ = run(capsys, "search-open1", "--budget", "200", "--max-order", "4")
+    assert code == 0
+    assert "searched_tables: 200" in out
 
 
 def test_verify_small_order_oracle_stdout_is_pinned(capsys):

@@ -24,6 +24,7 @@ from greenheight import (
     relative_height,
     restrict_to_subsemigroup,
 )
+from greenheight.ideals import subset_arrays
 from greenheight import _accel
 from greenheight.constructions import (
     bi_ideal_family,
@@ -428,3 +429,45 @@ def test_scan_records_match_the_scan_on_lists_of_rows():
     assert digest.hexdigest() == (
         "3970dd9d1eb5ee0b00022b8641a2dea9509380be4e7a9efa514e7288eec51b5e"
     )
+
+
+@pytest.mark.parametrize("build, order, count, digest", [
+    (null_semigroup, 16, 131072,
+     "626a2d35fc8b7058c3690c0d1e4968d0c40a37fe145dac1fe5c0d1f33a3e24e4"),
+    (left_zero_semigroup, 16, 131072,
+     "2e22e159c2c10004843452bc71c26bcc9696dbbe1e9e72f9ea9cf179d9c1c658"),
+    (null_semigroup, 12, 8192,
+     "dc3693fd7cdfc9f652a0484802a1f72c19ee30157211a13c95960f992113d9e3"),
+], ids=["null16", "left_zero16", "null12"])
+def test_scan_records_of_large_tables_are_pinned(build, order, count, digest):
+    # digests taken from the scan on Python-int bitmasks, one table at a time
+    sha = hashlib.sha256()
+    records = 0
+    for rec in ideal_subsets(build(order)):
+        records += 1
+        sha.update(repr((sorted(rec.members), rec.kind, rec.relative_height,
+                         rec.chain_param)).encode())
+    assert records == count
+    assert sha.hexdigest() == digest
+
+
+def test_each_row_of_a_stack_is_the_scan_of_its_table_alone():
+    for m, step in ((4, 1), (5, 8)):
+        stack = _accel.enumerate_assoc_tables(m)[::step]
+        whole = subset_arrays(stack)
+        assert whole.relative_height.shape == (len(stack), 2**m - 1)
+        for i, table in enumerate(stack):
+            alone = subset_arrays(table[None])
+            for kind in ALL_KINDS:
+                assert (whole.laws[kind][i] == alone.laws[kind][0]).all()
+            for name in ("relative_height", "meet_chain", "inside_chain"):
+                assert (getattr(whole, name)[i] == getattr(alone, name)[0]).all()
+
+
+def test_subset_arrays_rejects_bad_shapes_and_large_orders():
+    with pytest.raises(ValueError, match=r"\(N, m, m\) stack"):
+        subset_arrays(null_semigroup(3).table)
+    with pytest.raises(ValueError, match="at most 16 elements, got 17"):
+        subset_arrays(null_semigroup(17).table[None])
+    empty = subset_arrays(_accel.enumerate_assoc_tables(3)[:0])
+    assert empty.relative_height.shape == (0, 7)
