@@ -374,9 +374,9 @@ def _minimal_right_ideal_union(s):
     return frozenset().union(*minimal)
 
 
-def _table_violations(s, records=None) -> list:
-    """Every invariant the small-order oracle asserts, on one semigroup, with
-    `records` its ideal_subsets records (computed here when None)."""
+def _table_violations(s, records) -> list:
+    """Every invariant the small-order oracle asserts, on one semigroup whose
+    ideal_subsets records are `records`."""
     v = []
     cs = green.kernel(s).is_completely_simple
     if not cs:
@@ -387,7 +387,7 @@ def _table_violations(s, records=None) -> list:
     if (hr == 1) != (_minimal_right_ideal_union(s) == frozenset(range(s.order))):
         v.append("height-1 union lemma fails")
     reg = green.regular_elements(s)
-    for rec in ideals.ideal_subsets(s) if records is None else records:
+    for rec in records:
         kind, members = rec.kind, rec.members
         report = ideals.bound_verdict(kind, rec.relative_height, rec.chain_param, cs)
         where = f"{kind} {sorted(members)}"

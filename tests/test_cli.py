@@ -609,7 +609,7 @@ def test_verify_small_order_oracle_forced_failures_are_pinned(capsys, monkeypatc
     for m in (1, 2, 3):
         for tab in oracles.labelled_tables(m):
             s = core.from_table([str(i) for i in range(m)], tab)
-            messages.extend(cli._table_violations(s))
+            messages.extend(cli._table_violations(s, ideals.ideal_subsets(s)))
     assert len(messages) == 1990
     assert hashlib.sha256("\n".join(messages).encode()).hexdigest() == (
         "f641f61a1c46364f45e034a517e68b43e068ed44fe0e81dd820a23795e53d990"
@@ -621,7 +621,7 @@ def test_verify_small_order_oracle_forced_failures_are_pinned(capsys, monkeypatc
     for m in (1, 2, 3):
         for rep in _accel.enumerate_assoc_tables(m):
             s = core.from_table([str(i) for i in range(m)], rep)
-            weighted += len(cli._table_violations(s)) * (
+            weighted += len(cli._table_violations(s, ideals.ideal_subsets(s))) * (
                 math.factorial(m) // oracles.automorphism_count(rep.tolist()))
     assert weighted == 1990
 

@@ -3,11 +3,13 @@
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
 
 import oracles
 from greenheight import (
     IDEAL_KINDS,
+    EngineBug,
     PreconditionViolated,
     SubsetHandle,
     bound_report,
@@ -471,3 +473,10 @@ def test_subset_arrays_rejects_bad_shapes_and_large_orders():
         subset_arrays(null_semigroup(17).table[None])
     empty = subset_arrays(_accel.enumerate_assoc_tables(3)[:0])
     assert empty.relative_height.shape == (0, 7)
+
+
+def test_subset_arrays_stops_on_the_cycle_of_a_non_associative_table():
+    # x*M for x in S: 0 -> {0, 1}, 1 -> {1, 2}, 2 -> {0} ((0*0)*2 != 0*(0*2)),
+    # so the down-sets of S put 0 < 2 < 1 < 0
+    with pytest.raises(EngineBug, match="has a cycle"):
+        subset_arrays(np.array([[[0, 0, 1], [1, 1, 2], [0, 0, 0]]]))
