@@ -26,7 +26,6 @@ from greenheight import (
     relative_height,
     restrict_to_subsemigroup,
 )
-from greenheight.ideals import subset_arrays
 from greenheight import _accel
 from greenheight.constructions import (
     bi_ideal_family,
@@ -37,6 +36,7 @@ from greenheight.constructions import (
     right_ideal_tower,
 )
 from greenheight.green import RELATIONS
+from greenheight.ideals import subset_arrays
 
 ALL_KINDS = IDEAL_KINDS + ("subsemigroup",)
 
