@@ -30,9 +30,6 @@ class FamilyInstance:
     expected: dict
     presentation_text: str | None = None
 
-    def to_table_text(self) -> str:
-        return core.format_table_text(self.semigroup)
-
 
 def bi_ideal_family(n: int) -> FamilyInstance:
     """Semigroup of order 12(n-1)+1 with R-height n whose bi-ideal generated

@@ -8,6 +8,7 @@ products and preorders, never a materialized element.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +21,7 @@ KINDS = ("bi_ideal", "right_ideal", "left_ideal", "two_sided_ideal", "subsemigro
 class FiniteSemigroup:
     """Immutable semigroup on indices 0..m-1 with a verified table."""
 
-    def __init__(self, names, table, parent_map=None):
+    def __init__(self, names, table):
         table = np.ascontiguousarray(table, dtype=np.int32)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ValueError(f"table must be square, got shape {table.shape}")
@@ -43,8 +44,6 @@ class FiniteSemigroup:
         table.setflags(write=False)
         self.names = names
         self.table = table
-        self.identity = _find_identity(table)
-        self.parent_map = None if parent_map is None else tuple(parent_map)
         self._name_index = {n: i for i, n in enumerate(names)}
         self._cache = {}
 
@@ -64,15 +63,17 @@ class FiniteSemigroup:
     def product(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
+    @cached_property
+    def identity(self):
+        """The index of the identity element, or None; found on first read."""
+        t = self.table
+        eye = np.arange(len(t), dtype=t.dtype)
+        hits = np.flatnonzero((t == eye).all(axis=1) & (t == eye[:, None]).all(axis=0))
+        return int(hits[0]) if hits.size else None
+
     def __repr__(self):
         ident = "" if self.identity is None else f", identity={self.names[self.identity]!r}"
         return f"FiniteSemigroup(order={self.order}{ident})"
-
-
-def _find_identity(table):
-    eye = np.arange(table.shape[0], dtype=table.dtype)
-    hits = np.flatnonzero((table == eye).all(axis=1) & (table == eye[:, None]).all(axis=0))
-    return int(hits[0]) if hits.size else None
 
 
 def from_table(names, table) -> FiniteSemigroup:
@@ -188,8 +189,8 @@ class SubsetHandle:
 def restrict_to_subsemigroup(handle: SubsetHandle) -> FiniteSemigroup:
     """The handle's members as a standalone semigroup.
 
-    Element i of the result is handle.sorted_members[i], kept as parent_map;
-    names are inherited. Cached on the parent by member set, for every kind.
+    Element i of the result is handle.sorted_members[i], whose name it
+    inherits. Cached on the parent by member set, for every kind.
     """
     s = handle.parent
     key = ("restrict", handle.members)
@@ -198,8 +199,7 @@ def restrict_to_subsemigroup(handle: SubsetHandle) -> FiniteSemigroup:
         back = np.full(s.order, -1, dtype=np.int32)
         back[mem] = np.arange(len(mem), dtype=np.int32)
         names = [s.names[i] for i in handle.sorted_members]
-        s._cache[key] = FiniteSemigroup(names, back[s.table[np.ix_(mem, mem)]],
-                                        parent_map=handle.sorted_members)
+        s._cache[key] = FiniteSemigroup(names, back[s.table[np.ix_(mem, mem)]])
     return s._cache[key]
 
 

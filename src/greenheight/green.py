@@ -66,7 +66,7 @@ def _row_masks(rows):
             for i in range(len(packed))]
 
 
-def longest_chains(below, ids=None):
+def _longest_chains(below, ids=None):
     """below[i] is an int with bit j set when j < i in a strict order.
     lengths[i] counts the members of ids (default: all) on a longest chain of
     members with top i, and is 0 outside ids; bits of other elements are
@@ -111,14 +111,10 @@ class ClassPoset:
         self.class_of = class_of
         self.strict = strict
         self._below_rows = _row_masks(strict.T)
-        self.height = max(longest_chains(self._below_rows))
+        self.height = max(_longest_chains(self._below_rows))
 
     def class_index(self, a: int) -> int:
         return int(self.class_of[int(a)])
-
-    def leq_classes(self, i: int, j: int) -> bool:
-        """Is class i below-or-equal class j?"""
-        return i == j or bool(self.strict[i, j])
 
     def minimal_classes(self):
         return tuple(np.flatnonzero(~self.strict.any(axis=0)).tolist())
@@ -133,18 +129,16 @@ class ClassPoset:
         ids = range(len(strict))
         return tuple(tuple(compress(ids, col)) for col in cover.T.tolist())
 
-    def longest_chain(self, class_ids=None) -> int:
+    def longest_chain(self, class_ids) -> int:
         """Longest chain (in classes) within the induced subposet."""
-        if class_ids is None:
-            return self.height
         sel = set(int(i) for i in class_ids)
         if not sel:
             return 0
-        return max(longest_chains(self._below_rows, sel))
+        return max(_longest_chains(self._below_rows, sel))
 
     def chains_above(self):
         """lengths[i] = classes on a longest chain whose bottom is class i."""
-        return longest_chains(_row_masks(self.strict))
+        return _longest_chains(_row_masks(self.strict))
 
     def to_dot(self) -> str:
         """Hasse diagram, one node per class, edges larger -> smaller."""
@@ -290,4 +284,4 @@ def inverse_structure(s: core.FiniteSemigroup) -> InverseStructure:
     e, f = es[:, None], es[None, :]
     below = (t[e, f] == f) & (t[f, e] == f)  # below[i, j]: es[j] <= es[i]
     np.fill_diagonal(below, False)
-    return InverseStructure("inverse", max(longest_chains(_row_masks(below))))
+    return InverseStructure("inverse", max(_longest_chains(_row_masks(below))))

@@ -57,11 +57,6 @@ def generate(s: core.FiniteSemigroup, xs, kind: str) -> core.SubsetHandle:
     return core.SubsetHandle(s, frozenset(members), kind)
 
 
-def is_kind(s: core.FiniteSemigroup, members, kind: str) -> bool:
-    """Does the subset satisfy the closure law of the kind?"""
-    return core.closure_violation(s, members, kind) is None
-
-
 # subset_arrays walks all 2^m - 1 subsets, as int32 masks
 _SCAN_MAX_ORDER = 16
 
@@ -208,9 +203,6 @@ def ideal_subsets(s: core.FiniteSemigroup, kinds=IDEAL_KINDS):
     for kind in kinds:
         if kind not in core.KINDS:
             raise ValueError(f"unknown kind {kind!r}")
-    if s.order > _SCAN_MAX_ORDER:
-        raise ValueError(f"ideal_subsets scans tables of at most {_SCAN_MAX_ORDER}"
-                         f" elements, got {s.order}")
     return subset_records(subset_arrays(s.table[None]), 0, kinds)
 
 
@@ -371,7 +363,7 @@ def chain_into_kernel(s: core.FiniteSemigroup, handle: core.SubsetHandle, k: int
             f"relative height {poset.height} is smaller than k={k}"
         )
     kern = green.kernel(s).members
-    parent_of = sub.parent_map
+    parent_of = handle.sorted_members
     cls_of = poset.class_of.tolist()
     # up[c] >= k - pos leaves a class above c that passes, so no step backtracks
     up = poset.chains_above()

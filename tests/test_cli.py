@@ -41,7 +41,7 @@ def bi2_presentation(tmp_path):
 @pytest.fixture()
 def left3_table(tmp_path):
     p = tmp_path / "left3.txt"
-    p.write_text(left_ideal_cs_family(3).to_table_text())
+    p.write_text(core.format_table_text(left_ideal_cs_family(3).semigroup))
     return str(p)
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import greenheight
 import oracles
 from greenheight import (
     NotAssociative,
@@ -141,6 +142,23 @@ def test_identity_detection():
     assert full_transformation_monoid(2).identity is not None
     assert null_semigroup(3).identity is None
     assert left_zero_semigroup(2).identity is None
+    # found on first read, not at construction
+    for m in (1, 2, 3):
+        for t in oracles.labelled_tables(m):
+            s = from_table([str(i) for i in range(m)], t)
+            assert "identity" not in vars(s)
+            assert s.identity == oracles.naive_identity(t.tolist())
+            assert vars(s)["identity"] == s.identity
+
+
+def test_every_exported_name_resolves_once():
+    names = greenheight.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(greenheight, name), name
+    star = {}
+    exec("from greenheight import *", star)
+    assert set(names) <= set(star)
 
 
 def test_index_and_names():
@@ -266,7 +284,6 @@ def test_restrict_to_subsemigroup_matches_oracle():
             sub = restrict_to_subsemigroup(h)
             assert sub.table.tolist() == oracles.sub_table(rows, members)
             assert sub.names == tuple(str(i) for i in sorted(members))
-            assert sub.parent_map == h.sorted_members
 
 
 def test_sampled_tables_round_trip_through_parser():
