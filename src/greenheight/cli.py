@@ -3,11 +3,12 @@ check bounds, run the verification suites, and search the open question.
 
 Output is line-oriented `key: value` facts in decimal. Exit codes: 0 for
 success / all-pass, 1 for a negative or failing result, 2 for usage and
-input errors, 3 for an internal error (an engine invariant failed). Every
-command is deterministic for fixed input and flags; the one exception is
-the elapsed_ms line of `verify`. The first declaration key gives the input
-kind: `letters`, `zero` or `rule` a presentation, `order` a table. Each
-`verify` suite has a sub-parser with only the flags it reads.
+input errors (`ValueError`, `CapExceeded`, `OSError`), 3 for an internal
+error: an engine invariant failed (`EngineBug`) or any other exception
+escaped. Every command is deterministic for fixed input and flags; the one
+exception is the elapsed_ms line of `verify`. The first declaration key
+gives the input kind: `letters`, `zero` or `rule` a presentation, `order` a
+table. Each `verify` suite has a sub-parser with only the flags it reads.
 `verify small-order-oracle` and `search-open1` walk one table per
 isomorphism class, in the order of `_accel.enumerate_assoc_tables`; both
 still accept `--seed` and ignore it.
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _accel, constructions, core, green, ideals, rewriting
-from .errors import CapExceeded, EngineBug, ParseError, UnsupportedInfinite
+from .errors import CapExceeded, EngineBug, ParseError
 
 _KIND_FLAGS = {
     "bi": "bi_ideal",
@@ -276,7 +277,7 @@ def suite_brandt_tower(args):
         base_heights = _principal_right_ideal_heights(s)
         lifted_ok = True
         for a in range(s.order):
-            lifted = 2 * a  # index of (1, a, 1); see brandt_extension layout
+            lifted = t.index(f"(1,{s.names[a]},1)")
             h = ideals.relative_height(ideals.generate(t, {lifted}, "right_ideal"))
             if h != base_heights[a] + 2:
                 lifted_ok = False
@@ -628,12 +629,14 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ValueError, CapExceeded, UnsupportedInfinite, OSError, KeyError) as e:
-        msg = e.args[0] if isinstance(e, KeyError) and e.args else e
-        print(f"error: {msg}", file=sys.stderr)
+    except (ValueError, CapExceeded, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
         return 2
     except EngineBug as e:
         print(f"error: internal: {e}", file=sys.stderr)
+        return 3
+    except Exception as e:
+        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, ideals, rewriting
-from .errors import UnsupportedInfinite
 
 
 @dataclass(frozen=True)
@@ -226,27 +225,3 @@ def symmetric_inverse_monoid(n: int) -> core.FiniteSemigroup:
     # shifted by one, "undefined" is the point 0, which every map fixes
     total = np.array([(-1, *f) for f in maps]) + 1
     return core.from_table(names, _composition_table(total))
-
-
-def baer_levi_semigroup(*_args, **_kwargs):
-    """Right simple, idempotent-free; exists only on an infinite universe."""
-    raise UnsupportedInfinite(
-        "Baer-Levi semigroup",
-        "right simple semigroups without idempotents are necessarily infinite",
-    )
-
-
-def left_ideal_generic_tower(*_args, **_kwargs):
-    """The left-ideal analogue of the tower that realizes the generic 2n
-    bound; it glues a right simple idempotent-free semigroup on top, so no
-    finite instance exists (finite kernels are completely simple and cap
-    left ideals at 2n-1)."""
-    raise UnsupportedInfinite(
-        "left-ideal tower over a Baer-Levi semigroup",
-        "requires an infinite right simple semigroup with no idempotents",
-    )
-
-
-def bicyclic_monoid(*_args, **_kwargs):
-    """Infinite monoid with J-height 1 but unbounded R-chains."""
-    raise UnsupportedInfinite("bicyclic monoid", "the universe is infinite")

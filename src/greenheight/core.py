@@ -58,7 +58,7 @@ class FiniteSemigroup:
         try:
             return self._name_index[name]
         except KeyError:
-            raise KeyError(f"no element named {name!r}") from None
+            raise ValueError(f"no element named {name!r}") from None
 
     def product(self, a: int, b: int) -> int:
         return int(self.table[a, b])

@@ -63,11 +63,3 @@ class EngineBug(RuntimeError):
 
 class PreconditionViolated(ValueError):
     """An argument fails a documented precondition of the operation."""
-
-
-class UnsupportedInfinite(NotImplementedError):
-    """Requested construction has no finite multiplication table."""
-
-    def __init__(self, name: str, reason: str):
-        self.construction = name
-        super().__init__(f"{name} is not representable here: {reason}")

@@ -17,7 +17,7 @@ import pytest
 
 import greenheight
 import oracles
-from greenheight import _accel, cli, core, green, ideals, rewriting
+from greenheight import _accel, cli, core, errors, green, ideals, rewriting
 from greenheight.constructions import bi_ideal_family, left_ideal_cs_family
 from greenheight.errors import (
     CapExceeded,
@@ -27,7 +27,6 @@ from greenheight.errors import (
     NotConfluent,
     ParseError,
     PreconditionViolated,
-    UnsupportedInfinite,
 )
 
 
@@ -138,7 +137,7 @@ def test_bounds_unknown_generator(capsys, bi2_presentation):
     code, _, err = run(capsys, "bounds", bi2_presentation, "--kind", "right",
                        "--generators", "nope")
     assert code == 2
-    assert "error:" in err
+    assert err == "error: no element named 'nope'\n"
 
 
 def test_missing_file_is_usage_error(capsys):
@@ -386,7 +385,8 @@ def test_engine_bug_is_internal_error_exit_three(capsys, monkeypatch, bi2_presen
         assert err == "error: internal: class order is not antisymmetric: engine bug\n"
 
 
-@pytest.mark.parametrize("exc, code, message", [
+# (exception raised inside a command, exit code, stderr after "error: ")
+ERROR_EXITS = [
     (ParseError(3, 4, "bad cell"), 2, "line 3, column 4: bad cell"),
     (NotAssociative((0, 1, 2)), 2, "not associative: (0*1)*2 != 0*(1*2)"),
     (NotConfluent(None, "unresolved critical pair"), 2, "unresolved critical pair"),
@@ -394,14 +394,17 @@ def test_engine_bug_is_internal_error_exit_three(capsys, monkeypatch, bi2_presen
     (NotClosed("bi_ideal", None, "not a bi-ideal"), 2, "not a bi-ideal"),
     (CapExceeded(10, 11), 2, "enumeration exceeded cap=10 (at least 11 irreducible words);"
                              " the presented semigroup may be infinite"),
-    (UnsupportedInfinite("bicyclic", "no finite table"), 2,
-     "bicyclic is not representable here: no finite table"),
     (OSError("disk unreadable"), 2, "disk unreadable"),
-    (KeyError("no element named 'q'"), 2, "no element named 'q'"),
     (ValueError("bad value"), 2, "bad value"),
     (EngineBug("class order is not antisymmetric"), 3,
      "internal: class order is not antisymmetric"),
-], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+    (KeyError("no element named 'q'"), 3, "internal: KeyError: \"no element named 'q'\""),
+    (IndexError("index 9 is out of bounds"), 3, "internal: IndexError: index 9 is out of bounds"),
+]
+
+
+@pytest.mark.parametrize("exc, code, message", ERROR_EXITS,
+                         ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
 def test_every_error_type_maps_to_its_exit_code(capsys, monkeypatch, left3_table, exc, code,
                                                 message):
     def failing(s, relation="R"):
@@ -409,6 +412,14 @@ def test_every_error_type_maps_to_its_exit_code(capsys, monkeypatch, left3_table
 
     monkeypatch.setattr(green, "height", failing)
     assert run(capsys, "height", left3_table) == (code, "", f"error: {message}\n")
+
+
+def test_every_error_type_has_a_pinned_exit_code():
+    defined = {c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, Exception)
+               and c.__module__ == errors.__name__}
+    assert defined
+    assert defined <= {type(exc) for exc, _, _ in ERROR_EXITS}
 
 
 def test_kernel_engine_bug_in_small_order_oracle_exits_three(capsys, monkeypatch):

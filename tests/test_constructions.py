@@ -8,7 +8,6 @@ import pytest
 
 import oracles
 from greenheight import (
-    UnsupportedInfinite,
     chain_param,
     format_table_text,
     height,
@@ -18,14 +17,11 @@ from greenheight import (
     semigroup_from_presentation,
 )
 from greenheight.constructions import (
-    baer_levi_semigroup,
     bi_ideal_family,
-    bicyclic_monoid,
     brandt_example,
     brandt_extension,
     full_transformation_monoid,
     left_ideal_cs_family,
-    left_ideal_generic_tower,
     left_zero_semigroup,
     null_extension,
     null_semigroup,
@@ -250,13 +246,6 @@ def test_symmetric_inverse_monoid():
     assert s2.identity is not None
     with pytest.raises(ValueError):
         symmetric_inverse_monoid(4)
-
-
-def test_infinite_constructions_raise():
-    for fn in (baer_levi_semigroup, left_ideal_generic_tower, bicyclic_monoid):
-        with pytest.raises(UnsupportedInfinite) as exc:
-            fn()
-        assert exc.value.construction
 
 
 def test_expected_records_match_computed():

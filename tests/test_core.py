@@ -164,7 +164,7 @@ def test_every_exported_name_resolves_once():
 def test_index_and_names():
     s = parse_table_text(LEFT_ZERO_3)
     assert s.index("c") == 2
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="no element named 'zz'"):
         s.index("zz")
 
 

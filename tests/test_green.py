@@ -233,6 +233,12 @@ def test_to_dot_shape():
     assert dot.rstrip().endswith("}")
     assert '[label="{0}"]' in dot
     assert dot.count("->") == 2
+    # quotes and backslashes in names are escaped inside the DOT labels
+    odd = from_table(['a"b', "c\\"], [[0, 0], [0, 0]])
+    dot = class_poset(odd, "R").to_dot()
+    assert 'c0 [label="{a\\"b}"];' in dot
+    assert 'c1 [label="{c\\\\}"];' in dot
+    assert "c1 -> c0;" in dot
 
 
 def test_height_single_class_is_one():
