@@ -300,6 +300,20 @@ def bound_report(s: core.FiniteSemigroup, handle: core.SubsetHandle) -> BoundRep
     return bound_verdict(handle.kind, h, n, green.kernel(s).is_completely_simple)
 
 
+# (kind, completely simple kernel) -> the theorem id, its bound as (a, b) for
+# a*n + b at chain parameter n, and the sanity-only bound in the same form
+_THEOREMS = {
+    ("bi_ideal", True): ("bi-ideal-cs-kernel", (3, -2), (3, -1)),
+    ("bi_ideal", False): ("bi-ideal", (3, -1), None),
+    ("right_ideal", True): ("right-ideal", (2, -1), None),
+    ("right_ideal", False): ("right-ideal", (2, -1), None),
+    ("left_ideal", True): ("left-ideal-cs-kernel", (2, -1), (2, 0)),
+    ("left_ideal", False): ("left-ideal", (2, 0), None),
+    ("two_sided_ideal", True): ("two-sided-ideal", (1, 0), None),
+    ("two_sided_ideal", False): ("two-sided-ideal", (1, 0), None),
+}
+
+
 def bound_verdict(kind: str, relative_height: int, chain_param: int,
                   cs_kernel: bool) -> BoundReport:
     """The height-bound theorem for (kind, kernel shape), applied to h and n.
@@ -312,21 +326,8 @@ def bound_verdict(kind: str, relative_height: int, chain_param: int,
     if kind not in IDEAL_KINDS:
         raise ValueError(f"bound_verdict requires an ideal kind, not {kind!r}")
     h, n, cs = relative_height, chain_param, cs_kernel
-    sanity = None
-    if kind == "bi_ideal":
-        if cs:
-            theorem, bound, sanity = "bi-ideal-cs-kernel", 3 * n - 2, 3 * n - 1
-        else:
-            theorem, bound = "bi-ideal", 3 * n - 1
-    elif kind == "right_ideal":
-        theorem, bound = "right-ideal", 2 * n - 1
-    elif kind == "left_ideal":
-        if cs:
-            theorem, bound, sanity = "left-ideal-cs-kernel", 2 * n - 1, 2 * n
-        else:
-            theorem, bound = "left-ideal", 2 * n
-    else:
-        theorem, bound = "two-sided-ideal", n
+    theorem, (a, b), sanity = _THEOREMS[kind, bool(cs)]
+    bound = a * n + b
     return BoundReport(
         kind=kind,
         theorem_id=theorem,
@@ -336,7 +337,7 @@ def bound_verdict(kind: str, relative_height: int, chain_param: int,
         cs_kernel=cs,
         passed=h <= bound,
         tight=h == bound,
-        sanity_bound=sanity,
+        sanity_bound=None if sanity is None else sanity[0] * n + sanity[1],
     )
 
 

@@ -593,16 +593,20 @@ def test_verify_small_order_oracle_checks_every_class_through_order_five(capsys,
 
 
 def test_verify_small_order_oracle_forced_failures_are_pinned(capsys, monkeypatch, tmp_path):
-    # every bound verdict is made to fail, so the violation counts, the first
-    # violation and the subset-then-kind order of the messages all show
-    real = ideals.bound_verdict
+    # every bound and sanity bound of the theorem table is made 0, and every
+    # relative height of the subset scan one more, so each record's bound,
+    # sanity and proposition checks all fail where they apply: the violation
+    # counts, the first violation and the subset-then-kind order all show
+    for key, (theorem, _, sanity) in list(ideals._THEOREMS.items()):
+        monkeypatch.setitem(ideals._THEOREMS, key,
+                            (theorem, (0, 0), None if sanity is None else (0, 0)))
+    real = ideals.subset_arrays
 
-    def failing(kind, relative_height, chain_param, cs_kernel):
-        report = real(kind, relative_height, chain_param, cs_kernel)
-        return dataclasses.replace(report, passed=False,
-                                   relative_height=report.chain_param + 1)
+    def raised(tables):
+        arrays = real(tables)
+        return dataclasses.replace(arrays, relative_height=arrays.relative_height + 1)
 
-    monkeypatch.setattr(ideals, "bound_verdict", failing)
+    monkeypatch.setattr(ideals, "subset_arrays", raised)
     target = tmp_path / "oracle.json"
     code, out, _ = run(capsys, "verify", "small-order-oracle", "--order", "3",
                        "--json", str(target))
@@ -610,31 +614,31 @@ def test_verify_small_order_oracle_forced_failures_are_pinned(capsys, monkeypatc
     kept = "".join(line for line in out.splitlines(keepends=True)
                    if not line.startswith("elapsed_ms:"))
     assert hashlib.sha256(kept.encode()).hexdigest() == (
-        "20811b1c6d49becdd803198cb145334762b55673acbbb97f2b73c5e4cf388636"
+        "3709ce24ec1d582386763f15ca2530a1ecfd12e02a7b17e3aa4d6bbdfa17317d"
     )
     cases = json.loads(target.read_text())["cases"]
     assert hashlib.sha256(json.dumps(cases, sort_keys=True).encode()).hexdigest() == (
-        "18a5a075db6edfba01b88b8ed850f45decb69d0e2cb84f26375b6a3ffcdad72b"
+        "1f0f6550df70d7295c636bae12a4d6244591818cbca55fef87db2914e2b1599e"
     )
     messages = []
     for m in (1, 2, 3):
         for tab in oracles.labelled_tables(m):
             s = core.from_table([str(i) for i in range(m)], tab)
             messages.extend(cli._table_violations(s, ideals.ideal_subsets(s)))
-    assert len(messages) == 1990
+    assert len(messages) == 2764
     assert hashlib.sha256("\n".join(messages).encode()).hexdigest() == (
-        "f641f61a1c46364f45e034a517e68b43e068ed44fe0e81dd820a23795e53d990"
+        "4a9215b98cd57529c2132c88030dbb2ccb7307cb2b61ba3d1e54fe49e42186c6"
     )
-    # the oracle's 6 + 54 + 424 messages, one class each, count m!/|Aut| times
+    # the oracle's 8 + 74 + 589 messages, one class each, count m!/|Aut| times
     # over the labelled tables: the message count is invariant under relabelling
-    assert [c["computed"]["violations"] for c in cases] == [6, 54, 424]
+    assert [c["computed"]["violations"] for c in cases] == [8, 74, 589]
     weighted = 0
     for m in (1, 2, 3):
         for rep in _accel.enumerate_assoc_tables(m):
             s = core.from_table([str(i) for i in range(m)], rep)
             weighted += len(cli._table_violations(s, ideals.ideal_subsets(s))) * (
                 math.factorial(m) // oracles.automorphism_count(rep.tolist()))
-    assert weighted == 1990
+    assert weighted == len(messages)
 
 
 def test_search_open1_zero_budget(capsys):
