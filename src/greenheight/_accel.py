@@ -170,7 +170,7 @@ def enumerate_assoc_tables(m: int):
     class, the lexicographically least of the flattened cells over all
     relabellings, as an int32 array of shape (classes, m, m) in increasing
     lexicographic order. The counts are 1, 5, 24, 188 and 1915 (OEIS
-    A001423). Each order is filled once per process, and each table is
+    A027851). Each order is filled once per process, and each table is
     checked by assoc_witness then, so its callers need not check it again;
     a failure raises EngineBug. Later calls return the same read-only array."""
     if not 1 <= m <= MAX_ORDER:

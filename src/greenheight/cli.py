@@ -368,53 +368,71 @@ def suite_reference_monoids(args):
     return cases
 
 
-def _minimal_right_ideal_union(s):
-    """Union of the minimal principal right ideals, found by raw inclusion."""
-    principals = {frozenset({a, *s.table[a].tolist()}) for a in range(s.order)}
-    minimal = [p for p in principals if not any(q < p for q in principals)]
-    return frozenset().union(*minimal)
+# the table-level checks of the small-order oracle, in message order
+_TABLE_MESSAGES = ("kernel is not completely simple", "H_R exceeds H_J",
+                   "height-1 union lemma fails")
+# kind -> the proposition that makes its relative height equal its chain parameter
+_PROPOSITIONS = {"bi_ideal": "local-right-identity", "left_ideal": "regular-left-ideal"}
 
 
-def _table_violations(s, records) -> list:
-    """Every invariant the small-order oracle asserts, on one semigroup whose
-    ideal_subsets records are `records`."""
-    v = []
-    cs = green.kernel(s).is_completely_simple
-    if not cs:
-        v.append("kernel is not completely simple")
-    hr = green.height(s, "R")
-    if hr > green.height(s, "J"):
-        v.append("H_R exceeds H_J")
-    if (hr == 1) != (_minimal_right_ideal_union(s) == frozenset(range(s.order))):
-        v.append("height-1 union lemma fails")
-    reg = green.regular_elements(s)
-    for rec in records:
-        kind, members = rec.kind, rec.members
-        report = ideals.bound_verdict(kind, rec.relative_height, rec.chain_param, cs)
-        where = f"{kind} {sorted(members)}"
-        if not report.passed:
-            v.append(f"{report.theorem_id} bound fails on {where}")
-        if report.sanity_bound is not None and report.relative_height > report.sanity_bound:
-            v.append(f"sanity bound fails on {where}")
-        if report.relative_height == report.chain_param:
-            continue
-        if kind == "bi_ideal":
-            handle = core.SubsetHandle(s, members, kind)
-            if all(green.has_local_right_identity(handle, a) for a in members):
-                v.append(f"local-right-identity proposition fails on {where}")
-        if kind == "left_ideal" and members <= reg:
-            v.append(f"regular-left-ideal proposition fails on {where}")
-    return v
+def _violations(tables) -> dict:
+    """Every invariant the small-order oracle asserts, on a stack of tables
+    of shape (N, m, m): row -> its messages, for the rows that have any, in
+    row order. A row's messages are its table-level ones, then per subset
+    (increasing bitmask) and kind (ideals.IDEAL_KINDS order) a failed
+    theorem bound, an exceeded sanity bound, and, where the relative height
+    differs from the chain parameter, a failed proposition: for a bi-ideal
+    whose every a is in a*M, and for a left ideal of regular elements."""
+    arrays = ideals.subset_arrays(tables)
+    facts = ideals.table_facts(tables)
+    m = np.shape(tables)[1]
+    cs = facts.completely_simple
+    table_bad = np.stack([
+        ~cs,
+        facts.height_r > facts.height_j,
+        (facts.height_r == 1) != (facts.right_union == (1 << m) - 1),
+    ], axis=1)
+    masks = np.arange(1, 1 << m, dtype=np.int32)
+    premises = {"bi_ideal": facts.local_right,
+                "left_ideal": (masks & ~facts.regular[:, None]) == 0}
+    h = arrays.relative_height
+    chains = [arrays.chain_param(kind) for kind in ideals.IDEAL_KINDS]
+    checks = []
+    for kind, n in zip(ideals.IDEAL_KINDS, chains):
+        law = arrays.laws[kind]
+        passed, sanity_passed = ideals.verdict_arrays(kind, h, n, cs)
+        premise = premises.get(kind, False)
+        checks.append(np.stack([law & ~passed, law & ~sanity_passed,
+                                law & (h != n) & premise], axis=-1))
+    flags = np.stack(checks, axis=2)  # [row, mask - 1, kind, check]
+    bad = table_bad.any(axis=1) | flags.any(axis=(1, 2, 3))
+    out = {}
+    for row in np.flatnonzero(bad).tolist():
+        messages = [text for text, fails in zip(_TABLE_MESSAGES, table_bad[row]) if fails]
+        for col, j, check in zip(*np.nonzero(flags[row])):
+            kind = ideals.IDEAL_KINDS[j]
+            where = f"{kind} {[i for i in range(m) if (col + 1) >> i & 1]}"
+            if check == 0:
+                theorem = ideals.bound_verdict(kind, int(h[row, col]), int(chains[j][row, col]),
+                                               bool(cs[row])).theorem_id
+                messages.append(f"{theorem} bound fails on {where}")
+            elif check == 1:
+                messages.append(f"sanity bound fails on {where}")
+            else:
+                messages.append(f"{_PROPOSITIONS[kind]} proposition fails on {where}")
+        out[row] = messages
+    return out
 
 
-# semigroups of order m up to isomorphism (OEIS A001423)
+# semigroups of order m up to isomorphism (OEIS A027851)
 _ORACLE_COUNTS = {1: 1, 2: 5, 3: 24, 4: 188, 5: 1915}
 
 
 def suite_small_order_oracle(args):
-    """Every check of _table_violations is invariant under relabelling, so one
+    """Every check of _violations is invariant under relabelling, so one
     table per isomorphism class checks all of them; above order 3 only the
-    first --samples classes are checked."""
+    first --samples classes are checked. Each order's tables are checked as
+    one stack, with no semigroup built per table."""
     max_order, samples = args.order, args.samples
     if not 1 <= max_order <= _accel.MAX_ORDER:
         raise ValueError(f"--order must be between 1 and {_accel.MAX_ORDER}")
@@ -427,21 +445,12 @@ def suite_small_order_oracle(args):
         if m >= 4:
             tables = tables[:samples]
             expected["tables"] = min(samples, _ORACLE_COUNTS[m])
-        violations = 0
-        first = None
-        names = [str(i) for i in range(m)]
-        arrays = ideals.subset_arrays(tables)
-        for i, tab in enumerate(tables):
-            bad = _table_violations(core.from_table(names, tab),
-                                    ideals.subset_records(arrays, i))
-            if bad:
-                violations += len(bad)
-                if first is None:
-                    first = bad[0]
-        computed = {"tables": int(len(tables)), "violations": violations}
+        bad = _violations(tables)
+        computed = {"tables": int(len(tables)),
+                    "violations": sum(len(messages) for messages in bad.values())}
         case = _case(f"order {m}", expected, computed)
-        if first is not None:
-            case["first_violation"] = first
+        if bad:
+            case["first_violation"] = next(iter(bad.values()))[0]
         cases.append(case)
     return cases
 

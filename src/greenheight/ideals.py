@@ -106,16 +106,10 @@ def subset_arrays(tables) -> SubsetArrays:
     R-classes of S with the same routine, on the column M = S, whose
     down-sets are c*S^1. The tables are taken to be associative.
     """
-    t = np.asarray(tables)
-    if t.ndim != 3 or t.shape[1] != t.shape[2]:
-        raise ValueError(f"subset_arrays needs an (N, m, m) stack, got shape {t.shape}")
-    n, m = t.shape[:2]
-    if m > _SCAN_MAX_ORDER:
-        raise ValueError(f"subset_arrays scans tables of at most {_SCAN_MAX_ORDER}"
-                         f" elements, got {m}")
+    bits = _product_bits(tables, "subset_arrays")
+    n, m = bits.shape[:2]
     size = 1 << m
     masks = np.arange(size, dtype=np.int32)
-    bits = np.left_shift(np.int32(1), t.astype(np.int32))  # bits[:, x, y]: x*y
     xm = np.zeros((n, size, m), dtype=np.int32)  # xm[:, k, x]: x*M for M = k
     ms = np.zeros((n, size), dtype=np.int32)
     sm = np.zeros((n, size), dtype=np.int32)
@@ -156,6 +150,102 @@ def subset_arrays(tables) -> SubsetArrays:
         meet_chain=_peel(below_s, meets)[:, 1:],
         inside_chain=_peel(below_s, inside)[:, 1:],
     )
+
+
+@dataclass(frozen=True, slots=True)
+class TableFacts:
+    """table_facts of a stack of N tables, one entry per table, every set an
+    int32 bitmask: the R- and J-heights, the kernel and whether it is
+    completely simple, the union of the minimal principal right ideals and
+    the regular elements. local_right, of shape (N, 2^m - 1) with column
+    k - 1 for mask k, is true where every a in M has a in a*M."""
+
+    height_r: np.ndarray
+    height_j: np.ndarray
+    kernel: np.ndarray
+    completely_simple: np.ndarray
+    right_union: np.ndarray
+    regular: np.ndarray
+    local_right: np.ndarray
+
+
+def table_facts(tables) -> TableFacts:
+    """The table-level facts of every table in a stack of shape (N, m, m),
+    m <= 16, in whole-array steps on the int32 masks of subset_arrays.
+
+    The R and L down-sets of c are {c} | c*S and {c} | S*c, and the J
+    down-set of c joins the R down-sets of its L down-set; the heights peel
+    them as subset_arrays peels the column M = S. The kernel K is the union
+    of the minimal R-classes, the members with an empty strict R down-set.
+    As in green.kernel, each minimal R-class must be a right ideal and K a
+    two-sided ideal, or EngineBug is raised; K is completely simple when
+    its own R.L is all true and its R and L are symmetric. The minimal
+    principal right ideals are found by raw mask inclusion, the regular
+    elements are the a in a*S*a, and a is in a*M when M meets the b with
+    a*b = a.
+    """
+    bits = _product_bits(tables, "table_facts")
+    n, m = bits.shape[:2]
+    element = np.arange(m, dtype=np.int32)
+    weight = np.left_shift(np.int32(1), element)
+    full = np.full(n, (1 << m) - 1, dtype=np.int32)
+    down_r = np.bitwise_or.reduce(bits, axis=2) | weight  # {c} | c*S
+    down_l = np.bitwise_or.reduce(bits, axis=1) | weight  # {c} | S*c
+    strict_r = _strict_below(down_r)
+    minimal = strict_r == 0  # c lies in a minimal R-class, which is down_r[c]
+    kernel = minimal @ weight
+    if (minimal & (_join(down_r, down_r) != down_r)).any():
+        raise EngineBug("minimal R-class is not a right ideal")
+    if (np.bitwise_or.reduce(np.where(minimal, down_l, 0), axis=1) & ~kernel).any():
+        raise EngineBug("union of the minimal R-classes is not a two-sided ideal")
+    # K's own down-sets {c} | c*K and {c} | K*c, and none outside K
+    c_k = np.bitwise_or.reduce(np.where(minimal[:, None, :], bits, 0), axis=2)
+    k_c = np.bitwise_or.reduce(np.where(minimal[:, :, None], bits, 0), axis=1)
+    k_right = np.where(minimal, c_k | weight, 0)
+    k_left = np.where(minimal, k_c | weight, 0)
+    completely_simple = (
+        (~minimal | (_join(k_right, k_left) == kernel[:, None])).all(axis=1)
+        & (_strict_below(k_right) == 0).all(axis=1)
+        & (_strict_below(k_left) == 0).all(axis=1)
+    )
+    # down_r[b] is a proper subset of down_r[a]
+    smaller = ((down_r[:, None, :] & ~down_r[:, :, None]) == 0) & (
+        down_r[:, None, :] != down_r[:, :, None])
+    least = ~smaller.any(axis=2)
+    t = np.asarray(tables)
+    row = np.arange(n)[:, None, None]
+    a = element[:, None]
+    sandwich = t[row, t, a] == a  # [:, a, b]: a*b*a == a
+    fixers = (t == a) @ weight  # [:, a]: the b with a*b == a
+    masks = np.arange(1, 1 << m, dtype=np.int32)[:, None]
+    local = ((fixers[:, None, :] & masks) != 0) | ((masks >> element & 1) == 0)
+    return TableFacts(
+        height_r=_peel(strict_r, full),
+        height_j=_peel(_strict_below(_join(down_l, down_r)), full),
+        kernel=kernel,
+        completely_simple=completely_simple,
+        right_union=np.bitwise_or.reduce(np.where(least, down_r, 0), axis=1),
+        regular=sandwich.any(axis=2) @ weight,
+        local_right=local.all(axis=2),
+    )
+
+
+def _product_bits(tables, caller):
+    """bits[:, x, y] = 1 << x*y for a stack of shape (N, m, m), m <= 16."""
+    t = np.asarray(tables)
+    if t.ndim != 3 or t.shape[1] != t.shape[2]:
+        raise ValueError(f"{caller} needs an (N, m, m) stack, got shape {t.shape}")
+    if t.shape[1] > _SCAN_MAX_ORDER:
+        raise ValueError(f"{caller} scans tables of at most {_SCAN_MAX_ORDER}"
+                         f" elements, got {t.shape[1]}")
+    return np.left_shift(np.int32(1), t.astype(np.int32))
+
+
+def _join(sets, down):
+    """out[..., c] is the union of down[..., b] over the b in sets[..., c]."""
+    m = sets.shape[-1]
+    inside = (sets[..., :, None] >> np.arange(m, dtype=np.int32) & 1).astype(bool)
+    return np.bitwise_or.reduce(np.where(inside, down[..., None, :], 0), axis=-1)
 
 
 def _strict_below(down):
@@ -203,20 +293,19 @@ def ideal_subsets(s: core.FiniteSemigroup, kinds=IDEAL_KINDS):
     for kind in kinds:
         if kind not in core.KINDS:
             raise ValueError(f"unknown kind {kind!r}")
-    return subset_records(subset_arrays(s.table[None]), 0, kinds)
+    return _records(subset_arrays(s.table[None]), kinds)
 
 
-def subset_records(arrays: SubsetArrays, row: int, kinds=IDEAL_KINDS):
-    """The SubsetRecords of table `row` of subset_arrays, in the order of
+def _records(arrays: SubsetArrays, kinds: tuple):
+    """The SubsetRecords of a one-table subset_arrays, in the order of
     ideal_subsets: by mask, then by kind in `kinds` order."""
-    kinds = tuple(kinds)
     if not kinds:
         return
-    laws = np.stack([arrays.laws[kind][row] for kind in kinds], axis=1)
+    laws = np.stack([arrays.laws[kind][0] for kind in kinds], axis=1)
     m = laws.shape[0].bit_length()
     cols, which = np.nonzero(laws)
-    chains = [arrays.chain_param(kind)[row].tolist() for kind in kinds]
-    heights = arrays.relative_height[row].tolist()
+    chains = [arrays.chain_param(kind)[0].tolist() for kind in kinds]
+    heights = arrays.relative_height[0].tolist()
     members, last = None, -1
     for col, j in zip(cols.tolist(), which.tolist()):
         if col != last:
@@ -339,6 +428,26 @@ def bound_verdict(kind: str, relative_height: int, chain_param: int,
         tight=h == bound,
         sanity_bound=None if sanity is None else sanity[0] * n + sanity[1],
     )
+
+
+def verdict_arrays(kind: str, relative_height, chain_param, cs_kernel):
+    """bound_verdict elementwise, from the same theorem table: relative
+    heights and chain parameters of shape (N, K), and cs_kernel of shape (N,)
+    giving each row's kernel shape. Returns two (N, K) bool arrays, passed
+    and sanity_passed, the latter true where no sanity bound applies."""
+    if kind not in IDEAL_KINDS:
+        raise ValueError(f"verdict_arrays requires an ideal kind, not {kind!r}")
+    h, n = relative_height, chain_param
+    cs = np.asarray(cs_kernel, dtype=bool)[:, None]
+    passed = np.ones(np.shape(h), dtype=bool)
+    sanity_passed = passed.copy()
+    for shape in (True, False):
+        _, (a, b), sanity = _THEOREMS[kind, shape]
+        rows = cs == shape
+        passed &= ~rows | (h <= a * n + b)
+        if sanity is not None:
+            sanity_passed &= ~rows | (h <= sanity[0] * n + sanity[1])
+    return passed, sanity_passed
 
 
 def chain_into_kernel(s: core.FiniteSemigroup, handle: core.SubsetHandle, k: int):

@@ -18,7 +18,8 @@ from greenheight.constructions import (
 )
 
 
-# semigroups up to isomorphism (OEIS A001423) and labelled (OEIS A023814)
+# semigroups up to isomorphism (OEIS A027851; A001423 also identifies
+# anti-isomorphic ones) and labelled (OEIS A023814)
 CLASSES = {1: 1, 2: 5, 3: 24, 4: 188, 5: 1915}
 LABELLED = {1: 1, 2: 8, 3: 113, 4: 3492, 5: 183732}
 

@@ -13,6 +13,7 @@ import sys
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import greenheight
@@ -423,14 +424,16 @@ def test_every_error_type_has_a_pinned_exit_code():
 
 
 def test_kernel_engine_bug_in_small_order_oracle_exits_three(capsys, monkeypatch):
-    def broken_kernel(s):
-        raise EngineBug("minimal J-class is not a two-sided ideal")
-
-    monkeypatch.setattr(green, "kernel", broken_kernel)
-    code, out, err = run(capsys, "verify", "small-order-oracle", "--order", "1")
+    # x*y = 0 but 1*0 = 1, not associative: {0} is the one minimal R-class,
+    # a right ideal, yet 1*0 leaves it, so the union of the minimal R-classes
+    # is no two-sided ideal
+    crafted = np.array([[[0, 0], [1, 0]]], dtype=np.int32)
+    monkeypatch.setitem(_accel._TABLES, 2, crafted)
+    code, out, err = run(capsys, "verify", "small-order-oracle", "--order", "2")
     assert code == 3
     assert out == ""
-    assert err == "error: internal: minimal J-class is not a two-sided ideal\n"
+    assert err == ("error: internal: union of the minimal R-classes is not a"
+                   " two-sided ideal\n")
 
 
 def test_lost_normal_form_is_internal_error_exit_three(capsys, monkeypatch, bi2_presentation):
@@ -582,7 +585,7 @@ def test_verify_small_order_oracle_checks_every_class_through_order_five(capsys,
     assert code == 0
     assert "failures: 0" in out
     tables = [c["computed"]["tables"] for c in json.loads(target.read_text())["cases"]]
-    assert tables == [1, 5, 24, 188, 1915]  # OEIS A001423
+    assert tables == [1, 5, 24, 188, 1915]  # OEIS A027851
     # --samples caps the classes checked above order 3; --seed is ignored
     code, _, _ = run(capsys, "verify", "small-order-oracle", "--order", "4",
                      "--samples", "20", "--seed", "9", "--json", str(target))
@@ -622,9 +625,8 @@ def test_verify_small_order_oracle_forced_failures_are_pinned(capsys, monkeypatc
     )
     messages = []
     for m in (1, 2, 3):
-        for tab in oracles.labelled_tables(m):
-            s = core.from_table([str(i) for i in range(m)], tab)
-            messages.extend(cli._table_violations(s, ideals.ideal_subsets(s)))
+        for row_messages in cli._violations(oracles.labelled_tables(m)).values():
+            messages.extend(row_messages)
     assert len(messages) == 2764
     assert hashlib.sha256("\n".join(messages).encode()).hexdigest() == (
         "4a9215b98cd57529c2132c88030dbb2ccb7307cb2b61ba3d1e54fe49e42186c6"
@@ -634,11 +636,27 @@ def test_verify_small_order_oracle_forced_failures_are_pinned(capsys, monkeypatc
     assert [c["computed"]["violations"] for c in cases] == [8, 74, 589]
     weighted = 0
     for m in (1, 2, 3):
-        for rep in _accel.enumerate_assoc_tables(m):
-            s = core.from_table([str(i) for i in range(m)], rep)
-            weighted += len(cli._table_violations(s, ideals.ideal_subsets(s))) * (
-                math.factorial(m) // oracles.automorphism_count(rep.tolist()))
+        reps = _accel.enumerate_assoc_tables(m)
+        for row, row_messages in cli._violations(reps).items():
+            weighted += len(row_messages) * (
+                math.factorial(m) // oracles.automorphism_count(reps[row].tolist()))
     assert weighted == len(messages)
+
+
+def test_small_order_oracle_table_checks_fire_on_non_associative_tables():
+    # no associative table fails a table-level check; these three pass the
+    # kernel's own checks and each fail one, the second with the theorems of
+    # a kernel that is not completely simple
+    crafted = np.array([[[0, 0, 0], [0, 0, 0], [0, 2, 1]],
+                        [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+                        [[0, 0, 1], [1, 1, 0], [0, 0, 0]]], dtype=np.int32)
+    assert cli._violations(crafted) == {
+        0: ["H_R exceeds H_J"],
+        1: ["kernel is not completely simple", "height-1 union lemma fails",
+            "right-ideal bound fails on right_ideal [0, 1]",
+            "two-sided-ideal bound fails on two_sided_ideal [0, 1]"],
+        2: ["height-1 union lemma fails"],
+    }
 
 
 def test_search_open1_zero_budget(capsys):

@@ -35,8 +35,8 @@ from greenheight.constructions import (
     null_semigroup,
     right_ideal_tower,
 )
-from greenheight.green import RELATIONS
-from greenheight.ideals import subset_arrays
+from greenheight.green import RELATIONS, has_local_right_identity, regular_elements
+from greenheight.ideals import subset_arrays, table_facts
 
 ALL_KINDS = IDEAL_KINDS + ("subsemigroup",)
 
@@ -477,3 +477,64 @@ def test_subset_arrays_stops_on_the_cycle_of_a_non_associative_table():
     # so the down-sets of S put 0 < 2 < 1 < 0
     with pytest.raises(EngineBug, match="has a cycle"):
         subset_arrays(np.array([[[0, 0, 1], [1, 1, 2], [0, 0, 0]]]))
+
+
+def _mask(members):
+    return sum(1 << a for a in members)
+
+
+def _stacks_for_facts():
+    for m in range(1, 6):
+        yield _accel.enumerate_assoc_tables(m)
+    for m in (1, 2, 3):
+        yield oracles.labelled_tables(m)
+
+
+def test_table_facts_match_the_oracles_and_the_per_table_green_path():
+    checked = 0
+    for stack in _stacks_for_facts():
+        facts = table_facts(stack)
+        for i, t in enumerate(stack):
+            s, rows = make(t), t.tolist()
+            kern = kernel(s)
+            right_union = frozenset().union(*kern.minimal_right_ideals)
+            assert facts.height_r[i] == height(s, "R") == oracles.naive_height(rows, "R")
+            assert facts.height_j[i] == height(s, "J") == oracles.naive_height(rows, "J")
+            assert facts.kernel[i] == _mask(kern.members) == _mask(oracles.naive_kernel(rows))
+            # a finite kernel is always completely simple
+            assert facts.completely_simple[i] == kern.is_completely_simple == True  # noqa: E712
+            assert facts.right_union[i] == _mask(right_union) == _mask(
+                frozenset().union(*oracles.naive_minimal_right_ideals(rows)))
+            assert facts.regular[i] == _mask(regular_elements(s)) == _mask(
+                oracles.naive_regular(rows))
+            checked += 1
+    assert checked == 1 + 5 + 24 + 188 + 1915 + 1 + 8 + 113
+
+
+def test_table_facts_local_right_identity_premise_on_every_closed_mask():
+    closed_masks = 0
+    for m in range(1, 5):
+        stack = _accel.enumerate_assoc_tables(m)
+        facts = table_facts(stack)
+        closed = subset_arrays(stack).laws["subsemigroup"]
+        for i, t in enumerate(stack):
+            s = make(t)
+            for col in np.flatnonzero(closed[i]).tolist():
+                members = frozenset(a for a in range(m) if (col + 1) >> a & 1)
+                handle = SubsetHandle(s, members)
+                premise = all(has_local_right_identity(handle, a) for a in members)
+                assert facts.local_right[i, col] == premise
+                closed_masks += 1
+    assert closed_masks > 1000
+
+
+def test_table_facts_keep_the_kernel_checks_of_green_kernel():
+    # {0, 1} is the minimal R-class of 0, but 1*1 = 2 leaves it
+    with pytest.raises(EngineBug, match="minimal R-class is not a right ideal"):
+        table_facts(np.array([[[1, 1, 1], [0, 2, 0], [2, 2, 2]]]))
+    # {0} is the one minimal R-class, a right ideal, but 1*0 = 1 leaves it
+    with pytest.raises(EngineBug, match="minimal R-classes is not a two-sided ideal"):
+        table_facts(np.array([[[0, 0], [1, 0]]]))
+    with pytest.raises(ValueError, match="at most 16 elements, got 17"):
+        table_facts(null_semigroup(17).table[None])
+    assert table_facts(_accel.enumerate_assoc_tables(3)[:0]).local_right.shape == (0, 7)
