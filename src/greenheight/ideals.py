@@ -1,5 +1,7 @@
 """Bi-ideals and one-/two-sided ideals: generation, recognition, relative
-R-height, the chain parameter, height-bound reports, and kernel chains.
+R-height, the chain parameter, height-bound reports, and kernel chains;
+and, on whole stacks of tables, the subset scan and the table-level facts
+that the small-order oracle checks.
 
 The relative order inside a subset is always computed inside it, on the
 restricted semigroup for a handle and from the products c*M in the

@@ -501,8 +501,8 @@ def test_table_facts_match_the_oracles_and_the_per_table_green_path():
             assert facts.height_r[i] == height(s, "R") == oracles.naive_height(rows, "R")
             assert facts.height_j[i] == height(s, "J") == oracles.naive_height(rows, "J")
             assert facts.kernel[i] == _mask(kern.members) == _mask(oracles.naive_kernel(rows))
-            # a finite kernel is always completely simple
-            assert facts.completely_simple[i] == kern.is_completely_simple == True  # noqa: E712
+            assert facts.completely_simple[i] == kern.is_completely_simple
+            assert kern.is_completely_simple  # as a finite kernel always is
             assert facts.right_union[i] == _mask(right_union) == _mask(
                 frozenset().union(*oracles.naive_minimal_right_ideals(rows)))
             assert facts.regular[i] == _mask(regular_elements(s)) == _mask(
