@@ -1,6 +1,7 @@
 """Parsing, reduction, critical pairs, completeness, and enumeration."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -259,6 +260,81 @@ def test_presentation_table_matches_all_pairs_oracle(text):
     names, table = oracles.presentation_table_all_pairs(rs)
     assert s.names == tuple(names)
     assert s.table.tolist() == table
+
+
+def random_complete_presentations(seed, draws, max_order):
+    """The complete systems with a zero and at most max_order elements among
+    draws random rule sets over {a, b} or {a, b, c}. A rule set may kill a
+    letter (a -> 0), and one in ten also sends every word of length 4 (two
+    letters) or 3 (three letters) to zero, so that larger finite tables come
+    up too."""
+    rng = random.Random(seed)
+    kept = []
+    for _ in range(draws):
+        letters = "abc"[: rng.choice((2, 3))]
+        rules = []
+        for _ in range(rng.randint(2, 6)):
+            length = 1 if rng.random() < 0.1 else rng.randint(2, 3)
+            lhs = "".join(rng.choice(letters) for _ in range(length))
+            if length == 1 or rng.random() < 0.4:
+                rhs = ZERO
+            else:
+                rhs = "".join(rng.choice(letters) for _ in range(rng.randint(1, length - 1)))
+            rules.append((lhs, rhs))
+        if rng.random() < 0.1:
+            depth = 4 if len(letters) == 2 else 3
+            rules += [("".join(w), ZERO) for w in itertools.product(letters, repeat=depth)]
+        rs = RewritingSystem(letters, rules, zero="0")
+        if not is_complete(rs)[0]:
+            continue
+        try:
+            enumerate_irreducibles(rs, cap=max_order)
+        except CapExceeded:
+            continue
+        kept.append(rs)
+    return kept
+
+
+def test_random_complete_presentations_match_all_pairs_oracle():
+    kept = random_complete_presentations(20261019, 3000, 60)
+    assert len(kept) == 228
+    killed = [rs for rs in kept if any(len(r.lhs) == 1 for r in rs.rules)]
+    assert len(killed) == 206
+    for rs in kept:
+        words = enumerate_irreducibles(rs)
+        # the words are the irreducible ones, checked by reduction alone
+        listed = set(words)
+        for u in [""] + words[:-1]:
+            for c in rs.letters:
+                assert (reduce_word(rs, u + c) == u + c) == (u + c in listed)
+        s = semigroup_from_presentation(rs)
+        names, table = oracles.presentation_table_all_pairs(rs)
+        assert s.names == tuple(names), format_presentation(rs)
+        assert s.table.tolist() == table, format_presentation(rs)
+
+
+@pytest.mark.parametrize("family, n, digest", [
+    pytest.param(bi_ideal_family, 16,
+                 "695f032429836ee4dd85e4965bd383068c261de07692cbd6f455784b0a347287",
+                 id="bi16"),
+    pytest.param(bi_ideal_family, 20,
+                 "0e28f2c10174d340ff255b289280375c494af37cd5beb6b1c895e9e93c8aa28f",
+                 id="bi20"),
+    pytest.param(bi_ideal_family, 60,
+                 "0063222a3917c974a33b66f7da444063572ffb1a570aa03a536b67168d0f90fa",
+                 id="bi60"),
+    pytest.param(left_ideal_cs_family, 24,
+                 "3630d8b18a5c300791746d32b4d6fe77776ce7e03e06d9b878f62aca9ef9398f",
+                 id="left24"),
+    pytest.param(left_ideal_cs_family, 40,
+                 "824fc7e874e5300a8291e762a8955f37f4dadd745aedeff7a873dbc0e8da9c89",
+                 id="left40"),
+])
+def test_family_presentation_tables_are_pinned(family, n, digest):
+    s = semigroup_from_presentation(family(n).presentation_text)
+    h = hashlib.sha256(s.table.tobytes())
+    h.update("\n".join(s.names).encode())
+    assert h.hexdigest() == digest
 
 
 def drop_normal_form(monkeypatch, k):
