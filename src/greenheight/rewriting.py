@@ -90,6 +90,9 @@ class RewritingSystem:
             self._sym_of[tok] = sym
             self._tok_of[sym] = tok
         self._letter_syms = tuple(self._sym_of[t] for t in letters)
+        self._shown = str.maketrans({
+            sym: tok if len(tok) == 1 else f"[{tok}]" for sym, tok in self._tok_of.items()
+        })
 
         built = []
         for item in rules:
@@ -108,6 +111,11 @@ class RewritingSystem:
                 )
             built.append(Rule(lhs_w, rhs_w))
         self.rules = tuple(built)
+        # the first rule with each left side, and the left sides' lengths
+        self._rhs_of = {}
+        for r in self.rules:
+            self._rhs_of.setdefault(r.lhs, r.rhs)
+        self._lhs_lengths = sorted({len(lhs) for lhs in self._rhs_of})
         if zero is None and any(r.rhs is ZERO for r in self.rules):
             raise ValueError("rules rewrite to zero but no zero token is declared")
         self.has_zero = zero is not None
@@ -134,11 +142,7 @@ class RewritingSystem:
         """Human form: bracketed multi-character tokens, zero token for ZERO."""
         if w is ZERO:
             return self.zero_token if self.zero_token is not None else "0"
-        parts = []
-        for sym in w:
-            tok = self._tok_of[sym]
-            parts.append(tok if len(tok) == 1 else f"[{tok}]")
-        return "".join(parts)
+        return w.translate(self._shown)
 
     def __repr__(self):
         z = "" if self.zero_token is None else f", zero={self.zero_token!r}"
@@ -225,11 +229,15 @@ def enumerate_irreducibles(rs: RewritingSystem, cap: int = DEFAULT_CAP):
 
     Grows words letter by letter: every factor of an irreducible word is
     irreducible, so level k+1 extends level k and an empty level ends the
-    walk. Raises CapExceeded past ``cap`` words (system likely infinite).
+    walk. A candidate w·c extends an irreducible w, so it is reducible iff
+    a left side is one of its suffixes: one set lookup per distinct
+    left-side length. Raises CapExceeded past ``cap`` words (system likely
+    infinite).
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    lhss = [r.lhs for r in rs.rules]
+    lhss = rs._rhs_of.keys()
+    lengths = rs._lhs_lengths
     words = []
     level = [""]
     total = 1 if rs.has_zero else 0
@@ -238,9 +246,11 @@ def enumerate_irreducibles(rs: RewritingSystem, cap: int = DEFAULT_CAP):
         for w in level:
             for c in rs._letter_syms:
                 cand = w + c
-                if any(cand.endswith(l) for l in lhss):
-                    continue
-                nxt.append(cand)
+                for k in lengths:
+                    if cand[-k:] in lhss:
+                        break
+                else:
+                    nxt.append(cand)
         if not nxt:
             break
         total += len(nxt)
@@ -258,11 +268,16 @@ def semigroup_from_presentation(rs, cap: int = DEFAULT_CAP) -> core.FiniteSemigr
 
     Accepts a RewritingSystem or presentation text. The system must be
     complete (raises NotConfluent with a witness otherwise). The table comes
-    from the right Cayley graph (Froidure and Pin, 1997): each element u is
-    reduced against each letter a once, giving right[u, a]. Normal forms are
-    prefix-closed and unique, so for v = v'a the product u*v is
-    right[u*v', a], and the columns fill in shortlex order by one gather
-    each. The core constructor re-verifies associativity.
+    from the right Cayley graph (Froidure and Pin, 1997), whose edge
+    right[u, a] is the element of u·a. As u is irreducible, any redex of u·a
+    is a suffix: either u·a is itself a normal form, found by lookup, or a
+    rule's left side ends it, u·a = p·lhs -> p·rhs, and the edge is p's
+    element (or rhs's first letter's, for an empty p) sent letter by letter
+    through rows of words shorter than u, which shortlex order has already
+    filled. No word is rewritten by search. Normal forms are prefix-closed
+    and unique, so for v = v'a the product u*v is right[u*v', a], and the
+    columns fill in shortlex order by one gather each. The core constructor
+    re-verifies associativity.
     """
     if isinstance(rs, str):
         rs = parse_presentation(rs)
@@ -279,20 +294,61 @@ def semigroup_from_presentation(rs, cap: int = DEFAULT_CAP) -> core.FiniteSemigr
     if not words:
         raise ValueError("presentation has no elements")
     index = {w: i for i, w in enumerate(words)}
+    for v in words:
+        if len(v) > 1 and v[:-1] not in index:
+            raise EngineBug(
+                f"normal form {rs.display(v)} has a prefix outside the"
+                " enumerated normal forms"
+            )
     letter_of = {c: k for k, c in enumerate(rs._letter_syms)}
+    rhs_of, lengths = rs._rhs_of, rs._lhs_lengths
     m = len(words)
     zero = index.get(ZERO)
-    right = np.empty((m, len(letter_of)), dtype=np.int32)
+    rows = [None] * m
+    if zero is not None:
+        rows[zero] = [zero] * len(letter_of)
+
+    def element(w):
+        """Index of w = u·c for a normal form u, or for a letter w; None if
+        w reduces outside the enumerated normal forms."""
+        j = index.get(w)
+        if j is not None:
+            return j
+        # u is irreducible, so a redex of w is a suffix
+        for k in lengths:
+            rhs = rhs_of.get(w[-k:])
+            if rhs is not None:
+                break
+        else:
+            return None
+        if rhs is ZERO:
+            return zero
+        p = w[:-k]
+        if p:
+            e, rest = index[p], rhs
+        else:
+            # a letter is a normal form, or a rule a -> 0 kills it
+            e, rest = element(rhs[0]), rhs[1:]
+            if e is None:
+                return None
+        for d in rest:
+            e = rows[e][letter_of[d]]
+        return e
+
     for i, u in enumerate(words):
-        for c, k in letter_of.items():
-            w = ZERO if u is ZERO else reduce_word(rs, u + c)
-            j = index.get(w)
+        if u is ZERO:
+            continue
+        row = []
+        for c in rs._letter_syms:
+            j = element(u + c)
             if j is None:
                 raise EngineBug(
                     f"product {rs.display(u)}*{rs.display(c)} reduced to a word"
                     " outside the enumerated normal forms"
                 )
-            right[i, k] = j
+            row.append(j)
+        rows[i] = row
+    right = np.array(rows, dtype=np.int32)
     table = np.empty((m, m), dtype=np.int32)
     for j, v in enumerate(words):
         if v is ZERO:
@@ -300,13 +356,7 @@ def semigroup_from_presentation(rs, cap: int = DEFAULT_CAP) -> core.FiniteSemigr
             continue
         column = right[:, letter_of[v[-1]]]
         if len(v) > 1:
-            prefix = index.get(v[:-1])
-            if prefix is None:
-                raise EngineBug(
-                    f"normal form {rs.display(v)} has a prefix outside the"
-                    " enumerated normal forms"
-                )
-            column = column[table[:, prefix]]
+            column = column[table[:, index[v[:-1]]]]
         table[:, j] = column
     names = [rs.display(w) for w in words]
     return core.from_table(names, table)

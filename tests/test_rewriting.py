@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -335,6 +336,22 @@ def test_family_presentation_tables_are_pinned(family, n, digest):
     h = hashlib.sha256(s.table.tobytes())
     h.update("\n".join(s.names).encode())
     assert h.hexdigest() == digest
+
+
+def test_table_build_reduces_words_only_to_check_completeness(monkeypatch):
+    text = bi_ideal_family(4).presentation_text
+    pairs = len(critical_pairs(parse_presentation(text)))
+    assert pairs > 0
+    callers = []
+    reduce_any = rewriting.reduce_word
+
+    def spy(rs, w):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return reduce_any(rs, w)
+
+    monkeypatch.setattr(rewriting, "reduce_word", spy)
+    semigroup_from_presentation(text)
+    assert callers == ["is_complete"] * (2 * pairs)
 
 
 def drop_normal_form(monkeypatch, k):
