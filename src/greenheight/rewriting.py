@@ -230,14 +230,13 @@ def enumerate_irreducibles(rs: RewritingSystem, cap: int = DEFAULT_CAP):
     Grows words letter by letter: every factor of an irreducible word is
     irreducible, so level k+1 extends level k and an empty level ends the
     walk. A candidate w·c extends an irreducible w, so it is reducible iff
-    a left side is one of its suffixes: one set lookup per distinct
+    a left side is one of its suffixes: one dict lookup per distinct
     left-side length. Raises CapExceeded past ``cap`` words (system likely
     infinite).
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    lhss = rs._rhs_of.keys()
-    lengths = rs._lhs_lengths
+    rhs_of, lengths = rs._rhs_of, rs._lhs_lengths
     words = []
     level = [""]
     total = 1 if rs.has_zero else 0
@@ -247,7 +246,7 @@ def enumerate_irreducibles(rs: RewritingSystem, cap: int = DEFAULT_CAP):
             for c in rs._letter_syms:
                 cand = w + c
                 for k in lengths:
-                    if cand[-k:] in lhss:
+                    if cand[-k:] in rhs_of:
                         break
                 else:
                     nxt.append(cand)
