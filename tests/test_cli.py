@@ -19,7 +19,12 @@ import pytest
 import greenheight
 import oracles
 from greenheight import _accel, cli, core, errors, green, ideals, rewriting
-from greenheight.constructions import bi_ideal_family, left_ideal_cs_family
+from greenheight.constructions import (
+    bi_ideal_family,
+    brandt_example,
+    left_ideal_cs_family,
+    right_ideal_tower,
+)
 from greenheight.errors import (
     CapExceeded,
     EngineBug,
@@ -139,6 +144,42 @@ def test_bounds_unknown_generator(capsys, bi2_presentation):
                        "--generators", "nope")
     assert code == 2
     assert err == "error: no element named 'nope'\n"
+
+
+# one handle per kind, as (input text, generators); n = 3 for each family
+_BOUNDS_INPUTS = {
+    "bi": lambda: (bi_ideal_family(3).presentation_text, ("x", "y", "z", "tx")),
+    "left": lambda: (left_ideal_cs_family(3).presentation_text, ("x", "y")),
+    "right": lambda: (core.format_table_text(right_ideal_tower(3).semigroup),
+                      ("(1,(1,e,1),1)",)),
+    "two-sided": lambda: (core.format_table_text(brandt_example()), ("(1,2)",)),
+}
+
+
+# kind -> sha256 of the stdout and of the --json file
+_BOUNDS_DIGESTS = {
+    "bi": ("750036fa9a80ab37a81267c6113e3f9403001e9af66a1c8205e9cfc3dfe79a8a",
+          "2e324ecd1ed70bf34652cb1568530312da777e8278b92d86ab1f4279842726bf"),
+    "left": ("e01c9bf13e748769ce0f15c797076724515e634f7eae83ef84061fa602e404be",
+            "c62a24b8080587c91c0265fa64ab62eddb8057439ac4509a7f472be81eaab26d"),
+    "right": ("2fd37448e7f9f30cbc224e8074e5a8b209a45f1f0ab12679cbc5fbb8daa6d495",
+             "5dd2d285457daaa6753d6b6341198c3a88f0c7381974ae2582ff7e4dfeed784f"),
+    "two-sided": ("a6b96154a85e0c1982eb304a4da70bc125b3bddb6a9fddcf567b4935512423b1",
+                 "5b86907d08161f431126058e3a3432389cb4bb3967ff5ae6f6f2a2bf562331d7"),
+}
+
+
+@pytest.mark.parametrize("kind", _BOUNDS_INPUTS)
+def test_bounds_output_is_pinned(capsys, tmp_path, kind):
+    text, generators = _BOUNDS_INPUTS[kind]()
+    source, target = tmp_path / "input.txt", tmp_path / "report.json"
+    source.write_text(text)
+    code, out, err = run(capsys, "bounds", str(source), "--kind", kind,
+                         "--generators", *generators, "--json", str(target))
+    assert (code, err) == (0, "")
+    digests = (hashlib.sha256(out.encode()).hexdigest(),
+               hashlib.sha256(target.read_bytes()).hexdigest())
+    assert digests == _BOUNDS_DIGESTS[kind]
 
 
 def test_missing_file_is_usage_error(capsys):
