@@ -369,8 +369,7 @@ def suite_reference_monoids(args):
 
 
 # the table-level checks of the small-order oracle, in message order
-_TABLE_MESSAGES = ("kernel is not completely simple", "H_R exceeds H_J",
-                   "height-1 union lemma fails")
+_TABLE_MESSAGES = ("H_R exceeds H_J", "height-1 union lemma fails")
 # kind -> the proposition that makes its relative height equal its chain parameter
 _PROPOSITIONS = {"bi_ideal": "local-right-identity", "left_ideal": "regular-left-ideal"}
 
@@ -386,9 +385,7 @@ def _violations(tables) -> dict:
     arrays = ideals.subset_arrays(tables)
     facts = ideals.table_facts(tables)
     m = np.shape(tables)[1]
-    cs = facts.completely_simple
     table_bad = np.stack([
-        ~cs,
         facts.height_r > facts.height_j,
         (facts.height_r == 1) != (facts.right_union == (1 << m) - 1),
     ], axis=1)
@@ -400,7 +397,7 @@ def _violations(tables) -> dict:
     checks = []
     for kind, n in zip(ideals.IDEAL_KINDS, chains):
         law = arrays.laws[kind]
-        passed, sanity_passed = ideals.verdict_arrays(kind, h, n, cs)
+        passed, sanity_passed = ideals.verdict_arrays(kind, h, n)
         premise = premises.get(kind, False)
         checks.append(np.stack([law & ~passed, law & ~sanity_passed,
                                 law & (h != n) & premise], axis=-1))
@@ -413,8 +410,8 @@ def _violations(tables) -> dict:
             kind = ideals.IDEAL_KINDS[j]
             where = f"{kind} {[i for i in range(m) if (col + 1) >> i & 1]}"
             if check == 0:
-                theorem = ideals.bound_verdict(kind, int(h[row, col]), int(chains[j][row, col]),
-                                               bool(cs[row])).theorem_id
+                theorem = ideals.bound_verdict(kind, int(h[row, col]),
+                                               int(chains[j][row, col])).theorem_id
                 messages.append(f"{theorem} bound fails on {where}")
             elif check == 1:
                 messages.append(f"sanity bound fails on {where}")

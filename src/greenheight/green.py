@@ -194,17 +194,17 @@ def height(s: core.FiniteSemigroup, relation: str = "R") -> int:
 @dataclass(frozen=True)
 class KernelInfo:
     members: frozenset
-    is_completely_simple: bool
     minimal_right_ideals: tuple
 
 
 def kernel(s: core.FiniteSemigroup) -> KernelInfo:
     """The unique minimal two-sided ideal K, with its minimal right ideals.
 
-    K is the union of the minimal R-classes, the minimal right ideals; both
-    facts are re-verified on the table, and a failure raises EngineBug. K is
-    completely simple when R.L is all true on its sub-table (closed, so
-    associative without a second check) and its R and L are symmetric.
+    K is the union of the minimal R-classes, the minimal right ideals, and
+    the kernel of a finite semigroup is completely simple: R.L is all true
+    on K's sub-table (closed, so associative without a second check) and
+    its R and L are symmetric. All three facts are re-verified on the
+    table, and a failure raises EngineBug.
     """
     cached = s._cache.get("kernel")
     if cached is not None:
@@ -221,8 +221,9 @@ def kernel(s: core.FiniteSemigroup) -> KernelInfo:
         raise EngineBug("union of the minimal R-classes is not a two-sided ideal")
     sub = np.searchsorted(k, t[np.ix_(k, k)])  # K's sub-table, relabelled 0..|K|-1
     r, l = _scatter_below(sub, "R"), _scatter_below(sub, "L")
-    cs = bool(_boolean_product(r, l).all() and (r == r.T).all() and (l == l.T).all())
-    info = KernelInfo(frozenset(k.tolist()), cs, mins)
+    if not (_boolean_product(r, l).all() and (r == r.T).all() and (l == l.T).all()):
+        raise EngineBug("kernel is not completely simple")
+    info = KernelInfo(frozenset(k.tolist()), mins)
     s._cache["kernel"] = info
     return info
 

@@ -157,15 +157,14 @@ def subset_arrays(tables) -> SubsetArrays:
 @dataclass(frozen=True, slots=True)
 class TableFacts:
     """table_facts of a stack of N tables, one entry per table, every set an
-    int32 bitmask: the R- and J-heights, the kernel and whether it is
-    completely simple, the union of the minimal principal right ideals and
-    the regular elements. local_right, of shape (N, 2^m - 1) with column
-    k - 1 for mask k, is true where every a in M has a in a*M."""
+    int32 bitmask: the R- and J-heights, the kernel, the union of the
+    minimal principal right ideals and the regular elements. local_right,
+    of shape (N, 2^m - 1) with column k - 1 for mask k, is true where every
+    a in M has a in a*M."""
 
     height_r: np.ndarray
     height_j: np.ndarray
     kernel: np.ndarray
-    completely_simple: np.ndarray
     right_union: np.ndarray
     regular: np.ndarray
     local_right: np.ndarray
@@ -180,11 +179,10 @@ def table_facts(tables) -> TableFacts:
     them as subset_arrays peels the column M = S. The kernel K is the union
     of the minimal R-classes, the members with an empty strict R down-set.
     As in green.kernel, each minimal R-class must be a right ideal and K a
-    two-sided ideal, or EngineBug is raised; K is completely simple when
-    its own R.L is all true and its R and L are symmetric. The minimal
-    principal right ideals are found by raw mask inclusion, the regular
-    elements are the a in a*S*a, and a is in a*M when M meets the b with
-    a*b = a.
+    two-sided ideal, completely simple (its own R.L all true, its R and L
+    symmetric), or EngineBug is raised. The minimal principal right ideals
+    are found by raw mask inclusion, the regular elements are the a in
+    a*S*a, and a is in a*M when M meets the b with a*b = a.
     """
     bits = _product_bits(tables, "table_facts")
     n, m = bits.shape[:2]
@@ -205,11 +203,9 @@ def table_facts(tables) -> TableFacts:
     k_c = np.bitwise_or.reduce(np.where(minimal[:, :, None], bits, 0), axis=1)
     k_right = np.where(minimal, c_k | weight, 0)
     k_left = np.where(minimal, k_c | weight, 0)
-    completely_simple = (
-        (~minimal | (_join(k_right, k_left) == kernel[:, None])).all(axis=1)
-        & (_strict_below(k_right) == 0).all(axis=1)
-        & (_strict_below(k_left) == 0).all(axis=1)
-    )
+    if not ((~minimal | (_join(k_right, k_left) == kernel[:, None])).all()
+            and (_strict_below(k_right) == 0).all() and (_strict_below(k_left) == 0).all()):
+        raise EngineBug("kernel is not completely simple")
     # down_r[b] is a proper subset of down_r[a]
     smaller = ((down_r[:, None, :] & ~down_r[:, :, None]) == 0) & (
         down_r[:, None, :] != down_r[:, :, None])
@@ -225,7 +221,6 @@ def table_facts(tables) -> TableFacts:
         height_r=_peel(strict_r, full),
         height_j=_peel(_strict_below(_join(down_l, down_r)), full),
         kernel=kernel,
-        completely_simple=completely_simple,
         right_union=np.bitwise_or.reduce(np.where(least, down_r, 0), axis=1),
         regular=sandwich.any(axis=2) @ weight,
         local_right=local.all(axis=2),
@@ -344,7 +339,6 @@ class BoundReport:
     relative_height: int
     chain_param: int
     bound: int
-    cs_kernel: bool
     passed: bool
     tight: bool
     sanity_bound: int | None = None
@@ -356,7 +350,6 @@ class BoundReport:
             "relative_height": self.relative_height,
             "chain_param": self.chain_param,
             "bound": self.bound,
-            "cs_kernel": self.cs_kernel,
             "pass": self.passed,
             "tight": self.tight,
         }
@@ -372,7 +365,6 @@ class BoundReport:
             f"relative_height: {self.relative_height}",
             f"chain_param: {self.chain_param}",
             f"bound: {self.bound}",
-            f"cs_kernel: {'true' if self.cs_kernel else 'false'}",
             f"pass: {'true' if self.passed else 'false'}",
             f"tight: {'true' if self.tight else 'false'}",
         ]
@@ -382,42 +374,37 @@ class BoundReport:
 
 
 def bound_report(s: core.FiniteSemigroup, handle: core.SubsetHandle) -> BoundReport:
-    """Check the height bound matching (kind, kernel shape) on one handle."""
+    """Check the height bound of the handle's kind on it."""
     if handle.kind not in IDEAL_KINDS:
         raise ValueError("bound_report requires an ideal kind, not "
                          f"{handle.kind!r}")
     n = chain_param(s, handle)
     h = relative_height(handle)
-    return bound_verdict(handle.kind, h, n, green.kernel(s).is_completely_simple)
+    return bound_verdict(handle.kind, h, n)
 
 
-# (kind, completely simple kernel) -> the theorem id, its bound as (a, b) for
-# a*n + b at chain parameter n, and the sanity-only bound in the same form
+# kind -> the theorem id, its bound as (a, b) for a*n + b at chain parameter
+# n, and the sanity-only bound in the same form
 _THEOREMS = {
-    ("bi_ideal", True): ("bi-ideal-cs-kernel", (3, -2), (3, -1)),
-    ("bi_ideal", False): ("bi-ideal", (3, -1), None),
-    ("right_ideal", True): ("right-ideal", (2, -1), None),
-    ("right_ideal", False): ("right-ideal", (2, -1), None),
-    ("left_ideal", True): ("left-ideal-cs-kernel", (2, -1), (2, 0)),
-    ("left_ideal", False): ("left-ideal", (2, 0), None),
-    ("two_sided_ideal", True): ("two-sided-ideal", (1, 0), None),
-    ("two_sided_ideal", False): ("two-sided-ideal", (1, 0), None),
+    "bi_ideal": ("bi-ideal-cs-kernel", (3, -2), (3, -1)),
+    "right_ideal": ("right-ideal", (2, -1), None),
+    "left_ideal": ("left-ideal-cs-kernel", (2, -1), (2, 0)),
+    "two_sided_ideal": ("two-sided-ideal", (1, 0), None),
 }
 
 
-def bound_verdict(kind: str, relative_height: int, chain_param: int,
-                  cs_kernel: bool) -> BoundReport:
-    """The height-bound theorem for (kind, kernel shape), applied to h and n.
+def bound_verdict(kind: str, relative_height: int, chain_param: int) -> BoundReport:
+    """The height-bound theorem of kind, applied to h and n.
 
-    With a completely simple kernel the sharper variants apply (3n-2 for
-    bi-ideals, 2n-1 for left ideals) and the looser generic bounds are
-    reported as sanity lines; a finite kernel is always completely simple,
-    so the generic bounds can never be exercised as primary here.
+    The kernel of a finite semigroup is completely simple (green.kernel
+    raises EngineBug otherwise), so bi-ideals and left ideals get the
+    sharper bounds 3n-2 and 2n-1; the generic bounds 3n-1 and 2n, which
+    need no such kernel, are reported as sanity lines.
     """
     if kind not in IDEAL_KINDS:
         raise ValueError(f"bound_verdict requires an ideal kind, not {kind!r}")
-    h, n, cs = relative_height, chain_param, cs_kernel
-    theorem, (a, b), sanity = _THEOREMS[kind, bool(cs)]
+    h, n = relative_height, chain_param
+    theorem, (a, b), sanity = _THEOREMS[kind]
     bound = a * n + b
     return BoundReport(
         kind=kind,
@@ -425,31 +412,25 @@ def bound_verdict(kind: str, relative_height: int, chain_param: int,
         relative_height=h,
         chain_param=n,
         bound=bound,
-        cs_kernel=cs,
         passed=h <= bound,
         tight=h == bound,
         sanity_bound=None if sanity is None else sanity[0] * n + sanity[1],
     )
 
 
-def verdict_arrays(kind: str, relative_height, chain_param, cs_kernel):
-    """bound_verdict elementwise, from the same theorem table: relative
-    heights and chain parameters of shape (N, K), and cs_kernel of shape (N,)
-    giving each row's kernel shape. Returns two (N, K) bool arrays, passed
-    and sanity_passed, the latter true where no sanity bound applies."""
+def verdict_arrays(kind: str, relative_height, chain_param):
+    """bound_verdict elementwise, from the same theorem table, on relative
+    heights and chain parameters of one shape. Returns two bool arrays of
+    that shape, passed and sanity_passed, the latter true where no sanity
+    bound applies."""
     if kind not in IDEAL_KINDS:
         raise ValueError(f"verdict_arrays requires an ideal kind, not {kind!r}")
-    h, n = relative_height, chain_param
-    cs = np.asarray(cs_kernel, dtype=bool)[:, None]
-    passed = np.ones(np.shape(h), dtype=bool)
-    sanity_passed = passed.copy()
-    for shape in (True, False):
-        _, (a, b), sanity = _THEOREMS[kind, shape]
-        rows = cs == shape
-        passed &= ~rows | (h <= a * n + b)
-        if sanity is not None:
-            sanity_passed &= ~rows | (h <= sanity[0] * n + sanity[1])
-    return passed, sanity_passed
+    h, n = np.asarray(relative_height), np.asarray(chain_param)
+    _, (a, b), sanity = _THEOREMS[kind]
+    passed = h <= a * n + b
+    if sanity is None:
+        return passed, np.ones_like(passed)
+    return passed, h <= sanity[0] * n + sanity[1]
 
 
 def chain_into_kernel(s: core.FiniteSemigroup, handle: core.SubsetHandle, k: int):

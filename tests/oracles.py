@@ -183,6 +183,14 @@ def naive_kernel(t) -> frozenset:
     return best
 
 
+def naive_completely_simple(t) -> bool:
+    """Is the kernel completely simple: its sub-table one J-class whose R-
+    and L-heights are 1?"""
+    sub = sub_table(t, naive_kernel(t))
+    return (len(naive_classes(sub, "J")) == 1
+            and naive_height(sub, "R") == 1 and naive_height(sub, "L") == 1)
+
+
 def naive_kernel_chain(t, members, k: int):
     """First k-tuple of members, in lexicographic order, whose first element
     is in the kernel and which rises strictly in the R-order of members as a

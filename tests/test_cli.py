@@ -158,14 +158,14 @@ _BOUNDS_INPUTS = {
 
 # kind -> sha256 of the stdout and of the --json file
 _BOUNDS_DIGESTS = {
-    "bi": ("750036fa9a80ab37a81267c6113e3f9403001e9af66a1c8205e9cfc3dfe79a8a",
-          "2e324ecd1ed70bf34652cb1568530312da777e8278b92d86ab1f4279842726bf"),
-    "left": ("e01c9bf13e748769ce0f15c797076724515e634f7eae83ef84061fa602e404be",
-            "c62a24b8080587c91c0265fa64ab62eddb8057439ac4509a7f472be81eaab26d"),
-    "right": ("2fd37448e7f9f30cbc224e8074e5a8b209a45f1f0ab12679cbc5fbb8daa6d495",
-             "5dd2d285457daaa6753d6b6341198c3a88f0c7381974ae2582ff7e4dfeed784f"),
-    "two-sided": ("a6b96154a85e0c1982eb304a4da70bc125b3bddb6a9fddcf567b4935512423b1",
-                 "5b86907d08161f431126058e3a3432389cb4bb3967ff5ae6f6f2a2bf562331d7"),
+    "bi": ("491c5d0f9c2659b48f827c7e6f3b93a163086e8cafc4f748b72c31d8015ee51e",
+           "06d12dd825aab48ca91ad264d6a4626feedce33e7ca782a2b4606cfc55276522"),
+    "left": ("8b1edb833331e2f1489bd4e8a44109c1cf483845e50b24d8bcb6d2885d5f65cf",
+             "d47883686f660e83c0128eba52860c1f0cf3679611c721eb70d4750a929996b5"),
+    "right": ("490d480a15c44c09bef62d4e8a4c573a0c7eb79257a86dfc65eede73e9ef4ca8",
+              "b024d755ce135d9b8b0560f20917eb9b072154a5506b7d28ddc4198b560a3c05"),
+    "two-sided": ("8ab5c7b2fe0d8341913869b15f2ed0c24bd77317b562376c9baa621754380021",
+                  "c7e7484abf98fb1993b5b05b86e71e78c661d5eb4c1ee9b2a186fd0aac58268e"),
 }
 
 
@@ -475,6 +475,15 @@ def test_kernel_engine_bug_in_small_order_oracle_exits_three(capsys, monkeypatch
     assert out == ""
     assert err == ("error: internal: union of the minimal R-classes is not a"
                    " two-sided ideal\n")
+    # (0*0)*2 = 1 but 0*(0*2) = 0: the kernel {0, 1} passes both checks
+    # above, yet is a null semigroup, not completely simple
+    monkeypatch.undo()
+    crafted = np.array([[[0, 0, 1], [0, 0, 0], [0, 0, 0]]], dtype=np.int32)
+    monkeypatch.setitem(_accel._TABLES, 3, crafted)
+    code, out, err = run(capsys, "verify", "small-order-oracle", "--order", "3")
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal: kernel is not completely simple\n"
 
 
 def test_lost_normal_form_is_internal_error_exit_three(capsys, monkeypatch, bi2_presentation):
@@ -685,19 +694,17 @@ def test_verify_small_order_oracle_forced_failures_are_pinned(capsys, monkeypatc
 
 
 def test_small_order_oracle_table_checks_fire_on_non_associative_tables():
-    # no associative table fails a table-level check; these three pass the
-    # kernel's own checks and each fail one, the second with the theorems of
-    # a kernel that is not completely simple
+    # no associative table fails a table-level check; these two pass the
+    # kernel's own checks and each fail one
     crafted = np.array([[[0, 0, 0], [0, 0, 0], [0, 2, 1]],
-                        [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
                         [[0, 0, 1], [1, 1, 0], [0, 0, 0]]], dtype=np.int32)
     assert cli._violations(crafted) == {
         0: ["H_R exceeds H_J"],
-        1: ["kernel is not completely simple", "height-1 union lemma fails",
-            "right-ideal bound fails on right_ideal [0, 1]",
-            "two-sided-ideal bound fails on two_sided_ideal [0, 1]"],
-        2: ["height-1 union lemma fails"],
+        1: ["height-1 union lemma fails"],
     }
+    # a kernel that is not completely simple is itself an engine bug
+    with pytest.raises(EngineBug, match="kernel is not completely simple"):
+        cli._violations(np.array([[[0, 0, 1], [0, 0, 0], [0, 0, 0]]], dtype=np.int32))
 
 
 def test_search_open1_zero_budget(capsys):

@@ -80,9 +80,13 @@ def test_left_ideal_family_values(n):
 
 
 def test_left_ideal_family_kernel_is_cs():
+    # order 19 is too large for the naive oracle: kernel() raises EngineBug
+    # unless the kernel, here the zero alone, is completely simple
     fi = left_ideal_cs_family(4)
-    info = kernel(fi.semigroup)
-    assert info.is_completely_simple
+    s = fi.semigroup
+    info = kernel(s)
+    assert info.members == frozenset({s.index("0")})
+    assert info.minimal_right_ideals == (frozenset({s.index("0")}),)
 
 
 def test_family_parameter_validation():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from greenheight import green
+from greenheight import _accel, green
 from greenheight import (
     class_poset,
     from_table,
@@ -272,11 +272,7 @@ def test_kernel_identity_and_regular_match_oracle_on_every_order_four_table():
         assert info.members == oracles.naive_kernel(rows), rows
         want_min = {frozenset(r) for r in oracles.naive_minimal_right_ideals(rows)}
         assert {frozenset(r) for r in info.minimal_right_ideals} == want_min, rows
-        sub = oracles.sub_table(rows, info.members)
-        cs = (len(oracles.naive_classes(sub, "J")) == 1
-              and oracles.naive_height(sub, "R") == 1
-              and oracles.naive_height(sub, "L") == 1)
-        assert info.is_completely_simple == cs, rows
+        assert oracles.naive_completely_simple(rows), rows
         assert s.identity == oracles.naive_identity(rows), rows
         assert regular_elements(s) == oracles.naive_regular(rows), rows
 
@@ -285,11 +281,11 @@ def test_kernel_known_cases():
     s = null_semigroup(3)
     info = kernel(s)
     assert info.members == frozenset({s.index("0")})
-    assert info.is_completely_simple
+    assert oracles.naive_completely_simple(s.table.tolist())
     lz = left_zero_semigroup(3)
     info = kernel(lz)
     assert info.members == frozenset(range(3))
-    assert info.is_completely_simple
+    assert oracles.naive_completely_simple(lz.table.tolist())
     assert {frozenset(r) for r in info.minimal_right_ideals} == {
         frozenset({i}) for i in range(3)
     }
@@ -390,3 +386,10 @@ def test_kernel_engine_bug_checks_fire(monkeypatch):
     monkeypatch.setattr(green, "class_poset", lambda s, rel="R": fake)
     with pytest.raises(EngineBug, match="two-sided ideal"):
         kernel(lz1)
+    # not associative ((0*0)*2 = 1, 0*(0*2) = 0): its kernel {0, 1} is one
+    # minimal R-class, a right and a two-sided ideal, but a null semigroup
+    monkeypatch.setattr(green, "class_poset", real)
+    monkeypatch.setattr(_accel, "assoc_witness", lambda table: None)
+    null2 = from_table(["a", "b", "c"], [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+    with pytest.raises(EngineBug, match="kernel is not completely simple"):
+        kernel(null2)

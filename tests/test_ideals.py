@@ -26,7 +26,7 @@ from greenheight import (
     relative_height,
     restrict_to_subsemigroup,
 )
-from greenheight import _accel
+from greenheight import _accel, ideals
 from greenheight.constructions import (
     bi_ideal_family,
     brandt_example,
@@ -96,7 +96,7 @@ def test_ideal_subsets_records_match_handles_oracle_and_bound_report():
     for t in _scanned_tables():
         s = make(t)
         rows = t.tolist()
-        cs = kernel(s).is_completely_simple
+        assert oracles.naive_completely_simple(rows)
         for r in ideal_subsets(s, ALL_KINDS):
             h = SubsetHandle(s, r.members, r.kind)
             assert r.relative_height == relative_height(h)
@@ -104,7 +104,7 @@ def test_ideal_subsets_records_match_handles_oracle_and_bound_report():
             assert r.chain_param == chain_param(s, h)
             assert r.chain_param == oracles.naive_chain_param(rows, r.members, r.kind)
             if r.kind in IDEAL_KINDS:
-                verdict = bound_verdict(r.kind, r.relative_height, r.chain_param, cs)
+                verdict = bound_verdict(r.kind, r.relative_height, r.chain_param)
                 assert verdict == bound_report(s, h)
 
 
@@ -240,12 +240,10 @@ def test_bound_report_family_values_and_json():
     assert rep.relative_height == 7
     assert rep.chain_param == 3
     assert rep.bound == 7
-    assert rep.cs_kernel
     assert rep.passed and rep.tight
     d = rep.to_json_dict()
-    for key in ("kind", "theorem_id", "relative_height", "chain_param", "bound",
-                "cs_kernel", "pass", "tight"):
-        assert key in d
+    assert set(d) == {"kind", "theorem_id", "relative_height", "chain_param", "bound",
+                      "pass", "tight", "sanity_bound", "sanity_note"}
     assert d["pass"] and d["tight"]
     assert d["sanity_bound"] == 3 * 3 - 1
 
@@ -264,6 +262,17 @@ def test_bound_report_all_kinds_on_small_tables():
                 assert rep.relative_height <= rep.bound
                 if rep.sanity_bound is not None:
                     assert rep.relative_height <= rep.sanity_bound
+
+
+def test_theorem_table_has_one_entry_per_kind_and_no_sanity_bound_below_its_bound():
+    # a sanity bound a'n + b' never below the bound an + b for n >= 1, so a
+    # "sanity bound fails" message can only come with a "bound fails" one
+    assert sorted(ideals._THEOREMS) == sorted(IDEAL_KINDS)
+    assert len(ideals._THEOREMS) == len(IDEAL_KINDS) == 4
+    for _, (a, b), sanity in ideals._THEOREMS.values():
+        if sanity is not None:
+            slope, offset = sanity[0] - a, sanity[1] - b
+            assert slope >= 0 and slope + offset >= 0  # the gap at n = 1 only grows
 
 
 def test_bound_report_rejects_subsemigroup():
@@ -370,7 +379,8 @@ def test_relative_height_of_whole_semigroup():
 def _invariants(t):
     s = make(t)
     records = sorted((r.kind, r.relative_height, r.chain_param) for r in ideal_subsets(s))
-    return records, kernel(s).is_completely_simple, [height(s, rel) for rel in RELATIONS]
+    return (records, oracles.naive_completely_simple(oracles.as_rows(t)),
+            [height(s, rel) for rel in RELATIONS])
 
 
 def test_scan_kernel_and_heights_are_invariant_under_relabelling():
@@ -501,8 +511,7 @@ def test_table_facts_match_the_oracles_and_the_per_table_green_path():
             assert facts.height_r[i] == height(s, "R") == oracles.naive_height(rows, "R")
             assert facts.height_j[i] == height(s, "J") == oracles.naive_height(rows, "J")
             assert facts.kernel[i] == _mask(kern.members) == _mask(oracles.naive_kernel(rows))
-            assert facts.completely_simple[i] == kern.is_completely_simple
-            assert kern.is_completely_simple  # as a finite kernel always is
+            assert oracles.naive_completely_simple(rows)  # as a finite kernel always is
             assert facts.right_union[i] == _mask(right_union) == _mask(
                 frozenset().union(*oracles.naive_minimal_right_ideals(rows)))
             assert facts.regular[i] == _mask(regular_elements(s)) == _mask(
@@ -535,6 +544,10 @@ def test_table_facts_keep_the_kernel_checks_of_green_kernel():
     # {0} is the one minimal R-class, a right ideal, but 1*0 = 1 leaves it
     with pytest.raises(EngineBug, match="minimal R-classes is not a two-sided ideal"):
         table_facts(np.array([[[0, 0], [1, 0]]]))
+    # {0, 1} is the one minimal R-class, a right and a two-sided ideal, but
+    # a null semigroup: 0*0 = 0*1 = 1*0 = 1*1 = 0
+    with pytest.raises(EngineBug, match="kernel is not completely simple"):
+        table_facts(np.array([[[0, 0, 1], [0, 0, 0], [0, 0, 0]]]))
     with pytest.raises(ValueError, match="at most 16 elements, got 17"):
         table_facts(null_semigroup(17).table[None])
     assert table_facts(_accel.enumerate_assoc_tables(3)[:0]).local_right.shape == (0, 7)

@@ -84,7 +84,7 @@ def test_height_dominance_and_h_classes(s):
 def test_kernel_is_minimum_ideal_and_cs(s):
     info = kernel(s)
     assert closure_violation(s, info.members, "two_sided_ideal") is None
-    assert info.is_completely_simple
+    assert oracles.naive_completely_simple(s.table.tolist())
     # union of minimal right ideals lemma
     union = frozenset().union(*(frozenset(r) for r in info.minimal_right_ideals))
     assert union == info.members
