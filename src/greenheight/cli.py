@@ -140,11 +140,12 @@ def cmd_complete(args) -> int:
         print("error: 'complete' needs a presentation input", file=sys.stderr)
         return 2
     rs = rewriting.parse_presentation(text)
-    ok, witness = rewriting.is_complete(rs)
+    pairs = rewriting.critical_pairs(rs)
+    witness = rewriting._first_unresolved(rs, pairs)
     print(f"rules: {len(rs.rules)}")
-    print(f"critical_pairs: {len(rewriting.critical_pairs(rs))}")
-    print(f"complete: {'true' if ok else 'false'}")
-    if ok:
+    print(f"critical_pairs: {len(pairs)}")
+    print(f"complete: {'true' if witness is None else 'false'}")
+    if witness is None:
         return 0
     print(f"witness_source: {rs.display(witness.source)}")
     print(f"witness_left: {rs.display(rewriting.reduce_word(rs, witness.left_result))}")

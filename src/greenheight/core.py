@@ -36,7 +36,7 @@ class FiniteSemigroup:
         for n in names:
             if n.split() != [n]:  # empty, or holds whitespace
                 raise ValueError(f"bad element name {n!r}")
-        if table.size and (table.min() < 0 or table.max() >= m):
+        if table.min() < 0 or table.max() >= m:
             raise ValueError("table entries must be element indices")
         witness = _accel.assoc_witness(table)
         if witness is not None:

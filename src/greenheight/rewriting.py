@@ -218,10 +218,16 @@ def is_complete(rs: RewritingSystem):
     of all critical pairs is exactly confluence; a pair resolves iff both
     results share one strategy-normal form.
     """
-    for cp in critical_pairs(rs):
+    witness = _first_unresolved(rs, critical_pairs(rs))
+    return witness is None, witness
+
+
+def _first_unresolved(rs: RewritingSystem, pairs):
+    """The first of the critical pairs whose results reduce apart, or None."""
+    for cp in pairs:
         if reduce_word(rs, cp.left_result) != reduce_word(rs, cp.right_result):
-            return False, cp
-    return True, None
+            return cp
+    return None
 
 
 def enumerate_irreducibles(rs: RewritingSystem, cap: int = DEFAULT_CAP):
@@ -459,15 +465,11 @@ def parse_presentation(text: str) -> RewritingSystem:
 
 def format_presentation(rs: RewritingSystem) -> str:
     """Presentation text that parses back to an equivalent system."""
-
-    def show(w):
-        return rs.display(w)
-
     lines = ["letters: " + " ".join(
         tok if len(tok) == 1 else f"[{tok}]" for tok in rs.letters
     )]
     if rs.zero_token is not None:
         lines.append(f"zero: {rs.zero_token}")
     for r in rs.rules:
-        lines.append(f"rule: {show(r.lhs)} -> {show(r.rhs)}")
+        lines.append(f"rule: {rs.display(r.lhs)} -> {rs.display(r.rhs)}")
     return "\n".join(lines) + "\n"

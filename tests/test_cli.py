@@ -117,6 +117,18 @@ def test_complete_failure_exit_one(capsys, tmp_path):
     assert "witness_source: aba" in out
 
 
+def test_complete_builds_the_critical_pairs_once(capsys, monkeypatch, tmp_path, bi2_presentation):
+    calls = []
+    real = rewriting.critical_pairs
+    monkeypatch.setattr(rewriting, "critical_pairs", lambda rs: calls.append(rs) or real(rs))
+    p = tmp_path / "ab.txt"
+    p.write_text("letters: a b\nrule: ab -> a\nrule: ba -> b\n")
+    for path, want in ((bi2_presentation, 0), (str(p), 1)):
+        calls.clear()
+        code, _, _ = run(capsys, "complete", path)
+        assert (code, len(calls)) == (want, 1)
+
+
 def test_complete_rejects_table_input(capsys, left3_table):
     code, _, err = run(capsys, "complete", left3_table)
     assert code == 2
