@@ -186,23 +186,6 @@ class SubsetHandle:
         return int(idx) in self.members
 
 
-def restrict_to_subsemigroup(handle: SubsetHandle) -> FiniteSemigroup:
-    """The handle's members as a standalone semigroup.
-
-    Element i of the result is handle.sorted_members[i], whose name it
-    inherits. Cached on the parent by member set, for every kind.
-    """
-    s = handle.parent
-    key = ("restrict", handle.members)
-    if key not in s._cache:
-        mem = np.array(handle.sorted_members, dtype=np.int64)
-        back = np.full(s.order, -1, dtype=np.int32)
-        back[mem] = np.arange(len(mem), dtype=np.int32)
-        names = [s.names[i] for i in handle.sorted_members]
-        s._cache[key] = FiniteSemigroup(names, back[s.table[np.ix_(mem, mem)]])
-    return s._cache[key]
-
-
 def parse_table_text(text: str) -> FiniteSemigroup:
     """Parse the table text format: `order: m`, `names: ...`, then m rows."""
     lines = []

@@ -9,6 +9,10 @@ rows, L the same from the columns, J the boolean product R.L (a <=_L c <=_R
 b for some c), and H is R and L. Classes are the mutually reachable
 elements. The kernel is the union of the minimal R-classes, so it needs no
 J product; regularity and inverses share one gather, true where aba = a.
+
+class_poset and height also take a SubsetHandle as a semigroup of its own
+(element i is its i-th smallest member), read on the parent's products and
+cached on the parent by member set, so handles on one set share them.
 """
 
 from __future__ import annotations
@@ -40,21 +44,32 @@ def _scatter_below(t, relation: str):
     return below
 
 
-def _below(s: core.FiniteSemigroup, relation: str):
-    """below[b, a] is true when a <= b in the relation's preorder."""
+def _sub_table(t, members):
+    """t on members, a sorted index array closed under products, relabelled 0..len-1."""
+    back = np.zeros(len(t), dtype=np.int32)
+    back[members] = np.arange(len(members), dtype=np.int32)
+    return back[t[members][:, members]]
+
+
+def _below(x, relation: str):
+    """below[b, a] is true when a <= b in the relation's preorder on x, a
+    semigroup or a handle's members as a semigroup of their own."""
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
-    cached = s._cache.get(("below", relation))
+    s, members = (x.parent, x.members) if isinstance(x, core.SubsetHandle) else (x, None)
+    key = ("below", relation, members)
+    cached = s._cache.get(key)
     if cached is not None:
         return cached
     if relation in ("R", "L"):
-        below = _scatter_below(s.table, relation)
+        t = s.table if members is None else _sub_table(s.table, np.array(x.sorted_members))
+        below = _scatter_below(t, relation)
     elif relation == "J":
-        below = _boolean_product(_below(s, "R"), _below(s, "L"))
+        below = _boolean_product(_below(x, "R"), _below(x, "L"))
     else:  # H
-        below = _below(s, "R") & _below(s, "L")
+        below = _below(x, "R") & _below(x, "L")
     below.setflags(write=False)
-    s._cache[("below", relation)] = below
+    s._cache[key] = below
     return below
 
 
@@ -104,8 +119,8 @@ class ClassPoset:
     chain.
     """
 
-    def __init__(self, semigroup, relation, classes, class_of, strict):
-        self.names = semigroup.names  # not the semigroup, whose cache holds this poset
+    def __init__(self, names, relation, classes, class_of, strict):
+        self.names = names
         self.relation = relation
         self.classes = classes
         self.class_of = class_of
@@ -161,11 +176,14 @@ class ClassPoset:
         )
 
 
-def class_poset(s: core.FiniteSemigroup, relation: str = "R") -> ClassPoset:
-    cached = s._cache.get(("poset", relation))
+def class_poset(x, relation: str = "R") -> ClassPoset:
+    """The class poset of a semigroup, or of a handle as a semigroup of its own."""
+    s, members = (x.parent, x.members) if isinstance(x, core.SubsetHandle) else (x, None)
+    key = ("poset", relation, members)
+    cached = s._cache.get(key)
     if cached is not None:
         return cached
-    below = _below(s, relation)
+    below = _below(x, relation)
     # each element's smallest equivalent; a class first appears at that member
     smallest = (below & below.T).argmax(axis=1).tolist()
     groups = {}
@@ -181,14 +199,15 @@ def class_poset(s: core.FiniteSemigroup, relation: str = "R") -> ClassPoset:
         raise EngineBug("class order is not antisymmetric: engine bug")
     strict.setflags(write=False)
     classes = tuple(tuple(g) for g in groups.values())
-    poset = ClassPoset(s, relation, classes, class_of, strict)
-    s._cache[("poset", relation)] = poset
+    names = s.names if members is None else x.member_names
+    poset = ClassPoset(names, relation, classes, class_of, strict)
+    s._cache[key] = poset
     return poset
 
 
-def height(s: core.FiniteSemigroup, relation: str = "R") -> int:
+def height(x, relation: str = "R") -> int:
     """Maximum cardinality of a chain of Green's classes (single class = 1)."""
-    return class_poset(s, relation).height
+    return class_poset(x, relation).height
 
 
 @dataclass(frozen=True)
@@ -219,7 +238,7 @@ def kernel(s: core.FiniteSemigroup) -> KernelInfo:
         raise EngineBug("minimal R-class is not a right ideal")
     if not inside[t[:, k]].all():
         raise EngineBug("union of the minimal R-classes is not a two-sided ideal")
-    sub = np.searchsorted(k, t[np.ix_(k, k)])  # K's sub-table, relabelled 0..|K|-1
+    sub = _sub_table(t, k)
     r, l = _scatter_below(sub, "R"), _scatter_below(sub, "L")
     if not (_boolean_product(r, l).all() and (r == r.T).all() and (l == l.T).all()):
         raise EngineBug("kernel is not completely simple")

@@ -3,9 +3,9 @@ R-height, the chain parameter, height-bound reports, and kernel chains;
 and, on whole stacks of tables, the subset scan and the table-level facts
 that the small-order oracle checks.
 
-The relative order inside a subset is always computed inside it, on the
-restricted semigroup for a handle and from the products c*M in the
-subset_arrays kernel, never by restricting the parent preorder; the two
+The relative order inside a subset is always computed inside it, from the
+parent's products on its members (green's class poset of a handle, c*M in
+the subset_arrays kernel), never by restricting the parent preorder; the two
 genuinely differ (the 5-element Brandt example is the regression case).
 """
 
@@ -313,7 +313,7 @@ def _records(arrays: SubsetArrays, kinds: tuple):
 
 def relative_height(handle: core.SubsetHandle) -> int:
     """R-height of the handle considered as its own semigroup."""
-    return green.height(core.restrict_to_subsemigroup(handle), "R")
+    return green.height(handle, "R")
 
 
 def chain_param(s: core.FiniteSemigroup, handle: core.SubsetHandle) -> int:
@@ -449,8 +449,7 @@ def chain_into_kernel(s: core.FiniteSemigroup, handle: core.SubsetHandle, k: int
             "chain_into_kernel needs a bi-ideal or ideal handle; plain"
             " subsemigroups carry no kernel-chain guarantee"
         )
-    sub = core.restrict_to_subsemigroup(handle)
-    poset = green.class_poset(sub, "R")
+    poset = green.class_poset(handle, "R")
     if poset.height < k:
         raise PreconditionViolated(
             f"relative height {poset.height} is smaller than k={k}"

@@ -218,11 +218,11 @@ def is_complete(rs: RewritingSystem):
     of all critical pairs is exactly confluence; a pair resolves iff both
     results share one strategy-normal form.
     """
-    witness = _first_unresolved(rs, critical_pairs(rs))
+    witness = first_unresolved(rs, critical_pairs(rs))
     return witness is None, witness
 
 
-def _first_unresolved(rs: RewritingSystem, pairs):
+def first_unresolved(rs: RewritingSystem, pairs):
     """The first of the critical pairs whose results reduce apart, or None."""
     for cp in pairs:
         if reduce_word(rs, cp.left_result) != reduce_word(rs, cp.right_result):

@@ -293,10 +293,10 @@ def test_verify_deterministic_modulo_elapsed(capsys):
      "26fd140e09291718aecfad921aa42bbe78e94ee76d64d7106074db37ffd863e8"),
     (("bi-ideal-family", "--n", "2..4"), 3,
      "bfa9e677942dc53689a6db7eaa64c254f3aa7ca51e50c8b3dbe716da21cda622",
-     "f47fe861b52aa653036febe481a065027e06337f6f67f18d2d28820b4941bc14"),
+     "813c7b57ea18ccc5299a750f7e586c1e1e14a8e145fab36e174f6ccd4d5df767"),
     (("left-ideal-cs-family", "--n", "2..4"), 3,
      "1a36499da524bf540aefe5de25451ee569aeb0ca8139ef4262166289f904f872",
-     "d27c85f5697a60945ced7d9bd2712ea40599dcec4e26fcebc654203a16a09ddf"),
+     "7122d0796c045c65326a707e818be32d0522dc661cd217797a9cbb247a4d9cbc"),
     (("small-order-oracle", "--order", "3"), 3,
      "9c6b4eebdd67a11cb35888125843518c75d945ba6d0d33e942031252e66e1492",
      "ec26b0f24804658490f20965b20f0ef457ca8f446cb3c4c6affaed2cc20f4615"),

@@ -1,4 +1,4 @@
-"""Tables, parsing, subset handles, and restriction."""
+"""Tables, parsing, subset handles, and a handle read as a semigroup of its own."""
 
 import random
 
@@ -11,12 +11,12 @@ from greenheight import (
     NotClosed,
     ParseError,
     SubsetHandle,
+    class_poset,
     closure_violation,
     format_table_text,
     from_table,
     parse_table_text,
     product_of_sets,
-    restrict_to_subsemigroup,
 )
 from greenheight.constructions import (
     bi_ideal_family,
@@ -272,7 +272,7 @@ def test_subset_handle_validates_and_sorts():
         SubsetHandle(s, frozenset(members), "ideal-ish")
 
 
-def test_restrict_to_subsemigroup_matches_oracle():
+def test_class_poset_of_a_handle_matches_oracle():
     for t in oracles.relabelled(5, 20, seed=3):
         s = from_table([str(i) for i in range(5)], t)
         rows = t.tolist()
@@ -281,9 +281,16 @@ def test_restrict_to_subsemigroup_matches_oracle():
             if not oracles.naive_is_kind(rows, members, "subsemigroup"):
                 continue
             h = SubsetHandle(s, members, "subsemigroup")
-            sub = restrict_to_subsemigroup(h)
-            assert sub.table.tolist() == oracles.sub_table(rows, members)
-            assert sub.names == tuple(str(i) for i in sorted(members))
+            sub = oracles.sub_table(rows, members)
+            for rel in ("R", "L", "J", "H"):
+                poset = class_poset(h, rel)
+                assert poset.names == tuple(str(i) for i in sorted(members))
+                assert sorted(map(frozenset, poset.classes)) == sorted(
+                    oracles.naive_classes(sub, rel))
+                assert [c[0] for c in poset.classes] == sorted(c[0] for c in poset.classes)
+                assert all(poset.class_index(a) == i
+                           for i, cls in enumerate(poset.classes) for a in cls)
+                assert poset.height == oracles.naive_height(sub, rel)
 
 
 def test_sampled_tables_round_trip_through_parser():

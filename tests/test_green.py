@@ -381,7 +381,7 @@ def test_kernel_engine_bug_checks_fire(monkeypatch):
         kernel(rz)
     # left zero {a, b} with an identity 1: {a} is a right ideal, b*a = b leaves it
     lz1 = from_table(["a", "b", "1"], [[0, 0, 0], [1, 1, 1], [0, 1, 2]])
-    fake = ClassPoset(lz1, "R", ((0,), (1, 2)), np.array([0, 1, 1], dtype=np.int32),
+    fake = ClassPoset(lz1.names, "R", ((0,), (1, 2)), np.array([0, 1, 1], dtype=np.int32),
                       np.array([[False, True], [False, False]]))  # {a} below {b, 1}
     monkeypatch.setattr(green, "class_poset", lambda s, rel="R": fake)
     with pytest.raises(EngineBug, match="two-sided ideal"):

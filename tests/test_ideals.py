@@ -16,15 +16,14 @@ from greenheight import (
     bound_verdict,
     chain_into_kernel,
     chain_param,
+    class_poset,
     closure_violation,
     from_table,
     generate,
     height,
     ideal_subsets,
     kernel,
-    leq,
     relative_height,
-    restrict_to_subsemigroup,
 )
 from greenheight import _accel, ideals
 from greenheight.constructions import (
@@ -119,7 +118,7 @@ def test_ideal_subsets_rejects_unknown_kinds_and_large_orders():
 
 
 def test_restriction_is_shared_by_member_set():
-    # handles of different kinds on one member set restrict to one object,
+    # handles of different kinds on one member set share one class poset,
     # and relative heights read through it still match the oracle
     shared = 0
     for t in _scanned_tables():
@@ -128,17 +127,29 @@ def test_restriction_is_shared_by_member_set():
         by_members = {}
         for r in ideal_subsets(s, ALL_KINDS):
             h = SubsetHandle(s, r.members, r.kind)
-            sub = restrict_to_subsemigroup(h)
+            poset = class_poset(h, "R")
             shared += h.members in by_members
-            assert by_members.setdefault(h.members, sub) is sub
+            assert by_members.setdefault(h.members, poset) is poset
             assert relative_height(h) == oracles.naive_relative_height(rows, h.members)
         whole = frozenset(range(s.order))
         first, *rest = (SubsetHandle(s, whole, kind) for kind in ALL_KINDS)
-        sub = restrict_to_subsemigroup(first)
-        assert all(restrict_to_subsemigroup(h) is sub for h in rest)
+        poset = class_poset(first, "R")
+        assert all(class_poset(h, "R") is poset for h in rest)
         # the cache belongs to the parent, not to its table
-        assert restrict_to_subsemigroup(SubsetHandle(make(t), whole)) is not sub
+        assert class_poset(SubsetHandle(make(t), whole), "R") is not poset
     assert shared > 1000
+
+
+def test_bound_report_on_a_handle_checks_no_associativity(monkeypatch):
+    # the members of a handle are closed in an associative table, so reading
+    # them as a semigroup of their own needs no second associativity check
+    fi = bi_ideal_family(4)
+    calls = []
+    check = _accel.assoc_witness
+    monkeypatch.setattr(_accel, "assoc_witness", lambda t: calls.append(len(t)) or check(t))
+    for handle in (fi.distinguished, generate(fi.semigroup, {1, 2}, "left_ideal")):
+        assert bound_report(fi.semigroup, handle).passed
+    assert calls == []
 
 
 def test_generate_right_ideal_is_principal_set():
@@ -299,11 +310,11 @@ def test_chain_into_kernel_structure():
     chain = chain_into_kernel(s, handle, k)
     assert len(chain) == k
     assert chain[0] in kernel(s).members
-    sub = restrict_to_subsemigroup(handle)
+    sub = oracles.sub_table(s.table.tolist(), handle.members)
     pos = {p: i for i, p in enumerate(handle.sorted_members)}
     for lo, hi in zip(chain, chain[1:]):
         a, b = pos[lo], pos[hi]
-        assert leq(sub, a, b, "R") and not leq(sub, b, a, "R")
+        assert oracles.naive_leq(sub, a, b, "R") and not oracles.naive_leq(sub, b, a, "R")
     names = [s.names[i] for i in chain]
     assert names == ["0", "xyz", "xy", "x"]
 

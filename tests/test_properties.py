@@ -117,14 +117,12 @@ def test_local_right_identity_pairs_mirror_parent_order(s, bits):
     if not members or closure_violation(s, members, "bi_ideal") is not None:
         return
     h = SubsetHandle(s, members, "bi_ideal")
-    from greenheight import restrict_to_subsemigroup
-
-    sub = restrict_to_subsemigroup(h)
+    sub = oracles.sub_table(s.table.tolist(), members)
     pos = {p: i for i, p in enumerate(h.sorted_members)}
     with_lri = [a for a in members if has_local_right_identity(h, a)]
     for b in with_lri:
         for c in with_lri:
-            inner = leq(sub, pos[b], pos[c], "R")
+            inner = oracles.naive_leq(sub, pos[b], pos[c], "R")
             outer = leq(s, b, c, "R")
             assert inner == outer
 

@@ -352,7 +352,7 @@ def test_table_build_reduces_words_only_to_check_completeness(monkeypatch):
     monkeypatch.setattr(rewriting, "reduce_word", spy)
     semigroup_from_presentation(text)
     # the completeness check of is_complete, which semigroup_from_presentation runs
-    assert callers == ["_first_unresolved"] * (2 * pairs)
+    assert callers == ["first_unresolved"] * (2 * pairs)
 
 
 def drop_normal_form(monkeypatch, k):
