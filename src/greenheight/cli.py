@@ -391,26 +391,25 @@ def _violations(tables) -> dict:
     premises = {"bi_ideal": facts.local_right,
                 "left_ideal": (masks & ~facts.regular[:, None]) == 0}
     h = arrays.relative_height
-    chains = [arrays.chain_param(kind) for kind in ideals.IDEAL_KINDS]
+    reports = [ideals.bound_verdict(kind, h, arrays.chain_param(kind))
+               for kind in ideals.IDEAL_KINDS]
     checks = []
-    for kind, n in zip(ideals.IDEAL_KINDS, chains):
-        law = arrays.laws[kind]
-        passed, sanity_passed = ideals.verdict_arrays(kind, h, n)
-        premise = premises.get(kind, False)
-        checks.append(np.stack([law & ~passed, law & ~sanity_passed,
-                                law & (h != n) & premise], axis=-1))
+    for rep in reports:
+        law = arrays.laws[rep.kind]
+        over_sanity = False if rep.sanity_bound is None else h > rep.sanity_bound
+        premise = premises.get(rep.kind, False)
+        checks.append(np.stack([law & ~rep.passed, law & over_sanity,
+                                law & (h != rep.chain_param) & premise], axis=-1))
     flags = np.stack(checks, axis=2)  # [row, mask - 1, kind, check]
     bad = table_bad.any(axis=1) | flags.any(axis=(1, 2, 3))
     out = {}
     for row in np.flatnonzero(bad).tolist():
         messages = [text for text, fails in zip(_TABLE_MESSAGES, table_bad[row]) if fails]
         for col, j, check in zip(*np.nonzero(flags[row])):
-            kind = ideals.IDEAL_KINDS[j]
+            kind = reports[j].kind
             where = f"{kind} {[i for i in range(m) if (col + 1) >> i & 1]}"
             if check == 0:
-                theorem = ideals.bound_verdict(kind, int(h[row, col]),
-                                               int(chains[j][row, col])).theorem_id
-                messages.append(f"{theorem} bound fails on {where}")
+                messages.append(f"{reports[j].theorem_id} bound fails on {where}")
             elif check == 1:
                 messages.append(f"sanity bound fails on {where}")
             else:

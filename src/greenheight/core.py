@@ -61,6 +61,9 @@ class FiniteSemigroup:
             raise ValueError(f"no element named {name!r}") from None
 
     def product(self, a: int, b: int) -> int:
+        a, b = int(a), int(b)
+        if not (0 <= a < self.order and 0 <= b < self.order):
+            raise ValueError("element index out of range")
         return int(self.table[a, b])
 
     @cached_property

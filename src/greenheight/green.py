@@ -129,7 +129,10 @@ class ClassPoset:
         self.height = max(_longest_chains(self._below_rows))
 
     def class_index(self, a: int) -> int:
-        return int(self.class_of[int(a)])
+        a = int(a)
+        if not 0 <= a < len(self.class_of):
+            raise ValueError("element index out of range")
+        return int(self.class_of[a])
 
     def minimal_classes(self):
         return tuple(np.flatnonzero(~self.strict.any(axis=0)).tolist())
@@ -149,6 +152,8 @@ class ClassPoset:
         sel = set(int(i) for i in class_ids)
         if not sel:
             return 0
+        if min(sel) < 0 or max(sel) >= len(self.classes):
+            raise ValueError("class id out of range")
         return max(_longest_chains(self._below_rows, sel))
 
     def chains_above(self):

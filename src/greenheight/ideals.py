@@ -64,17 +64,6 @@ _SCAN_MAX_ORDER = 16
 
 
 @dataclass(frozen=True, slots=True)
-class SubsetRecord:
-    """One subset of the ideal_subsets scan with a kind whose law it obeys,
-    its relative R-height and its chain parameter."""
-
-    members: frozenset
-    kind: str
-    relative_height: int
-    chain_param: int
-
-
-@dataclass(frozen=True, slots=True)
 class SubsetArrays:
     """subset_arrays of a stack of N tables: row i is table i, column k - 1
     is the subset M with bitmask k. laws maps each kind of core.KINDS to an
@@ -276,41 +265,6 @@ def _peel(strict, alive):
     return rounds
 
 
-def ideal_subsets(s: core.FiniteSemigroup, kinds=IDEAL_KINDS):
-    """A SubsetRecord for each nonempty subset, in increasing bitmask (bit i
-    for element i), and each kind in `kinds` order whose closure law holds:
-    the records of subset_arrays on s's table alone, computed at the call.
-    The relative height is taken inside each subset, and the chain
-    parameter reads the R-classes of s, as chain_param does.
-
-    The scan is exponential in the order: tables of more than 16 elements,
-    and kinds outside core.KINDS, raise ValueError at the call.
-    """
-    kinds = tuple(kinds)
-    for kind in kinds:
-        if kind not in core.KINDS:
-            raise ValueError(f"unknown kind {kind!r}")
-    return _records(subset_arrays(s.table[None]), kinds)
-
-
-def _records(arrays: SubsetArrays, kinds: tuple):
-    """The SubsetRecords of a one-table subset_arrays, in the order of
-    ideal_subsets: by mask, then by kind in `kinds` order."""
-    if not kinds:
-        return
-    laws = np.stack([arrays.laws[kind][0] for kind in kinds], axis=1)
-    m = laws.shape[0].bit_length()
-    cols, which = np.nonzero(laws)
-    chains = [arrays.chain_param(kind)[0].tolist() for kind in kinds]
-    heights = arrays.relative_height[0].tolist()
-    members, last = None, -1
-    for col, j in zip(cols.tolist(), which.tolist()):
-        if col != last:
-            last, mask = col, col + 1
-            members = frozenset(i for i in range(m) if mask >> i & 1)
-        yield SubsetRecord(members, kinds[j], heights[col], chains[j][col])
-
-
 def relative_height(handle: core.SubsetHandle) -> int:
     """R-height of the handle considered as its own semigroup."""
     return green.height(handle, "R")
@@ -400,6 +354,10 @@ def bound_verdict(kind: str, relative_height: int, chain_param: int) -> BoundRep
     raises EngineBug otherwise), so bi-ideals and left ideals get the
     sharper bounds 3n-2 and 2n-1; the generic bounds 3n-1 and 2n, which
     need no such kernel, are reported as sanity lines.
+
+    h and n may be int arrays of one shape, as subset_arrays gives them:
+    bound, passed, tight and a sanity bound are then arrays, element by
+    element the scalar report's.
     """
     if kind not in IDEAL_KINDS:
         raise ValueError(f"bound_verdict requires an ideal kind, not {kind!r}")
@@ -416,21 +374,6 @@ def bound_verdict(kind: str, relative_height: int, chain_param: int) -> BoundRep
         tight=h == bound,
         sanity_bound=None if sanity is None else sanity[0] * n + sanity[1],
     )
-
-
-def verdict_arrays(kind: str, relative_height, chain_param):
-    """bound_verdict elementwise, from the same theorem table, on relative
-    heights and chain parameters of one shape. Returns two bool arrays of
-    that shape, passed and sanity_passed, the latter true where no sanity
-    bound applies."""
-    if kind not in IDEAL_KINDS:
-        raise ValueError(f"verdict_arrays requires an ideal kind, not {kind!r}")
-    h, n = np.asarray(relative_height), np.asarray(chain_param)
-    _, (a, b), sanity = _THEOREMS[kind]
-    passed = h <= a * n + b
-    if sanity is None:
-        return passed, np.ones_like(passed)
-    return passed, h <= sanity[0] * n + sanity[1]
 
 
 def chain_into_kernel(s: core.FiniteSemigroup, handle: core.SubsetHandle, k: int):

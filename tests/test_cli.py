@@ -409,6 +409,12 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert code == 2
 
 
+def test_verify_brandt_tower_past_its_cap_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "brandt-tower", "--n", "8")
+    assert (code, out) == (2, "")
+    assert err == "error: n must be between 1 and 7\n"
+
+
 def test_verify_failure_path_prints_diff(capsys, monkeypatch):
     def fake_suite(args):
         return [{

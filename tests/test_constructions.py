@@ -172,6 +172,14 @@ def test_right_ideal_tower_orders_and_heights():
         assert relative_height(fi.distinguished) == 2 * n - 1
 
 
+def test_right_ideal_tower_refuses_levels_it_cannot_hold():
+    # level 8 has 21,845 elements, a 1.9 GB table; it is refused before any
+    # extension is built
+    for n in (0, 8):
+        with pytest.raises(ValueError, match="n must be between 1 and 7"):
+            right_ideal_tower(n)
+
+
 def test_right_ideal_tower_level_two_is_the_example_table():
     fi = right_ideal_tower(2)
     assert np.array_equal(fi.semigroup.table, brandt_example().table)

@@ -163,6 +163,24 @@ def test_minimal_maximal_and_class_index():
             assert poset.class_index(a) == i
 
 
+def test_product_class_index_and_longest_chain_reject_indices_out_of_range():
+    # numpy would read -1 as the last row or class, and the chain walk would
+    # fail on it with a shift error
+    s = brandt_example()
+    poset = class_poset(s, "R")
+    for bad in (-1, s.order):
+        with pytest.raises(ValueError, match="element index out of range"):
+            s.product(bad, 0)
+        with pytest.raises(ValueError, match="element index out of range"):
+            s.product(0, bad)
+        with pytest.raises(ValueError, match="element index out of range"):
+            poset.class_index(bad)
+    for bad in (-1, len(poset.classes)):
+        with pytest.raises(ValueError, match="class id out of range"):
+            poset.longest_chain([0, bad])
+    assert s.product(0, 0) == 0 and poset.longest_chain(range(3)) == 2
+
+
 def test_leq_classes_consistent_with_members():
     s = brandt_example()
     poset = class_poset(s, "R")

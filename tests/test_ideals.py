@@ -21,7 +21,6 @@ from greenheight import (
     from_table,
     generate,
     height,
-    ideal_subsets,
     kernel,
     relative_height,
 )
@@ -74,6 +73,22 @@ def _scanned_tables():
     yield from oracles.relabelled(5, 8, seed=29)
 
 
+def _scan(s, kinds=IDEAL_KINDS):
+    """(sorted members, kind, h, n) for each nonempty subset of s, by
+    increasing bitmask (bit i for element i), and each kind in `kinds` order
+    whose law it obeys: subset_arrays of s's table alone."""
+    arrays = subset_arrays(s.table[None])
+    laws = np.stack([arrays.laws[kind][0] for kind in kinds], axis=1)
+    chains = [arrays.chain_param(kind)[0].tolist() for kind in kinds]
+    heights = arrays.relative_height[0].tolist()
+    members, last = None, -1
+    for col, j in zip(*np.nonzero(laws)):
+        if col != last:
+            last = col
+            members = [i for i in range(s.order) if (col + 1) >> i & 1]
+        yield members, kinds[j], heights[col], chains[j][col]
+
+
 def test_ideal_subsets_match_oracle_in_bitmask_then_kind_order():
     for t in _scanned_tables():
         s = make(t)
@@ -85,9 +100,9 @@ def test_ideal_subsets_match_oracle_in_bitmask_then_kind_order():
             for kind in ALL_KINDS:
                 if oracles.naive_is_kind(rows, members, kind):
                     expected.append((members, kind))
-        records = list(ideal_subsets(s, ALL_KINDS))
-        assert [(r.members, r.kind) for r in records] == expected
-        default = [(r.members, r.kind) for r in ideal_subsets(s)]
+        records = [(frozenset(members), kind) for members, kind, _, _ in _scan(s, ALL_KINDS)]
+        assert records == expected
+        default = [(frozenset(members), kind) for members, kind, _, _ in _scan(s)]
         assert default == [pair for pair in expected if pair[1] in IDEAL_KINDS]
 
 
@@ -96,25 +111,14 @@ def test_ideal_subsets_records_match_handles_oracle_and_bound_report():
         s = make(t)
         rows = t.tolist()
         assert oracles.naive_completely_simple(rows)
-        for r in ideal_subsets(s, ALL_KINDS):
-            h = SubsetHandle(s, r.members, r.kind)
-            assert r.relative_height == relative_height(h)
-            assert r.relative_height == oracles.naive_relative_height(rows, r.members)
-            assert r.chain_param == chain_param(s, h)
-            assert r.chain_param == oracles.naive_chain_param(rows, r.members, r.kind)
-            if r.kind in IDEAL_KINDS:
-                verdict = bound_verdict(r.kind, r.relative_height, r.chain_param)
-                assert verdict == bound_report(s, h)
-
-
-def test_ideal_subsets_rejects_unknown_kinds_and_large_orders():
-    s = left_zero_semigroup(2)
-    with pytest.raises(ValueError, match="unknown kind 'quasi_ideal'"):
-        ideal_subsets(s, ("bi_ideal", "quasi_ideal"))
-    with pytest.raises(ValueError, match="at most 16 elements, got 17"):
-        ideal_subsets(left_zero_semigroup(17))
-    first = next(ideal_subsets(left_zero_semigroup(16)))
-    assert (first.members, first.kind) == (frozenset({0}), "bi_ideal")
+        for members, kind, h, n in _scan(s, ALL_KINDS):
+            handle = SubsetHandle(s, frozenset(members), kind)
+            assert h == relative_height(handle)
+            assert h == oracles.naive_relative_height(rows, handle.members)
+            assert n == chain_param(s, handle)
+            assert n == oracles.naive_chain_param(rows, handle.members, kind)
+            if kind in IDEAL_KINDS:
+                assert bound_verdict(kind, h, n) == bound_report(s, handle)
 
 
 def test_restriction_is_shared_by_member_set():
@@ -125,8 +129,8 @@ def test_restriction_is_shared_by_member_set():
         s = make(t)
         rows = t.tolist()
         by_members = {}
-        for r in ideal_subsets(s, ALL_KINDS):
-            h = SubsetHandle(s, r.members, r.kind)
+        for members, kind, _, _ in _scan(s, ALL_KINDS):
+            h = SubsetHandle(s, frozenset(members), kind)
             poset = class_poset(h, "R")
             shared += h.members in by_members
             assert by_members.setdefault(h.members, poset) is poset
@@ -285,6 +289,21 @@ def test_theorem_table_has_one_entry_per_kind_and_no_sanity_bound_below_its_boun
             assert slope >= 0 and slope + offset >= 0  # the gap at n = 1 only grows
 
 
+def test_bound_verdict_on_arrays_is_the_scalar_verdict_elementwise():
+    # the small-order oracle applies the theorem table to whole arrays of
+    # relative heights and chain parameters at once
+    h, n = np.meshgrid(np.arange(10), np.arange(6), indexing="ij")
+    for kind in IDEAL_KINDS:
+        rep = bound_verdict(kind, h, n)
+        sanity = rep.sanity_bound
+        assert (sanity is None) == (kind in ("right_ideal", "two_sided_ideal"))
+        for i, j in np.ndindex(h.shape):
+            one = bound_verdict(kind, i, j)
+            assert (rep.theorem_id, rep.passed[i, j], rep.tight[i, j], rep.bound[i, j]) == (
+                one.theorem_id, one.passed, one.tight, one.bound)
+            assert (None if sanity is None else sanity[i, j]) == one.sanity_bound
+
+
 def test_bound_report_rejects_subsemigroup():
     s = left_zero_semigroup(2)
     h = SubsetHandle(s, frozenset({0}), "subsemigroup")
@@ -388,7 +407,7 @@ def test_relative_height_of_whole_semigroup():
 
 def _invariants(t):
     s = make(t)
-    records = sorted((r.kind, r.relative_height, r.chain_param) for r in ideal_subsets(s))
+    records = sorted((kind, h, n) for _, kind, h, n in _scan(s))
     return (records, oracles.naive_completely_simple(oracles.as_rows(t)),
             [height(s, rel) for rel in RELATIONS])
 
@@ -417,9 +436,8 @@ def test_census_of_largest_relative_heights_through_order_five():
     best = {}
     for m in range(1, 6):
         for t in _accel.enumerate_assoc_tables(m):
-            for rec in ideal_subsets(make(t)):
-                key = (rec.kind, rec.chain_param)
-                best[key] = max(best.get(key, 0), rec.relative_height)
+            for _, kind, h, n in _scan(make(t)):
+                best[kind, n] = max(best.get((kind, n), 0), h)
     census = {kind: [best[kind, n] for n in range(1, 6)] for kind in IDEAL_KINDS}
     assert census == {
         "bi_ideal": [1, 3, 4, 4, 5],
@@ -440,10 +458,9 @@ def test_scan_records_match_the_scan_on_lists_of_rows():
         reps = _accel.enumerate_assoc_tables(m)
         for t in reps if m < 5 else reps[::8]:
             tables += 1
-            for rec in ideal_subsets(make(t)):
+            for record in _scan(make(t)):
                 records += 1
-                digest.update(repr((sorted(rec.members), rec.kind, rec.relative_height,
-                                    rec.chain_param)).encode())
+                digest.update(repr(record).encode())
     assert (tables, records) == (458, 11255)
     assert digest.hexdigest() == (
         "3970dd9d1eb5ee0b00022b8641a2dea9509380be4e7a9efa514e7288eec51b5e"
@@ -462,10 +479,9 @@ def test_scan_records_of_large_tables_are_pinned(build, order, count, digest):
     # digests taken from the scan on Python-int bitmasks, one table at a time
     sha = hashlib.sha256()
     records = 0
-    for rec in ideal_subsets(build(order)):
+    for record in _scan(build(order)):
         records += 1
-        sha.update(repr((sorted(rec.members), rec.kind, rec.relative_height,
-                         rec.chain_param)).encode())
+        sha.update(repr(record).encode())
     assert records == count
     assert sha.hexdigest() == digest
 
