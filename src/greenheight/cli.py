@@ -137,8 +137,7 @@ def cmd_elements(args) -> int:
 def cmd_complete(args) -> int:
     text = Path(args.input).read_text()
     if _detect_input_kind(text) != "presentation":
-        print("error: 'complete' needs a presentation input", file=sys.stderr)
-        return 2
+        raise ValueError("'complete' needs a presentation input")
     rs = rewriting.parse_presentation(text)
     pairs = rewriting.critical_pairs(rs)
     witness = rewriting.first_unresolved(rs, pairs)
@@ -391,7 +390,7 @@ def _violations(tables) -> dict:
     premises = {"bi_ideal": facts.local_right,
                 "left_ideal": (masks & ~facts.regular[:, None]) == 0}
     h = arrays.relative_height
-    reports = [ideals.bound_verdict(kind, h, arrays.chain_param(kind))
+    reports = [ideals.bound_verdict(kind, h, arrays.chain_param)
                for kind in ideals.IDEAL_KINDS]
     checks = []
     for rep in reports:
@@ -501,22 +500,22 @@ def cmd_search_open1(args) -> int:
         tables = _accel.enumerate_assoc_tables(m)[:args.budget - searched]
         searched += len(tables)
         arrays = ideals.subset_arrays(tables)
-        h, n = arrays.relative_height, arrays.chain_param("bi_ideal")
-        # h - (3n - 2) on each bi-ideal; every table is a bi-ideal of itself
-        score = np.where(arrays.laws["bi_ideal"], h - (3 * n - 2), np.iinfo(np.int32).min)
+        h = arrays.relative_height
+        rep = ideals.bound_verdict("bi_ideal", h, arrays.chain_param)
+        # h - bound on each bi-ideal; every table is a bi-ideal of itself
+        score = np.where(arrays.laws["bi_ideal"], h - rep.bound, np.iinfo(np.int32).min)
         cols = score.argmax(axis=1)  # the first mask of each table's best score
         tops = score.max(axis=1)
         i = int(tops.argmax())  # the first table of the order's best score
         # orders only ascend, so a later table wins on a higher score alone
         if best is None or tops[i] > best["score"]:
             col = int(cols[i])
-            hi, ni = int(h[i, col]), int(n[i, col])
             best = {
                 "score": int(tops[i]),
                 "order": m,
-                "relative_height": hi,
-                "chain_param": ni,
-                "target_bound": 3 * ni - 1,
+                "relative_height": int(h[i, col]),
+                "chain_param": int(rep.chain_param[i, col]),
+                "target_bound": int(rep.sanity_bound[i, col]),
                 "bi_ideal": [x for x in range(m) if col + 1 >> x & 1],
                 "table": tables[i].tolist(),
             }

@@ -167,8 +167,8 @@ def right_ideal_tower(n: int) -> FamilyInstance:
 def null_extension(t_sem: core.FiniteSemigroup):
     """Adjoin a null mirror: S = T | {x_a} | {0} with a*x_b = x_a*b = x_(ab)
     and all other new products 0. Returns (S, handle for N = {x_a} | {0}),
-    a two-sided ideal with relative R-height 2 whose contained-class chain
-    has length H_R(T) + 1."""
+    a two-sided ideal with relative R-height 2 whose chain parameter is
+    H_R(T) + 1."""
     m = t_sem.order
     size = 2 * m + 1
     zero = size - 1

@@ -19,7 +19,6 @@ from . import core, green
 from .errors import EngineBug, PreconditionViolated
 
 IDEAL_KINDS = ("bi_ideal", "right_ideal", "left_ideal", "two_sided_ideal")
-_INTERSECT_KINDS = ("bi_ideal", "left_ideal", "subsemigroup")
 
 
 def generate(s: core.FiniteSemigroup, xs, kind: str) -> core.SubsetHandle:
@@ -69,21 +68,16 @@ class SubsetArrays:
     is the subset M with bitmask k. laws maps each kind of core.KINDS to an
     (N, 2^m - 1) bool array, true where M obeys its law. relative_height
     is M's R-height inside M, and 0 where M is not closed under products.
-    meet_chain and inside_chain are the longest chains of the R-classes of
-    S that meet M and that lie inside M."""
+    chain_param is the longest chain of the R-classes of S that meet M, for
+    every kind the chain parameter that chain_param gives a handle."""
 
     laws: dict
     relative_height: np.ndarray
-    meet_chain: np.ndarray
-    inside_chain: np.ndarray
-
-    def chain_param(self, kind: str) -> np.ndarray:
-        """The chain parameter of chain_param for each subset of the kind."""
-        return self.meet_chain if kind in _INTERSECT_KINDS else self.inside_chain
+    chain_param: np.ndarray
 
 
 def subset_arrays(tables) -> SubsetArrays:
-    """Laws, relative R-heights and chain parameters of every nonempty subset
+    """Laws, relative R-heights and the chain parameter of every nonempty subset
     of every table in a stack of shape (N, m, m), m <= 16, in whole-array
     steps over the N * 2^m masks.
 
@@ -93,9 +87,9 @@ def subset_arrays(tables) -> SubsetArrays:
     M*S for bi-ideals; M*S inside M for right ideals, S*M for left ideals,
     both for two-sided ones. In a closed M, b <=_R c iff b is in the down-set
     {c} | c*M, and a longest chain of R-classes counts the rounds that peel
-    off the minimal remaining members. The chain parameters peel the
-    R-classes of S with the same routine, on the column M = S, whose
-    down-sets are c*S^1. The tables are taken to be associative.
+    off the minimal remaining members. The chain parameter peels the
+    R-classes of S that meet M with the same routine, on the column M = S,
+    whose down-sets are c*S^1. The tables are taken to be associative.
     """
     bits = _product_bits(tables, "subset_arrays")
     n, m = bits.shape[:2]
@@ -128,18 +122,15 @@ def subset_arrays(tables) -> SubsetArrays:
     strict = _strict_below(down)
     heights = _peel(strict, np.where(closed, masks, 0))
     # M = S is the last column: the R-classes of S, and each element's class
-    below_s = strict[:, -1, None, :]
     meets = np.zeros((n, size), dtype=np.int32)  # the classes M meets, as elements
     same = down[:, -1] & ~strict[:, -1]
     for b in range(m):
         lo, hi = 1 << b, 2 << b
         np.bitwise_or(meets[:, :lo], same[:, b, None], out=meets[:, lo:hi])
-    inside = (size - 1) & ~meets[:, ::-1]  # meets of the complement, reversed
     return SubsetArrays(
         laws={kind: law[:, 1:] for kind, law in laws.items()},
         relative_height=heights[:, 1:],
-        meet_chain=_peel(below_s, meets)[:, 1:],
-        inside_chain=_peel(below_s, inside)[:, 1:],
+        chain_param=_peel(strict[:, -1, None, :], meets)[:, 1:],
     )
 
 
@@ -224,6 +215,8 @@ def _product_bits(tables, caller):
     if t.shape[1] > _SCAN_MAX_ORDER:
         raise ValueError(f"{caller} scans tables of at most {_SCAN_MAX_ORDER}"
                          f" elements, got {t.shape[1]}")
+    if t.size and not 0 <= t.min() <= t.max() < t.shape[1]:
+        raise ValueError(f"{caller} needs entries in 0..{t.shape[1] - 1}")
     return np.left_shift(np.int32(1), t.astype(np.int32))
 
 
@@ -271,17 +264,13 @@ def relative_height(handle: core.SubsetHandle) -> int:
 
 
 def chain_param(s: core.FiniteSemigroup, handle: core.SubsetHandle) -> int:
-    """Longest chain of R_S-classes that intersect (bi/left/subsemigroup)
-    or are contained in (right/two-sided) the handle's members."""
+    """Longest chain of the R_S-classes that meet the handle's members, for
+    every kind: a right ideal holds the class of each member a (b R a puts b
+    in a*S^1), so the classes it meets are the classes inside it."""
     if handle.parent is not s:
         raise ValueError("handle does not belong to this semigroup")
     poset = green.class_poset(s, "R")
-    members = handle.members
-    if handle.kind in _INTERSECT_KINDS:
-        sel = [i for i, cls in enumerate(poset.classes) if any(a in members for a in cls)]
-    else:
-        sel = [i for i, cls in enumerate(poset.classes) if all(a in members for a in cls)]
-    return poset.longest_chain(sel)
+    return poset.longest_chain(set(poset.class_of[list(handle.members)]))
 
 
 @dataclass(frozen=True)
@@ -298,17 +287,18 @@ class BoundReport:
     sanity_bound: int | None = None
 
     def to_json_dict(self) -> dict:
+        """The report in JSON types; a report on arrays raises TypeError."""
         out = {
             "kind": self.kind,
             "theorem_id": self.theorem_id,
-            "relative_height": self.relative_height,
-            "chain_param": self.chain_param,
-            "bound": self.bound,
-            "pass": self.passed,
-            "tight": self.tight,
+            "relative_height": int(self.relative_height),
+            "chain_param": int(self.chain_param),
+            "bound": int(self.bound),
+            "pass": bool(self.passed),
+            "tight": bool(self.tight),
         }
         if self.sanity_bound is not None:
-            out["sanity_bound"] = self.sanity_bound
+            out["sanity_bound"] = int(self.sanity_bound)
             out["sanity_note"] = "sanity only"
         return out
 

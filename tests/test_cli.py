@@ -130,9 +130,8 @@ def test_complete_builds_the_critical_pairs_once(capsys, monkeypatch, tmp_path, 
 
 
 def test_complete_rejects_table_input(capsys, left3_table):
-    code, _, err = run(capsys, "complete", left3_table)
-    assert code == 2
-    assert "presentation" in err
+    code, out, err = run(capsys, "complete", left3_table)
+    assert (code, out, err) == (2, "", "error: 'complete' needs a presentation input\n")
 
 
 def test_bounds_report_and_json(capsys, tmp_path, bi2_presentation):

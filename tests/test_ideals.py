@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -79,14 +80,14 @@ def _scan(s, kinds=IDEAL_KINDS):
     whose law it obeys: subset_arrays of s's table alone."""
     arrays = subset_arrays(s.table[None])
     laws = np.stack([arrays.laws[kind][0] for kind in kinds], axis=1)
-    chains = [arrays.chain_param(kind)[0].tolist() for kind in kinds]
+    chains = arrays.chain_param[0].tolist()
     heights = arrays.relative_height[0].tolist()
     members, last = None, -1
     for col, j in zip(*np.nonzero(laws)):
         if col != last:
             last = col
             members = [i for i in range(s.order) if (col + 1) >> i & 1]
-        yield members, kinds[j], heights[col], chains[j][col]
+        yield members, kinds[j], heights[col], chains[col]
 
 
 def test_ideal_subsets_match_oracle_in_bitmask_then_kind_order():
@@ -221,20 +222,31 @@ def test_chain_param_matches_oracle_all_kinds():
                 ), (rows, sorted(members), kind)
 
 
-def test_right_ideal_intersect_equals_contained():
-    # an R-class meeting a right ideal lies inside it, so the two chain
-    # selections coincide on right ideals
+def _right_sided_handles():
+    """Every right and two-sided ideal of sampled order-4 tables, and the
+    principal ones of two semigroups whose R-classes have several members."""
     for t in oracles.relabelled(4, 20, seed=26):
         s = make(t)
         rows = t.tolist()
         for bits in range(1, 16):
             members = frozenset(i for i in range(4) if bits >> i & 1)
-            if not oracles.naive_is_kind(rows, members, "right_ideal"):
-                continue
-            h = SubsetHandle(s, members, "right_ideal")
-            contained = oracles.naive_chain_param(rows, members, "right_ideal")
-            intersecting = oracles.naive_chain_param(rows, members, "bi_ideal")
-            assert contained == intersecting == chain_param(s, h)
+            for kind in ("right_ideal", "two_sided_ideal"):
+                if oracles.naive_is_kind(rows, members, kind):
+                    yield s, SubsetHandle(s, members, kind)
+    for s in (right_ideal_tower(3).semigroup, brandt_example()):
+        for a in range(s.order):
+            for kind in ("right_ideal", "two_sided_ideal"):
+                yield s, generate(s, [a], kind)
+
+
+def test_right_ideal_intersect_equals_contained():
+    # an R-class meeting a right ideal lies inside it, so the two chain
+    # selections coincide on right and two-sided ideals
+    for s, h in _right_sided_handles():
+        rows = s.table.tolist()
+        contained = oracles.naive_chain_param(rows, h.members, h.kind)
+        intersecting = oracles.naive_chain_param(rows, h.members, "bi_ideal")
+        assert contained == intersecting == chain_param(s, h), (s.order, sorted(h.members))
 
 
 def test_chain_param_intersect_vs_contained():
@@ -277,6 +289,13 @@ def test_bound_report_all_kinds_on_small_tables():
                 assert rep.relative_height <= rep.bound
                 if rep.sanity_bound is not None:
                     assert rep.relative_height <= rep.sanity_bound
+
+
+@pytest.mark.parametrize("kind", IDEAL_KINDS)
+def test_bound_report_json_of_numpy_scalars_is_the_json_of_ints(kind):
+    # one table scanned as a stack of one gives np.int32 heights and chains
+    as_numpy = bound_verdict(kind, np.int32(5), np.int32(3)).to_json_dict()
+    assert json.dumps(as_numpy) == json.dumps(bound_verdict(kind, 5, 3).to_json_dict())
 
 
 def test_theorem_table_has_one_entry_per_kind_and_no_sanity_bound_below_its_bound():
@@ -495,7 +514,7 @@ def test_each_row_of_a_stack_is_the_scan_of_its_table_alone():
             alone = subset_arrays(table[None])
             for kind in ALL_KINDS:
                 assert (whole.laws[kind][i] == alone.laws[kind][0]).all()
-            for name in ("relative_height", "meet_chain", "inside_chain"):
+            for name in ("relative_height", "chain_param"):
                 assert (getattr(whole, name)[i] == getattr(alone, name)[0]).all()
 
 
@@ -506,6 +525,13 @@ def test_subset_arrays_rejects_bad_shapes_and_large_orders():
         subset_arrays(null_semigroup(17).table[None])
     empty = subset_arrays(_accel.enumerate_assoc_tables(3)[:0])
     assert empty.relative_height.shape == (0, 7)
+
+
+@pytest.mark.parametrize("entry", [-1, 2])
+@pytest.mark.parametrize("scan", [subset_arrays, table_facts])
+def test_stacked_kernels_reject_entries_outside_the_table(scan, entry):
+    with pytest.raises(ValueError, match=r"entries in 0\.\.1"):
+        scan(np.array([[[0, entry], [0, 0]]]))
 
 
 def test_subset_arrays_stops_on_the_cycle_of_a_non_associative_table():
