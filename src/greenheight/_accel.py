@@ -16,8 +16,9 @@ from .errors import EngineBug
 # no compiled kernels exist; kept because perfbench/child.py reads it
 numba_kernels = None
 
-# cells per block of the witness scan, to bound its memory (32 rows at order 256)
-_WITNESS_CELLS = 1 << 21
+# cells per block of middles in the witness scan, so that a block stays in cache;
+# from order 182 up a block is one middle, m*m cells
+_WITNESS_CELLS = 1 << 15
 # order from which Light's test goes first: a measured speed crossover only
 _LIGHT_MIN_ORDER = 48
 
@@ -56,15 +57,20 @@ def _generators(t):
 
 def _first_failure(t, middles):
     """Lex-first (a, k, c) with (a*b)*c != a*(b*c), b the k-th of middles (a slice
-    or sorted indices), or None; a block of rows has <= _WITNESS_CELLS cells or 1 row."""
+    or sorted indices), or None. A block of middles has <= _WITNESS_CELLS cells or
+    one middle; after a failure in row a, later blocks compare only rows < a."""
     left, right = t[:, middles], t[middles]
-    step = max(1, _WITNESS_CELLS // left.size)
-    for a0 in range(0, len(t), step):
-        neq = t[left[a0 : a0 + step]] != t[a0 : a0 + step, right]
-        if neq.any():
-            i, k, c = np.unravel_index(int(np.argmax(neq)), neq.shape)
-            return int(i) + a0, int(k), int(c)
-    return None
+    step = max(1, _WITNESS_CELLS // t.size)
+    best, rows = None, len(t)
+    for k0 in range(0, len(right), step):
+        neq = t[left[:rows, k0 : k0 + step]] != t[:rows, right[k0 : k0 + step]]
+        first = int(neq.argmax())
+        if neq.ravel()[first]:
+            a, k, c = np.unravel_index(first, neq.shape)
+            best, rows = (int(a), int(k) + k0, int(c)), int(a)
+            if rows == 0:
+                break
+    return best
 
 
 def _placement_ok(t, m, a, b):

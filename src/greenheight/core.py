@@ -22,7 +22,7 @@ class FiniteSemigroup:
     """Immutable semigroup on indices 0..m-1 with a verified table."""
 
     def __init__(self, names, table):
-        table = np.ascontiguousarray(table, dtype=np.int32)
+        table = np.asarray(table)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ValueError(f"table must be square, got shape {table.shape}")
         m = table.shape[0]
@@ -36,8 +36,10 @@ class FiniteSemigroup:
         for n in names:
             if n.split() != [n]:  # empty, or holds whitespace
                 raise ValueError(f"bad element name {n!r}")
-        if table.min() < 0 or table.max() >= m:
+        # range-checked before the cast, which would wrap or truncate
+        if table.dtype.kind not in "iu" or table.min() < 0 or table.max() >= m:
             raise ValueError("table entries must be element indices")
+        table = np.ascontiguousarray(table, dtype=np.int32)
         witness = _accel.assoc_witness(table)
         if witness is not None:
             raise NotAssociative(witness)
@@ -234,18 +236,18 @@ def parse_table_text(text: str) -> FiniteSemigroup:
 
 
 def _table_by_rows(rows, m):
-    """The table of m row lines, one numpy conversion per row; None when a
-    row has the wrong length, a bad token or an entry out of range."""
-    table = np.empty((m, m), dtype=np.int32)
-    for a, (_, body) in enumerate(rows):
-        cells = body.split()
-        if len(cells) != m:  # a 1-entry row would broadcast
-            return None
-        try:
-            table[a] = np.array(cells, dtype=np.int32)
-        except (ValueError, OverflowError):
-            return None
-    return table if table.min() >= 0 and table.max() < m else None
+    """The table of m row lines, read by numpy's C text reader; None when a
+    row has the wrong length, a bad token or an entry out of range, or is not
+    ASCII (the reader can crash on some other code points). Tokens that int()
+    takes and the reader refuses, such as 1_0, also give None."""
+    bodies = [body for _, body in rows]
+    if not all(map(str.isascii, bodies)):
+        return None
+    try:
+        table = np.loadtxt(bodies, dtype=np.int32, ndmin=2)
+    except (ValueError, OverflowError):
+        return None
+    return table if table.shape == (m, m) and table.min() >= 0 and table.max() < m else None
 
 
 def _table_by_cells(rows, m):

@@ -234,6 +234,60 @@ def test_assoc_witness_finds_a_failure_at_every_middle():
         assert _accel.assoc_witness(t) == (i, j, j)
 
 
+def naive_first_failure(t, middles):
+    """Lex-first (a, k, c) with (a*b)*c != a*(b*c), b = middles[k], by plain loops."""
+    m = len(t)
+    for a in range(m):
+        for k, b in enumerate(middles):
+            for c in range(m):
+                if t[t[a][b]][c] != t[a][t[b][c]]:
+                    return a, k, c
+    return None
+
+
+def tables_with_bad_cells(seed):
+    """Null, left-zero and cyclic tables of orders 2-60, each with one to three
+    changed cells. In the null tables the first two go to (i, j) and (i2, j2)
+    with i2 < i and j < j2, so the one-cell failures (i, j, j) and (i2, j2, j2)
+    make a later block of middles fail in an earlier row."""
+    rng = np.random.default_rng(seed)
+    for m in range(2, 61):
+        z = np.arange(m)
+        base = [np.full((m, m), m - 1), np.repeat(z[:, None], m, axis=1),
+                (z[:, None] + z[None, :]) % m][m % 3]
+        t = base.copy()
+        extra = int(rng.integers(1, 4))
+        if m % 3 == 0 and m >= 4:
+            j, j2 = sorted(rng.choice(m - 1, size=2, replace=False).tolist())
+            i = int(rng.integers(m // 2, m - 1))
+            i2 = int(rng.integers(0, i))
+            t[i, j], t[i2, j2] = i, i2
+            extra = int(rng.integers(0, 2))
+        for _ in range(extra):
+            t[tuple(rng.integers(0, m, size=2))] = rng.integers(0, m)
+        yield np.ascontiguousarray(t, dtype=np.int32)
+
+
+@pytest.mark.parametrize("cells", [lambda m: 1, lambda m: m * m, lambda m: 3 * m * m - 1,
+                                   lambda m: _accel._WITNESS_CELLS],
+                         ids=["one-cell", "m-squared", "two-middles", "default"])
+def test_first_failure_is_lex_first_across_blocks_of_middles(monkeypatch, cells):
+    rng = np.random.default_rng(29)
+    rejected = 0
+    for t in tables_with_bad_cells(27):
+        m, rows = len(t), t.tolist()
+        middles = np.sort(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
+        want = oracles.naive_assoc_witness(rows)
+        want_middles = naive_first_failure(rows, middles.tolist())
+        monkeypatch.setattr(_accel, "_WITNESS_CELLS", cells(m))
+        assert _accel._first_failure(t, slice(None)) == want
+        assert _accel._first_failure(t, middles) == want_middles
+        if m >= _accel._LIGHT_MIN_ORDER:  # Light's test runs first
+            assert _accel.assoc_witness(t) == want
+        rejected += want is not None
+    assert rejected > 40
+
+
 def test_assoc_witness_memory_is_bounded_by_cells():
     # order-600 null semigroup whose one non-associative triple is (150, 3, 3)
     m = 600
@@ -246,7 +300,7 @@ def test_assoc_witness_memory_is_bounded_by_cells():
     finally:
         tracemalloc.stop()
     assert w == (150, 3, 3)
-    assert peak < 32 * 2**20
+    assert peak < 12 * 2**20
 
 
 def test_a_non_associative_table_from_the_fill_is_an_internal_error(monkeypatch, capsys):

@@ -2,10 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 
 import greenheight
 import oracles
+from greenheight import core
 from greenheight import (
     NotAssociative,
     NotClosed,
@@ -25,6 +27,7 @@ from greenheight.constructions import (
     left_zero_semigroup,
     null_semigroup,
     right_ideal_tower,
+    symmetric_inverse_monoid,
 )
 
 LEFT_ZERO_3 = "order: 3\nnames: a b c\n0 0 0\n1 1 1\n2 2 2\n"
@@ -106,6 +109,56 @@ def test_parse_table_accepts_full_width_digits_and_signs():
     assert s.table.tolist() == [[0] * 4, [1] * 4, [2] * 4, [3] * 4]
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: right_ideal_tower(4).semigroup,
+        lambda: full_transformation_monoid(3),
+        lambda: symmetric_inverse_monoid(3),
+        lambda: bi_ideal_family(6).semigroup,
+    ],
+    ids=["tower4", "T3", "I3", "bi6"],
+)
+def test_written_tables_are_read_without_the_cell_reader(monkeypatch, build):
+    # a silent fall back to the cell-by-cell reader would only show as a slowdown
+    def refuse(rows, m):
+        raise AssertionError("the row reader refused a table that format_table_text wrote")
+
+    monkeypatch.setattr(core, "_table_by_cells", refuse)
+    s = build()
+    again = parse_table_text(format_table_text(s))
+    assert (again.table == s.table).all()
+
+
+@pytest.mark.parametrize("sep", [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0", "\u2003"])
+def test_both_readers_give_the_table_int_gives(sep):
+    # left zero of order 12: row a holds a in every cell, some written as int() also reads them
+    m = 12
+    spelled = {3: "+3", 5: "05", 7: "\uff17", 10: "1_0"}
+    bodies = [sep.join([spelled.get(a, str(a))] + [str(a)] * (m - 1)) for a in range(m)]
+    want = [[int(c) for c in body.split()] for body in bodies]
+    assert want == [[a] * m for a in range(m)]
+    rows = list(enumerate(bodies, 3))
+    fast = core._table_by_rows(rows, m)
+    assert fast is None or fast.tolist() == want
+    assert core._table_by_cells(rows, m).tolist() == want
+    text = "order: 12\nnames: " + " ".join("abcdefghijkl") + "\n" + "\n".join(bodies) + "\n"
+    if len(text.splitlines()) == 2 + m:  # \x0b, \x0c and \x1c also end a line
+        assert parse_table_text(text).table.tolist() == want
+
+
+def test_row_reader_takes_ascii_rows_only(monkeypatch):
+    # numpy's text reader can crash on some other code points, such as U+9C6CA
+    def refuse(*args, **kwargs):
+        raise AssertionError("a non-ASCII row reached np.loadtxt")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    assert core._table_by_rows([(3, "0\U0009c6ca")], 1) is None
+    with pytest.raises(ParseError) as exc:
+        parse_table_text("order: 1\nnames: a\n0\U0009c6ca\n")
+    assert str(exc.value) == "line 3, column 1: bad table entry " + repr("0\U0009c6ca")
+
+
 def test_parse_table_rejects_non_associative():
     bad = "order: 2\nnames: a b\n1 0\n0 0\n"
     with pytest.raises(NotAssociative) as exc:
@@ -177,6 +230,21 @@ def test_names_with_whitespace_are_refused(name):
 def test_names_of_non_space_characters_are_kept():
     names = ("\u200b", "\xb7", "a\u2060")
     assert from_table(names, [[0, 0, 0], [1, 1, 1], [2, 2, 2]]).names == names
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        np.array([[0, 2**32], [0, 0]]),  # int32 would wrap 2**32 to 0
+        np.array([[0.7, 0], [0, 0]]),  # int32 would truncate 0.7 to 0
+        np.zeros((2, 2), dtype=bool),
+        [[0, 2**64], [0, 0]],  # past every numpy integer: an object array
+    ],
+    ids=["wraps", "truncates", "bool", "object"],
+)
+def test_tables_an_int32_cast_would_rewrite_are_refused(table):
+    with pytest.raises(ValueError, match="table entries must be element indices"):
+        from_table(["a", "b"], table)
 
 
 def test_product_of_sets_matches_triple_loop():
