@@ -12,6 +12,7 @@ import oracles
 from greenheight import _accel, cli
 from greenheight.constructions import (
     bi_ideal_family,
+    full_transformation_monoid,
     left_ideal_cs_family,
     null_semigroup,
     right_ideal_tower,
@@ -222,6 +223,32 @@ def test_generators_reach_every_element_by_right_multiplication():
                     reached.add(y)
                     todo.append(y)
         assert reached == set(range(len(t)))
+
+
+def test_generators_are_pinned():
+    # Light's test runs these middles; a change to the walk must keep them
+    z = np.arange(50)
+    want = {
+        "bi5": [0, 1, 2, 3],
+        "left10": [0, 1, 2],
+        "tower4": [0, 1, 2, 3, 4, 5, 6, 7, 8, 20, 28, 42, 50, 62, 70],
+        "T4": [6, 27, 30, 39, 75],
+        "null50": list(range(49)),
+        "left_zero50": list(range(50)),
+        "cyclic50": [0, 1],
+    }
+    tables = {
+        "bi5": bi_ideal_family(5).semigroup.table,
+        "left10": left_ideal_cs_family(10).semigroup.table,
+        "tower4": right_ideal_tower(4).semigroup.table,
+        "T4": full_transformation_monoid(4).table,
+        "null50": null_semigroup(50).table,
+        "left_zero50": np.repeat(z[:, None], 50, axis=1),
+        "cyclic50": (z[:, None] + z[None, :]) % 50,
+    }
+    for name, t in tables.items():
+        gens = _accel._generators(np.ascontiguousarray(t, dtype=np.int32))
+        assert sorted(gens.tolist()) == want[name], name
 
 
 def test_assoc_witness_finds_a_failure_at_every_middle():
