@@ -1,8 +1,11 @@
-"""Hot kernels: the exact associativity check and witness search (numpy),
-and one backtracking fill on plain Python ints that enumerates one
-associative table per isomorphism class through order 5, pruned by
-associativity and by a partial lex-leader test over the relabellings, and
-run once per order in a process; each table it gives is checked exactly.
+"""Hot kernels: the exact associativity check, which is Light's test by
+whole-row numpy gathers over a generating set found in one walk on Python
+ints, stopping at the first failing generator, and the lex-first witness
+scan (numpy); and one backtracking fill on plain Python ints that
+enumerates one associative table per isomorphism class through order 5,
+pruned by associativity and by a partial lex-leader test over the
+relabellings, and run once per order in a process; each table it gives is
+checked exactly.
 """
 
 from __future__ import annotations
@@ -29,45 +32,66 @@ def assoc_witness(table):
     _LIGHT_MIN_ORDER up it first runs Light's test (Clifford and Preston,
     1961, section 1.2): (x*g)*y == x*(g*y) for all x, y and all g in A, where
     A's closure under right multiplication by A is S. The middles that pass
-    form a subsemigroup, so then the table is associative. This costs
+    form a subsemigroup, so then the table is associative. For each g both
+    sides are whole-row gathers, t[t[:, g]] and t.T[t[g]], compared
+    transposed, and the test stops at the first g that fails. It costs
     m*m*|A|, or m**3 where no smaller A exists, as in null and left-zero
-    semigroups. Below that order, and on failure, every element is a middle."""
+    semigroups. Below that order, and when some g fails, the lex-first scan
+    over every middle gives the witness."""
     t = np.ascontiguousarray(table, dtype=np.int32)
-    if len(t) >= _LIGHT_MIN_ORDER and _first_failure(t, _generators(t)) is None:
+    if len(t) >= _LIGHT_MIN_ORDER and _light_holds(t):
         return None
-    return _first_failure(t, slice(None))
+    return _first_failure(t)
+
+
+def _light_holds(t):
+    """Whether (x*g)*y == x*(g*y) for all x, y and each g in _generators(t),
+    stopping at the first g that fails."""
+    tt = np.ascontiguousarray(t.T)
+    return all(np.array_equal(t[tt[g]], tt[t[g]].T) for g in _generators(t).tolist())
 
 
 def _generators(t):
     """Sorted A for assoc_witness: elements by how often they occur as entries,
-    fewest first, each added if not yet reached; O(m*|A|) lookups in all."""
-    reached = np.zeros(len(t), dtype=bool)
-    gens = []
-    for g in np.argsort(np.bincount(t.ravel(), minlength=len(t)), kind="stable").tolist():
-        if not reached[g]:
-            gens.append(g)
-            # the reached set times g, then each new element times every generator
-            new = np.append(t[reached, g], g)
-            while new.size:
-                new = np.unique(new[~reached[new]])
-                reached[new] = True
-                new = t[new][:, gens].ravel()
+    fewest first, each added if not yet reached. One walk on Python ints reads
+    x*g from a memoryview of column g, so it makes O(m*|A|) lookups in all."""
+    m = len(t)
+    reached = bytearray(m)
+    seen, gens, cols = [], [], []
+    for g in np.argsort(np.bincount(t.ravel(), minlength=m), kind="stable").tolist():
+        if reached[g]:
+            continue
+        col = memoryview(t[:, g])
+        gens.append(g)
+        cols.append(col)
+        # g and the reached set times g, then each new element times every generator
+        todo = [g, *map(col.__getitem__, seen)]
+        while todo:
+            x = todo.pop()
+            if not reached[x]:
+                reached[x] = 1
+                seen.append(x)
+                for c in cols:
+                    y = c[x]
+                    if not reached[y]:
+                        todo.append(y)
+        if len(seen) == m:
+            break
     return np.array(sorted(gens))
 
 
-def _first_failure(t, middles):
-    """Lex-first (a, k, c) with (a*b)*c != a*(b*c), b the k-th of middles (a slice
-    or sorted indices), or None. A block of middles has <= _WITNESS_CELLS cells or
-    one middle; after a failure in row a, later blocks compare only rows < a."""
-    left, right = t[:, middles], t[middles]
+def _first_failure(t):
+    """Lex-first (a, b, c) with (a*b)*c != a*(b*c), or None. A block of middles
+    has <= _WITNESS_CELLS cells or one middle; after a failure in row a, later
+    blocks compare only rows < a."""
     step = max(1, _WITNESS_CELLS // t.size)
     best, rows = None, len(t)
-    for k0 in range(0, len(right), step):
-        neq = t[left[:rows, k0 : k0 + step]] != t[:rows, right[k0 : k0 + step]]
+    for b0 in range(0, len(t), step):
+        neq = t[t[:rows, b0 : b0 + step]] != t[:rows, t[b0 : b0 + step]]
         first = int(neq.argmax())
         if neq.ravel()[first]:
-            a, k, c = np.unravel_index(first, neq.shape)
-            best, rows = (int(a), int(k) + k0, int(c)), int(a)
+            a, b, c = np.unravel_index(first, neq.shape)
+            best, rows = (int(a), int(b) + b0, int(c)), int(a)
             if rows == 0:
                 break
     return best

@@ -39,7 +39,8 @@ class FiniteSemigroup:
         # range-checked before the cast, which would wrap or truncate
         if table.dtype.kind not in "iu" or table.min() < 0 or table.max() >= m:
             raise ValueError("table entries must be element indices")
-        table = np.ascontiguousarray(table, dtype=np.int32)
+        # a copy, so that the caller's array is neither frozen nor able to change it
+        table = np.array(table, dtype=np.int32, order="C")
         witness = _accel.assoc_witness(table)
         if witness is not None:
             raise NotAssociative(witness)

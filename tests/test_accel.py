@@ -166,29 +166,35 @@ def test_assoc_witness_is_lex_first():
                         assert t[t[a2, b2], c2] == t[a2, t[b2, c2]]
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: bi_ideal_family(5).semigroup,
-        lambda: left_ideal_cs_family(10).semigroup,
-        lambda: bi_ideal_family(6).semigroup,
-        lambda: right_ideal_tower(4).semigroup,
-    ],
-    ids=["bi5", "left10", "bi6", "tower4"],
-)
-def test_assoc_witness_matches_oracle_above_light_cutoff(build):
-    t = np.array(build().table)
+# family tables of orders 49-85, above the order where Light's test runs first
+FAMILIES = {
+    "bi5": lambda: bi_ideal_family(5).semigroup,
+    "left10": lambda: left_ideal_cs_family(10).semigroup,
+    "bi6": lambda: bi_ideal_family(6).semigroup,
+    "tower4": lambda: right_ideal_tower(4).semigroup,
+}
+
+
+def one_bad_cell_copies(t):
+    """Eight copies of t, each with one cell changed, seeded by the order."""
     m = len(t)
-    # orders 49-85: the generating-set test runs before any full scan
-    assert m >= _accel._LIGHT_MIN_ORDER
-    assert _accel.assoc_witness(t) is None
-    assert oracles.check_associative(t.tolist())
     rng = np.random.default_rng(m)
-    rejected = 0
     for _ in range(8):
         bad = t.copy()
         i, j = rng.integers(0, m, size=2)
         bad[i, j] = (bad[i, j] + rng.integers(1, m)) % m
+        yield bad
+
+
+@pytest.mark.parametrize("build", FAMILIES.values(), ids=FAMILIES.keys())
+def test_assoc_witness_matches_oracle_above_light_cutoff(build):
+    t = np.array(build().table)
+    # the generating-set test runs before any full scan
+    assert len(t) >= _accel._LIGHT_MIN_ORDER
+    assert _accel.assoc_witness(t) is None
+    assert oracles.check_associative(t.tolist())
+    rejected = 0
+    for bad in one_bad_cell_copies(t):
         w = _accel.assoc_witness(bad)
         assert w == oracles.naive_assoc_witness(bad.tolist())
         rejected += w is not None
@@ -261,17 +267,6 @@ def test_assoc_witness_finds_a_failure_at_every_middle():
         assert _accel.assoc_witness(t) == (i, j, j)
 
 
-def naive_first_failure(t, middles):
-    """Lex-first (a, k, c) with (a*b)*c != a*(b*c), b = middles[k], by plain loops."""
-    m = len(t)
-    for a in range(m):
-        for k, b in enumerate(middles):
-            for c in range(m):
-                if t[t[a][b]][c] != t[a][t[b][c]]:
-                    return a, k, c
-    return None
-
-
 def tables_with_bad_cells(seed):
     """Null, left-zero and cyclic tables of orders 2-60, each with one to three
     changed cells. In the null tables the first two go to (i, j) and (i2, j2)
@@ -299,16 +294,12 @@ def tables_with_bad_cells(seed):
                                    lambda m: _accel._WITNESS_CELLS],
                          ids=["one-cell", "m-squared", "two-middles", "default"])
 def test_first_failure_is_lex_first_across_blocks_of_middles(monkeypatch, cells):
-    rng = np.random.default_rng(29)
     rejected = 0
     for t in tables_with_bad_cells(27):
-        m, rows = len(t), t.tolist()
-        middles = np.sort(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
-        want = oracles.naive_assoc_witness(rows)
-        want_middles = naive_first_failure(rows, middles.tolist())
+        m = len(t)
+        want = oracles.naive_assoc_witness(t.tolist())
         monkeypatch.setattr(_accel, "_WITNESS_CELLS", cells(m))
-        assert _accel._first_failure(t, slice(None)) == want
-        assert _accel._first_failure(t, middles) == want_middles
+        assert _accel._first_failure(t) == want
         if m >= _accel._LIGHT_MIN_ORDER:  # Light's test runs first
             assert _accel.assoc_witness(t) == want
         rejected += want is not None
@@ -328,6 +319,41 @@ def test_assoc_witness_memory_is_bounded_by_cells():
         tracemalloc.stop()
     assert w == (150, 3, 3)
     assert peak < 12 * 2**20
+
+
+@pytest.mark.parametrize("kind", ["null", "left_zero"])
+def test_assoc_witness_memory_is_bounded_on_accepted_tables(kind):
+    # order 600 with |A| = 599 or 600: Light's test holds for every generator
+    m = 600
+    z = np.arange(m, dtype=np.int32)
+    t = np.full((m, m), m - 1, dtype=np.int32) if kind == "null" else np.repeat(z[:, None], m, axis=1)
+    tracemalloc.start()
+    try:
+        w = _accel.assoc_witness(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w is None
+    assert peak < 12 * 2**20
+
+
+def test_light_holds_iff_associative():
+    # Light's test alone must never accept a table that is not associative,
+    # nor refuse one that is: the left-zero and right-zero tables and the
+    # family tables are not commutative
+    z = np.arange(50, dtype=np.int32)
+    left_zero = np.repeat(z[:, None], 50, axis=1)
+    tables = [left_zero, left_zero.T]
+    for build in FAMILIES.values():
+        t = np.array(build().table)
+        tables += [t, *one_bad_cell_copies(t)]
+    tables += [t for t in tables_with_bad_cells(27) if len(t) >= _accel._LIGHT_MIN_ORDER]
+    verdicts = []
+    for t in tables:
+        t = np.ascontiguousarray(t, dtype=np.int32)
+        verdicts.append(_accel._light_holds(t))
+        assert verdicts[-1] == (oracles.naive_assoc_witness(t.tolist()) is None)
+    assert sum(verdicts) >= 6 and not all(verdicts)
 
 
 def test_a_non_associative_table_from_the_fill_is_an_internal_error(monkeypatch, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 import greenheight
 import oracles
-from greenheight import core
+from greenheight import _accel, core
 from greenheight import (
     NotAssociative,
     NotClosed,
@@ -245,6 +245,17 @@ def test_names_of_non_space_characters_are_kept():
 def test_tables_an_int32_cast_would_rewrite_are_refused(table):
     with pytest.raises(ValueError, match="table entries must be element indices"):
         from_table(["a", "b"], table)
+
+
+def test_a_checked_table_is_not_shared_with_the_caller():
+    a = np.zeros((2, 2), np.int32)
+    v = a.view()
+    s = from_table(["a", "b"], a)
+    v[...] = [[1, 0], [0, 0]]  # not associative: (0*0)*1 != 0*(0*1)
+    assert a.flags.writeable
+    assert s.table.tolist() == [[0, 0], [0, 0]]
+    assert _accel.assoc_witness(s.table) is None
+    assert not s.table.flags.writeable
 
 
 def test_product_of_sets_matches_triple_loop():
