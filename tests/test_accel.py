@@ -306,17 +306,22 @@ def test_first_failure_is_lex_first_across_blocks_of_middles(monkeypatch, cells)
     assert rejected > 40
 
 
+def witness_and_peak(t):
+    """assoc_witness(t) and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        w = _accel.assoc_witness(t)
+        return w, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_assoc_witness_memory_is_bounded_by_cells():
     # order-600 null semigroup whose one non-associative triple is (150, 3, 3)
     m = 600
     t = np.full((m, m), m - 1, dtype=np.int32)
     t[150, 3] = 150
-    tracemalloc.start()
-    try:
-        w = _accel.assoc_witness(t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    w, peak = witness_and_peak(t)
     assert w == (150, 3, 3)
     assert peak < 12 * 2**20
 
@@ -327,12 +332,7 @@ def test_assoc_witness_memory_is_bounded_on_accepted_tables(kind):
     m = 600
     z = np.arange(m, dtype=np.int32)
     t = np.full((m, m), m - 1, dtype=np.int32) if kind == "null" else np.repeat(z[:, None], m, axis=1)
-    tracemalloc.start()
-    try:
-        w = _accel.assoc_witness(t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    w, peak = witness_and_peak(t)
     assert w is None
     assert peak < 12 * 2**20
 
