@@ -179,7 +179,7 @@ def _case(case_id, expected, computed):
     }
 
 
-def _family_case(fi, extra_expected=None, extra_computed=None):
+def _family_case(fi):
     s = fi.semigroup
     handle = fi.distinguished
     complement = sorted(set(s.names) - set(handle.member_names))
@@ -202,9 +202,6 @@ def _family_case(fi, extra_expected=None, extra_computed=None):
         "bound_pass": report.passed,
         "bound_tight": report.tight,
     }
-    if extra_expected:
-        expected.update(extra_expected)
-        computed.update(extra_computed)
     return expected, computed
 
 
@@ -223,11 +220,9 @@ def suite_left_ideal_cs_family(args):
         fi = constructions.left_ideal_cs_family(n)
         jp = green.class_poset(fi.semigroup, "J")
         single_chain = jp.height == len(jp.classes)  # a chain through every class
-        expected, computed = _family_case(
-            fi,
-            {"height_j": fi.expected["height_j"], "single_j_chain": True},
-            {"height_j": jp.height, "single_j_chain": single_chain},
-        )
+        expected, computed = _family_case(fi)
+        expected.update(height_j=fi.expected["height_j"], single_j_chain=True)
+        computed.update(height_j=jp.height, single_j_chain=single_chain)
         cases.append(_case(f"n={n}", expected, computed))
     return cases
 

@@ -7,6 +7,7 @@ products and preorders, never a materialized element.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -64,7 +65,7 @@ class FiniteSemigroup:
             raise ValueError(f"no element named {name!r}") from None
 
     def product(self, a: int, b: int) -> int:
-        a, b = int(a), int(b)
+        a, b = operator.index(a), operator.index(b)
         if not (0 <= a < self.order and 0 <= b < self.order):
             raise ValueError("element index out of range")
         return int(self.table[a, b])
@@ -87,31 +88,6 @@ def from_table(names, table) -> FiniteSemigroup:
     return FiniteSemigroup(names, table)
 
 
-def _as_index_array(s, xs, what):
-    xs = sorted(set(int(x) for x in xs))
-    if not xs:
-        raise ValueError(f"empty {what}")
-    if xs[0] < 0 or xs[-1] >= s.order:
-        raise ValueError(f"{what} contains an invalid element index")
-    return np.array(xs, dtype=np.int64)
-
-
-def product_of_sets(s: FiniteSemigroup, xs, ys, through_identity: bool = False):
-    """{x*y} for x in xs, y in ys; with through_identity, {x*u*y : u in S^1}.
-
-    The formal identity of S^1 acts as a skip, so the flag adds X*S*Y on
-    top of X*Y whether or not S has an identity element.
-    """
-    xa = _as_index_array(s, xs, "left operand")
-    ya = _as_index_array(s, ys, "right operand")
-    t = s.table
-    out = set(t[np.ix_(xa, ya)].ravel().tolist())
-    if through_identity:
-        mids = np.unique(t[xa, :])
-        out.update(t[np.ix_(mids, ya)].ravel().tolist())
-    return frozenset(out)
-
-
 def closure_violation(s: FiniteSemigroup, members, kind: str):
     """First product escaping the subset, or None if the kind's law holds.
 
@@ -120,7 +96,12 @@ def closure_violation(s: FiniteSemigroup, members, kind: str):
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    mem = _as_index_array(s, members, "member set")
+    mem = sorted(set(operator.index(x) for x in members))
+    if not mem:
+        raise ValueError("empty member set")
+    if mem[0] < 0 or mem[-1] >= s.order:
+        raise ValueError("member set contains an invalid element index")
+    mem = np.array(mem, dtype=np.int64)
     t = s.table
     inside = np.zeros(s.order, dtype=bool)
     inside[mem] = True
@@ -168,7 +149,7 @@ class SubsetHandle:
     kind: str = "subsemigroup"
 
     def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(int(x) for x in self.members))
+        object.__setattr__(self, "members", frozenset(operator.index(x) for x in self.members))
         witness = closure_violation(self.parent, self.members, self.kind)
         if witness is not None:
             raise NotClosed(

@@ -7,8 +7,9 @@ when a <= b. The S^1 convention is kept without materializing an identity:
 a <=_R b iff a = b or a in bS, so R is the identity plus one scatter of the
 rows, L the same from the columns, J the boolean product R.L (a <=_L c <=_R
 b for some c), and H is R and L. Classes are the mutually reachable
-elements. The kernel is the union of the minimal R-classes, so it needs no
-J product; regularity and inverses share one gather, true where aba = a.
+elements. The kernel is the union of the minimal R-classes, so finding it
+needs no J product of S, and it is checked as a handle; regularity and
+inverses share one gather, true where aba = a.
 
 class_poset and height also take a SubsetHandle as a semigroup of its own
 (element i is its i-th smallest member), read on the parent's products and
@@ -17,6 +18,7 @@ cached on the parent by member set, so handles on one set share them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -24,7 +26,7 @@ from itertools import compress
 import numpy as np
 
 from . import core
-from .errors import EngineBug
+from .errors import EngineBug, NotClosed
 
 RELATIONS = ("R", "L", "J", "H")
 
@@ -104,7 +106,7 @@ def _longest_chains(below, ids=None):
 
 def leq(s: core.FiniteSemigroup, a: int, b: int, relation: str = "R") -> bool:
     """Green's preorder: is a below-or-equivalent-to b?"""
-    a, b = int(a), int(b)
+    a, b = operator.index(a), operator.index(b)
     if not (0 <= a < s.order and 0 <= b < s.order):
         raise ValueError("element index out of range")
     return bool(_below(s, relation)[b, a])
@@ -129,7 +131,7 @@ class ClassPoset:
         self.height = max(_longest_chains(self._below_rows))
 
     def class_index(self, a: int) -> int:
-        a = int(a)
+        a = operator.index(a)
         if not 0 <= a < len(self.class_of):
             raise ValueError("element index out of range")
         return int(self.class_of[a])
@@ -149,7 +151,7 @@ class ClassPoset:
 
     def longest_chain(self, class_ids) -> int:
         """Longest chain (in classes) within the induced subposet."""
-        sel = set(int(i) for i in class_ids)
+        sel = set(operator.index(i) for i in class_ids)
         if not sel:
             return 0
         if min(sel) < 0 or max(sel) >= len(self.classes):
@@ -225,29 +227,29 @@ def kernel(s: core.FiniteSemigroup) -> KernelInfo:
     """The unique minimal two-sided ideal K, with its minimal right ideals.
 
     K is the union of the minimal R-classes, the minimal right ideals, and
-    the kernel of a finite semigroup is completely simple: R.L is all true
-    on K's sub-table (closed, so associative without a second check) and
-    its R and L are symmetric. All three facts are re-verified on the
-    table, and a failure raises EngineBug.
+    the kernel of a finite semigroup is completely simple. All three facts
+    are re-verified, and a failure raises EngineBug: each minimal R-class
+    is a right ideal, K is a two-sided ideal by the closure law of its
+    handle, and on the handle J is all true and R and L are symmetric.
     """
     cached = s._cache.get("kernel")
     if cached is not None:
         return cached
     rp = class_poset(s, "R")
     mins = tuple(frozenset(rp.classes[i]) for i in rp.minimal_classes())
-    inside = np.zeros(s.order, dtype=bool)
-    inside[list(frozenset().union(*mins))] = True
-    k = np.flatnonzero(inside)
+    members = frozenset().union(*mins)
+    k = np.array(sorted(members))
     t, cls = s.table, rp.class_of
     if not (cls[t[k]] == cls[k][:, None]).all():
         raise EngineBug("minimal R-class is not a right ideal")
-    if not inside[t[:, k]].all():
-        raise EngineBug("union of the minimal R-classes is not a two-sided ideal")
-    sub = _sub_table(t, k)
-    r, l = _scatter_below(sub, "R"), _scatter_below(sub, "L")
-    if not (_boolean_product(r, l).all() and (r == r.T).all() and (l == l.T).all()):
+    try:
+        kh = core.SubsetHandle(s, members, "two_sided_ideal")
+    except NotClosed:
+        raise EngineBug("union of the minimal R-classes is not a two-sided ideal") from None
+    r, l = _below(kh, "R"), _below(kh, "L")
+    if not (_below(kh, "J").all() and (r == r.T).all() and (l == l.T).all()):
         raise EngineBug("kernel is not completely simple")
-    info = KernelInfo(frozenset(k.tolist()), mins)
+    info = KernelInfo(members, mins)
     s._cache["kernel"] = info
     return info
 
@@ -275,7 +277,7 @@ def idempotents(s: core.FiniteSemigroup):
 
 def has_local_right_identity(x, a: int) -> bool:
     """Is a in a*T, for T the semigroup or the handle's member set?"""
-    a = int(a)
+    a = operator.index(a)
     if isinstance(x, core.SubsetHandle):
         if a not in x.members:
             raise ValueError("element is not a member of the handle")

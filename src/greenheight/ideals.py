@@ -11,6 +11,7 @@ genuinely differ (the 5-element Brandt example is the regression case).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ def generate(s: core.FiniteSemigroup, xs, kind: str) -> core.SubsetHandle:
     """
     if kind not in core.KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    xa = sorted(set(int(x) for x in xs))
+    xa = sorted(set(operator.index(x) for x in xs))
     if not xa:
         raise ValueError("empty generating set")
     if xa[0] < 0 or xa[-1] >= s.order:
@@ -47,7 +48,9 @@ def generate(s: core.FiniteSemigroup, xs, kind: str) -> core.SubsetHandle:
         members.update(left.tolist())
         members.update(t[left, :].ravel().tolist())  # (SX)S
     elif kind == "bi_ideal":
-        members.update(core.product_of_sets(s, xa, xa, through_identity=True))
+        members.update(t[np.ix_(xa, xa)].ravel().tolist())  # XX
+        mids = np.unique(t[xa, :])
+        members.update(t[np.ix_(mids, xa)].ravel().tolist())  # (XS)X
     else:
         while True:
             mem_arr = np.array(sorted(members), dtype=np.int64)

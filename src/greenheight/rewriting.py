@@ -57,6 +57,11 @@ class CriticalPair:
     overlap_kind: str  # "overlap" or "containment"
 
 
+def _bracketed(tok: str) -> str:
+    """A token as text: bracketed when longer than one character."""
+    return tok if len(tok) == 1 else f"[{tok}]"
+
+
 def _check_token(tok: str, what: str):
     if not isinstance(tok, str) or not tok:
         raise ValueError(f"{what} must be a non-empty string")
@@ -90,9 +95,7 @@ class RewritingSystem:
             self._sym_of[tok] = sym
             self._tok_of[sym] = tok
         self._letter_syms = tuple(self._sym_of[t] for t in letters)
-        self._shown = str.maketrans({
-            sym: tok if len(tok) == 1 else f"[{tok}]" for sym, tok in self._tok_of.items()
-        })
+        self._shown = str.maketrans({sym: _bracketed(tok) for sym, tok in self._tok_of.items()})
 
         built = []
         for item in rules:
@@ -464,12 +467,12 @@ def parse_presentation(text: str) -> RewritingSystem:
 
 
 def format_presentation(rs: RewritingSystem) -> str:
-    """Presentation text that parses back to an equivalent system."""
-    lines = ["letters: " + " ".join(
-        tok if len(tok) == 1 else f"[{tok}]" for tok in rs.letters
-    )]
+    """Presentation text that parses back to an equivalent system; tokens
+    longer than one character, the zero token too, are bracketed."""
+    lines = ["letters: " + " ".join(map(_bracketed, rs.letters))]
     if rs.zero_token is not None:
-        lines.append(f"zero: {rs.zero_token}")
+        lines.append(f"zero: {_bracketed(rs.zero_token)}")
     for r in rs.rules:
-        lines.append(f"rule: {rs.display(r.lhs)} -> {rs.display(r.rhs)}")
+        rhs = _bracketed(rs.zero_token) if r.rhs is ZERO else rs.display(r.rhs)
+        lines.append(f"rule: {rs.display(r.lhs)} -> {rhs}")
     return "\n".join(lines) + "\n"

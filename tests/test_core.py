@@ -18,7 +18,6 @@ from greenheight import (
     format_table_text,
     from_table,
     parse_table_text,
-    product_of_sets,
 )
 from greenheight.constructions import (
     bi_ideal_family,
@@ -258,34 +257,6 @@ def test_a_checked_table_is_not_shared_with_the_caller():
     assert not s.table.flags.writeable
 
 
-def test_product_of_sets_matches_triple_loop():
-    for t in oracles.relabelled(4, 30, seed=2):
-        s = from_table([str(i) for i in range(4)], t)
-        rows = t.tolist()
-        xs, ys = {0, 2}, {1, 3}
-        got = product_of_sets(s, xs, ys)
-        want = {rows[x][y] for x in xs for y in ys}
-        assert got == frozenset(want)
-        got3 = product_of_sets(s, product_of_sets(s, xs, ys), xs)
-        want3 = {rows[w][x] for w in want for x in xs}
-        assert got3 == frozenset(want3)
-
-
-def test_product_of_sets_through_identity():
-    s = parse_table_text(LEFT_ZERO_3)
-    plain = product_of_sets(s, {0}, {1, 2})
-    with_one = product_of_sets(s, {0}, {1, 2}, through_identity=True)
-    assert plain == frozenset({0})
-    assert with_one == frozenset({0})  # xS^1 still equals xS union {x}... via ys
-    assert product_of_sets(s, {1}, {2}, through_identity=True) == frozenset({1})
-
-
-def test_product_of_sets_rejects_empty():
-    s = parse_table_text(LEFT_ZERO_3)
-    with pytest.raises(ValueError):
-        product_of_sets(s, set(), {1})
-
-
 def test_closure_violation_matches_oracle_on_all_small_tables():
     kinds = ("right_ideal", "left_ideal", "two_sided_ideal", "bi_ideal", "subsemigroup")
     for t in oracles.labelled_tables(3):
@@ -349,6 +320,32 @@ def test_subset_handle_validates_and_sorts():
         SubsetHandle(s, frozenset(), "right_ideal")
     with pytest.raises(ValueError):
         SubsetHandle(s, frozenset(members), "ideal-ish")
+
+
+def _whole(s, i):
+    return [i, *range(s.order)]  # a two-sided ideal that holds i
+
+
+INDEX_ENTRY_POINTS = {
+    "product": lambda s, i: s.product(i, i),
+    "SubsetHandle": lambda s, i: SubsetHandle(s, _whole(s, i), "two_sided_ideal").members,
+    "closure_violation": lambda s, i: closure_violation(s, _whole(s, i), "two_sided_ideal"),
+    "leq": lambda s, i: greenheight.leq(s, i, i, "J"),
+    "has_local_right_identity": lambda s, i: greenheight.has_local_right_identity(s, i),
+    "has_local_right_identity of a handle": lambda s, i: greenheight.has_local_right_identity(
+        SubsetHandle(s, range(s.order), "two_sided_ideal"), i),
+    "class_index": lambda s, i: class_poset(s, "R").class_index(i),
+    "longest_chain": lambda s, i: class_poset(s, "R").longest_chain([i]),
+    "generate": lambda s, i: greenheight.generate(s, [i], "bi_ideal").members,
+}
+
+
+@pytest.mark.parametrize("call", INDEX_ENTRY_POINTS.values(), ids=INDEX_ENTRY_POINTS)
+def test_index_entry_points_refuse_floats_and_take_numpy_ints(call):
+    s = brandt_example()
+    with pytest.raises(TypeError):
+        call(s, 0.5)
+    assert call(s, np.int64(1)) == call(s, 1)
 
 
 def test_class_poset_of_a_handle_matches_oracle():

@@ -171,16 +171,20 @@ def test_generate_right_ideal_is_principal_set():
 
 
 def test_generate_is_minimal_superset():
-    # generated subset sits inside every kind-closed superset of the seeds
+    # generated subset sits inside every kind-closed superset of the seeds;
+    # seed sets of two and three elements bring X*X and (X*S)*X into bi-ideals
+    seed_sets = [frozenset(c) for k in (1, 2, 3) for c in itertools.combinations(range(3), k)]
     for t in oracles.labelled_tables(3):
         s = make(t)
         rows = t.tolist()
-        for a in range(3):
-            for kind in ALL_KINDS:
-                h = generate(s, {a}, kind)
+        for kind in ALL_KINDS:
+            closed = oracles.all_subsets_of_kind(rows, kind)
+            for seeds in seed_sets:
+                h = generate(s, seeds, kind)
                 assert oracles.naive_is_kind(rows, h.members, kind)
-                for members in oracles.all_subsets_of_kind(rows, kind):
-                    if a in members:
+                assert seeds <= h.members
+                for members in closed:
+                    if seeds <= members:
                         assert h.members <= members
 
 

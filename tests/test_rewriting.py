@@ -47,6 +47,18 @@ def test_parse_and_format_round_trip():
     assert again.letters == rs.letters
 
 
+@pytest.mark.parametrize("zero", ["zz", "nil"])
+def test_format_round_trip_brackets_a_long_zero_token(zero):
+    rs = RewritingSystem(("x", "y"), [("xx", ZERO), ("yy", "y")], zero=zero)
+    text = format_presentation(rs)
+    assert f"zero: [{zero}]" in text.splitlines()
+    assert f"rule: xx -> [{zero}]" in text.splitlines()
+    again = parse_presentation(text)
+    assert again.letters == rs.letters
+    assert again.zero_token == zero
+    assert again.rules == rs.rules
+
+
 def test_parse_accepts_comments_and_blank_lines():
     rs = parse_presentation("# heading\n\nletters: a b  # trailing\nrule: ab -> a\n")
     assert rs.letters == ("a", "b")
