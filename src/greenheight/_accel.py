@@ -3,9 +3,10 @@ whole-row numpy gathers over a generating set found in one walk on Python
 ints, stopping at the first failing generator, and the lex-first witness
 scan (numpy); and one backtracking fill on plain Python ints that
 enumerates one associative table per isomorphism class through order 5,
-pruned by associativity and by a partial lex-leader test over the
-relabellings, and run once per order in a process; each table it gives is
-checked exactly.
+trying only a forced value where filled cells force one, pruned by
+associativity and, at every cell, by a lex-leader test over the relabellings
+it carries down, and run once per order in a process; each order's tables
+are checked exactly, all in one stacked gather.
 """
 
 from __future__ import annotations
@@ -97,10 +98,36 @@ def _first_failure(t):
     return best
 
 
-def _placement_ok(t, m, a, b):
+def _forced(t, m, a, b, at):
+    """The value that filled cells force on the empty cell (a, b) of the flat
+    partial table t, where at[v] lists the cells (x, y) holding v: x*y = a
+    forces a*b = x*(y*b), and y*z = b forces a*b = (a*y)*z. -1 if none is
+    forced, -2 if two forced values conflict."""
+    v = -1
+    for x, y in at[a]:
+        yb = t[y * m + b]
+        if yb >= 0:
+            w = t[x * m + yb]
+            if w >= 0:
+                if v >= 0 and w != v:
+                    return -2
+                v = w
+    for y, z in at[b]:
+        ay = t[a * m + y]
+        if ay >= 0:
+            w = t[ay * m + z]
+            if w >= 0:
+                if v >= 0 and w != v:
+                    return -2
+                v = w
+    return v
+
+
+def _placement_ok(t, m, a, b, at):
     """Whether setting cell (a, b) of the flat partial table t, where -1
-    marks an empty cell, kept it associative: checks exactly the triples
-    whose four cells became fully determined."""
+    marks an empty cell and at[v] lists the cells (x, y) holding v, kept it
+    associative: checks exactly the triples whose four cells became fully
+    determined."""
     v = t[a * m + b]
     for z in range(m):
         bz = t[b * m + z]
@@ -118,71 +145,97 @@ def _placement_ok(t, m, a, b):
         xv = t[x * m + v]
         if xab >= 0 and xv >= 0 and xab != xv:
             return False
-    for i, w in enumerate(t):
-        if w == a:
-            x, y = divmod(i, m)
-            yb = t[y * m + b]
-            if yb >= 0:
-                xyb = t[x * m + yb]
-                if xyb >= 0 and xyb != v:
-                    return False
-        if w == b:
-            y, z = divmod(i, m)
-            ay = t[a * m + y]
-            if ay >= 0:
-                ayz = t[ay * m + z]
-                if ayz >= 0 and ayz != v:
-                    return False
+    for x, y in at[a]:
+        yb = t[y * m + b]
+        if yb >= 0:
+            xyb = t[x * m + yb]
+            if xyb >= 0 and xyb != v:
+                return False
+    for y, z in at[b]:
+        ay = t[a * m + y]
+        if ay >= 0:
+            ayz = t[ay * m + z]
+            if ayz >= 0 and ayz != v:
+                return False
     return True
+
+
+def _carry(t, depth, waiting):
+    """Advance the relabellings waiting on cell depth of the partial table t,
+    filled through that cell, and move each one that may still give a smaller
+    image to the cell it waits on next. Returns those cells, for the caller
+    to pop once the branch is done, or None if some image is smaller.
+
+    waiting[k] holds (p, src, due, c): the image of t under p (p(x*y) at
+    (p(x), p(y)), so its cell j is p(t[src[j]])) equals t before cell c, and
+    cell c of both is filled once cell due[c] is. The comparison goes on
+    until a cell not yet filled on either side or the first cell where they
+    differ. A larger image is dropped, since every completion keeps it
+    larger; a smaller one cuts the branch, since every completion then has
+    a smaller relabelling. An image equal at every cell waits on the sink,
+    cell m*m, which is never advanced."""
+    moved = []
+    for p, src, due, c in waiting[depth]:
+        while due[c] <= depth:
+            w = p[t[src[c]]]
+            if w != t[c]:
+                break
+            c += 1
+        else:
+            moved.append(due[c])
+            waiting[due[c]].append((p, src, due, c))
+            continue
+        if w < t[c]:
+            for k in moved:
+                waiting[k].pop()
+            return None
+    return moved
 
 
 def _fill(m):
     """Depth-first backtracking over the cells of an m-by-m table in row-major
-    order, each cell trying its values in ascending order. Yields, as flat
-    lists in lexicographic order, the associative tables that are least among
-    their relabellings: one per isomorphism class.
+    order. Yields, as flat lists in lexicographic order, the associative
+    tables that are least among their relabellings: one per isomorphism
+    class.
 
-    At the end of each row the partial table is compared, cell by cell in
-    row-major order, with its image under each non-identity relabelling p
-    (the image has p(x*y) at (p(x), p(y))). A comparison stops at the first
-    cell that either side has not filled. The branch is cut when an image is
-    smaller at a cell both have filled: every completion then has a smaller
-    relabelling too, so no lex-least table is lost, and at the last cell the
-    test is exact."""
+    A cell tries only the value its filled cells force (_forced), or each
+    value in ascending order if none is; _placement_ok checks every value
+    tried. Each non-identity relabelling waits on the cell at which its
+    comparison with the partial table can resume (_carry), so the lex-leader
+    cut runs at every cell and touches only the relabellings that cell
+    wakes; at the last cell the test is exact."""
     cells = m * m
     t = [-1] * cells
-    # per relabelling p: p, and for each cell of the image the cell of t it maps from
+    # value -> the filled cells (x, y) holding it
+    at = [[] for _ in range(m)]
+    # cell -> the relabellings waiting on it; cell m*m is the sink
+    waiting = [[] for _ in range(cells + 1)]
     identity = tuple(range(m))
-    images = []
     for p in itertools.permutations(identity):
         if p != identity:
             inv = sorted(identity, key=p.__getitem__)
-            images.append((p, [inv[x] * m + inv[y] for x in identity for y in identity]))
-
-    def least(depth):
-        for p, src in images:
-            for c in range(depth + 1):
-                v = t[src[c]]
-                if v < 0:
-                    break
-                if p[v] != t[c]:
-                    if p[v] < t[c]:
-                        return False
-                    break
-        return True
+            src = [inv[x] * m + inv[y] for x in identity for y in identity]
+            due = [max(k, j) for k, j in enumerate(src)] + [cells]
+            waiting[due[0]].append((p, src, due, 0))
 
     def place(depth):
-        row_end = depth % m == m - 1
-        for v in range(m):
+        a, b = divmod(depth, m)
+        forced = _forced(t, m, a, b, at)
+        if forced == -2:
+            return
+        for v in range(m) if forced < 0 else (forced,):
             t[depth] = v
-            if not _placement_ok(t, m, *divmod(depth, m)):
-                continue
-            if row_end and not least(depth):
-                continue
-            if depth + 1 < cells:
-                yield from place(depth + 1)
-            else:
-                yield t.copy()
+            at[v].append((a, b))
+            if _placement_ok(t, m, a, b, at):
+                moved = _carry(t, depth, waiting)
+                if moved is not None:
+                    if depth + 1 < cells:
+                        yield from place(depth + 1)
+                    else:
+                        yield t.copy()
+                    for k in moved:
+                        waiting[k].pop()
+            at[v].pop()
         t[depth] = -1
 
     return place(0)
@@ -195,25 +248,38 @@ MAX_ORDER = 5
 _TABLES = {}
 
 
+def _non_associative(tables):
+    """Which tables of an (N, m, m) stack have some (a*b)*c != a*(b*c): one
+    gather per side over every (a, b, c) of every table."""
+    n, m = len(tables), tables.shape[-1]
+    flat = tables.reshape(n, m * m)
+    z = np.arange(m, dtype=np.int32)
+    ab_c = (tables[:, :, :, None] * m + z).reshape(n, -1)  # cell of (a*b)*c
+    a_bc = (z[:, None, None] * m + tables[:, None]).reshape(n, -1)  # cell of a*(b*c)
+    return (np.take_along_axis(flat, ab_c, 1) != np.take_along_axis(flat, a_bc, 1)).any(1)
+
+
 def enumerate_assoc_tables(m: int):
     """One associative table of order 1 <= m <= MAX_ORDER per isomorphism
     class, the lexicographically least of the flattened cells over all
     relabellings, as an int32 array of shape (classes, m, m) in increasing
     lexicographic order. The counts are 1, 5, 24, 188 and 1915 (OEIS
-    A027851). Each order is filled once per process, and each table is
-    checked by assoc_witness then, so its callers need not check it again;
-    a failure raises EngineBug. Later calls return the same read-only array."""
+    A027851). Each order is filled once per process, and every (a, b, c) of
+    every table is checked then, in one stacked gather, so its callers need
+    not check it again; a failing table raises EngineBug with its index and
+    assoc_witness's lex-first witness. Later calls return the same read-only
+    array."""
     if not 1 <= m <= MAX_ORDER:
         raise ValueError(f"enumeration needs 1 <= order <= {MAX_ORDER}, got {m}")
     tables = _TABLES.get(m)
     if tables is None:
         tables = np.array(list(_fill(m)), dtype=np.int32).reshape(-1, m, m)
-        for i, table in enumerate(tables):
-            witness = assoc_witness(table)
-            if witness is not None:
-                a, b, c = witness
-                raise EngineBug(f"enumerated table {i} of order {m} is not associative:"
-                                f" ({a}*{b})*{c} != {a}*({b}*{c})")
+        bad = _non_associative(tables)
+        if bad.any():
+            i = int(bad.argmax())
+            a, b, c = assoc_witness(tables[i])
+            raise EngineBug(f"enumerated table {i} of order {m} is not associative:"
+                            f" ({a}*{b})*{c} != {a}*({b}*{c})")
         tables.setflags(write=False)
         _TABLES[m] = tables
     return tables

@@ -170,7 +170,7 @@ class SubsetHandle:
         return len(self.members)
 
     def __contains__(self, idx):
-        return int(idx) in self.members
+        return operator.index(idx) in self.members
 
 
 def parse_table_text(text: str) -> FiniteSemigroup:

@@ -42,14 +42,13 @@ def generate(s: core.FiniteSemigroup, xs, kind: str) -> core.SubsetHandle:
     elif kind == "left_ideal":
         members.update(t[:, xa].ravel().tolist())
     elif kind == "two_sided_ideal":
-        right = np.unique(t[xa, :])
-        left = np.unique(t[:, xa])
-        members.update(right.tolist())
+        left = _distinct(t[:, xa])
+        members.update(t[xa, :].ravel().tolist())
         members.update(left.tolist())
         members.update(t[left, :].ravel().tolist())  # (SX)S
     elif kind == "bi_ideal":
         members.update(t[np.ix_(xa, xa)].ravel().tolist())  # XX
-        mids = np.unique(t[xa, :])
+        mids = _distinct(t[xa, :])
         members.update(t[np.ix_(mids, xa)].ravel().tolist())  # (XS)X
     else:
         while True:
@@ -59,6 +58,12 @@ def generate(s: core.FiniteSemigroup, xs, kind: str) -> core.SubsetHandle:
                 break
             members |= prods
     return core.SubsetHandle(s, frozenset(members), kind)
+
+
+def _distinct(entries):
+    """The sorted distinct values of an array of element indices; a count,
+    not np.unique, whose first call in a process imports numpy.ma."""
+    return np.flatnonzero(np.bincount(entries.ravel()))
 
 
 # subset_arrays walks all 2^m - 1 subsets, as int32 masks

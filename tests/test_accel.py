@@ -73,6 +73,21 @@ def test_enumerate_order_five_keeps_the_least_table_of_each_class():
         assert (first >= 0).all()
 
 
+def test_enumerated_tables_are_pinned():
+    # sha256 of the int32 bytes of enumerate_assoc_tables(m), as the fill
+    # returned them when it compared every relabelling at each row end
+    digests = {
+        1: "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",
+        2: "033d533c39183ff656f8197fbb11aa75fa7bd22d07bb96a0c6ca683446788a37",
+        3: "ff8274ef095a504fd61a75b9d3cefd687ed45cea5da2bc941012f06e82f6192f",
+        4: "cc641b67f1811eca9406c6ed4ab9c525a9f92332dcf2ca12f92e111c432a9709",
+        5: "3bc63d38a1363b7beeedfd33336342c638a5d453ab53eaa21dbd5bd70ece3d13",
+    }
+    for m, digest in digests.items():
+        tables = _accel.enumerate_assoc_tables(m)
+        assert hashlib.sha256(tables.tobytes()).hexdigest() == digest
+
+
 def test_labelled_tables_match_the_earlier_exhaustive_enumerator():
     # sha256 of the int32 bytes of every labelled table of order m, as the
     # enumerator returned them before it kept one table per class
@@ -101,8 +116,9 @@ def test_relabelled_tables_are_seeded_associative_relabellings():
 
 
 def test_enumerate_rejects_large_order(monkeypatch):
-    # order 6 would take minutes; order 0 has no tables to fill. The order is
-    # checked before the memo is read
+    # the fill takes about 4 s for order 6's 28,634 classes (one core,
+    # CPython 3.11), too long for every process that searches; order 0 has no
+    # tables to fill. The order is checked before the memo is read
     monkeypatch.setattr(_accel, "_TABLES", {0: None, 6: None})
     for m in (0, 6):
         with pytest.raises(ValueError, match="order"):
@@ -371,3 +387,27 @@ def test_a_non_associative_table_from_the_fill_is_an_internal_error(monkeypatch,
     assert err == ("error: internal: enumerated table 0 of order 2 is not associative:"
                    " (0*0)*1 != 0*(0*1)\n")
     assert 2 not in _accel._TABLES
+
+
+@pytest.mark.parametrize("bad", [(12,), (17, 12), (23,)], ids=["one", "two", "last"])
+def test_a_later_non_associative_table_is_reported_with_its_witness(monkeypatch, capsys, bad):
+    # each listed table of order 3 gets its last cell raised by one; the
+    # first of them in the stack is reported, with its lex-first witness
+    real = _accel._fill
+    tables = [list(t) for t in real(3)]
+    for i in bad:
+        tables[i][-1] = (tables[i][-1] + 1) % 3
+    first = min(bad)
+    witness = oracles.naive_assoc_witness(np.reshape(tables[first], (3, 3)).tolist())
+    assert witness is not None and all(oracles.naive_assoc_witness(np.reshape(
+        t, (3, 3)).tolist()) is None for i, t in enumerate(tables) if i not in bad)
+
+    monkeypatch.setattr(_accel, "_TABLES", {})
+    monkeypatch.setattr(_accel, "_fill", lambda m: iter(tables) if m == 3 else real(m))
+    assert cli.main(["search-open1", "--max-order", "4"]) == 3
+    out, err = capsys.readouterr()
+    a, b, c = witness
+    assert out == ""
+    assert err == (f"error: internal: enumerated table {first} of order 3 is not associative:"
+                   f" ({a}*{b})*{c} != {a}*({b}*{c})\n")
+    assert 3 not in _accel._TABLES

@@ -150,6 +150,19 @@ def test_bounds_report_and_json(capsys, tmp_path, bi2_presentation):
     assert data["pass"] is True
 
 
+def test_bi_ideal_bounds_leaves_numpy_ma_unimported(bi2_presentation):
+    # np.unique imports numpy.ma, which takes milliseconds, on its first call
+    script = ("import sys; from greenheight import cli; "
+              f"code = cli.main(['bounds', {bi2_presentation!r}, '--kind', 'bi',"
+              " '--generators', 'x', 'y', 'z', 'tx']); "
+              "print(code, 'numpy.ma' in sys.modules)")
+    package_root = Path(greenheight.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert res.stdout.splitlines()[-1] == "0 False", res.stderr
+
+
 def test_bounds_unknown_generator(capsys, bi2_presentation):
     code, _, err = run(capsys, "bounds", bi2_presentation, "--kind", "right",
                        "--generators", "nope")

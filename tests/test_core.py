@@ -337,6 +337,7 @@ INDEX_ENTRY_POINTS = {
     "class_index": lambda s, i: class_poset(s, "R").class_index(i),
     "longest_chain": lambda s, i: class_poset(s, "R").longest_chain([i]),
     "generate": lambda s, i: greenheight.generate(s, [i], "bi_ideal").members,
+    "in SubsetHandle": lambda s, i: i in SubsetHandle(s, range(s.order), "two_sided_ideal"),
 }
 
 
