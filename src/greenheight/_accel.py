@@ -1,12 +1,12 @@
 """Hot kernels: the exact associativity check, which is Light's test by
 whole-row numpy gathers over a generating set found in one walk on Python
 ints, stopping at the first failing generator, and the lex-first witness
-scan (numpy); and one backtracking fill on plain Python ints that
-enumerates one associative table per isomorphism class through order 5,
-trying only a forced value where filled cells force one, pruned by
-associativity and, at every cell, by a lex-leader test over the relabellings
-it carries down, and run once per order in a process; each order's tables
-are checked exactly, all in one stacked gather.
+scan (numpy), the one associativity scan; and one backtracking fill on
+plain Python ints that enumerates one associative table per isomorphism
+class through order 5, trying only a forced value where filled cells force
+one, pruned by associativity and, at every cell, by a lex-leader test over
+the relabellings it carries down, and run once per order in a process; each
+table it yields then goes through the exact check.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ numba_kernels = None
 # cells per block of middles in the witness scan, so that a block stays in cache;
 # from order 182 up a block is one middle, m*m cells
 _WITNESS_CELLS = 1 << 15
-# order from which Light's test goes first: a measured speed crossover only
+# order from which Light's test goes first; below it the scan runs alone. Not
+# a crossover: at smaller orders Light's test is faster on some tables and
+# slower on others, depending on the size of the generating set
 _LIGHT_MIN_ORDER = 48
 
 
@@ -123,11 +125,13 @@ def _forced(t, m, a, b, at):
     return v
 
 
-def _placement_ok(t, m, a, b, at):
+def _placement_ok(t, m, a, b):
     """Whether setting cell (a, b) of the flat partial table t, where -1
-    marks an empty cell and at[v] lists the cells (x, y) holding v, kept it
-    associative: checks exactly the triples whose four cells became fully
-    determined."""
+    marks an empty cell, kept it associative: checks the fully determined
+    triples in which the cell is a factor, (a*b)*z against a*(b*z) and
+    (x*a)*b against x*(a*b). Those in which it is the product, x*y = a or
+    y*z = b, are _forced's: it cuts a conflict and offers only a forced
+    value."""
     v = t[a * m + b]
     for z in range(m):
         bz = t[b * m + z]
@@ -145,18 +149,6 @@ def _placement_ok(t, m, a, b, at):
         xv = t[x * m + v]
         if xab >= 0 and xv >= 0 and xab != xv:
             return False
-    for x, y in at[a]:
-        yb = t[y * m + b]
-        if yb >= 0:
-            xyb = t[x * m + yb]
-            if xyb >= 0 and xyb != v:
-                return False
-    for y, z in at[b]:
-        ay = t[a * m + y]
-        if ay >= 0:
-            ayz = t[ay * m + z]
-            if ayz >= 0 and ayz != v:
-                return False
     return True
 
 
@@ -199,8 +191,9 @@ def _fill(m):
     class.
 
     A cell tries only the value its filled cells force (_forced), or each
-    value in ascending order if none is; _placement_ok checks every value
-    tried. Each non-identity relabelling waits on the cell at which its
+    value in ascending order if none is, and _placement_ok checks every
+    value tried; between them a triple is checked when its last cell is
+    filled. Each non-identity relabelling waits on the cell at which its
     comparison with the partial table can resume (_carry), so the lex-leader
     cut runs at every cell and touches only the relabellings that cell
     wakes; at the last cell the test is exact."""
@@ -226,7 +219,7 @@ def _fill(m):
         for v in range(m) if forced < 0 else (forced,):
             t[depth] = v
             at[v].append((a, b))
-            if _placement_ok(t, m, a, b, at):
+            if _placement_ok(t, m, a, b):
                 moved = _carry(t, depth, waiting)
                 if moved is not None:
                     if depth + 1 < cells:
@@ -248,38 +241,26 @@ MAX_ORDER = 5
 _TABLES = {}
 
 
-def _non_associative(tables):
-    """Which tables of an (N, m, m) stack have some (a*b)*c != a*(b*c): one
-    gather per side over every (a, b, c) of every table."""
-    n, m = len(tables), tables.shape[-1]
-    flat = tables.reshape(n, m * m)
-    z = np.arange(m, dtype=np.int32)
-    ab_c = (tables[:, :, :, None] * m + z).reshape(n, -1)  # cell of (a*b)*c
-    a_bc = (z[:, None, None] * m + tables[:, None]).reshape(n, -1)  # cell of a*(b*c)
-    return (np.take_along_axis(flat, ab_c, 1) != np.take_along_axis(flat, a_bc, 1)).any(1)
-
-
 def enumerate_assoc_tables(m: int):
     """One associative table of order 1 <= m <= MAX_ORDER per isomorphism
     class, the lexicographically least of the flattened cells over all
     relabellings, as an int32 array of shape (classes, m, m) in increasing
     lexicographic order. The counts are 1, 5, 24, 188 and 1915 (OEIS
-    A027851). Each order is filled once per process, and every (a, b, c) of
-    every table is checked then, in one stacked gather, so its callers need
-    not check it again; a failing table raises EngineBug with its index and
-    assoc_witness's lex-first witness. Later calls return the same read-only
-    array."""
+    A027851). Each order is filled once per process, and every table is
+    checked then by assoc_witness, so its callers need not check it again;
+    the first failing table raises EngineBug with its index and its
+    lex-first witness. Later calls return the same read-only array."""
     if not 1 <= m <= MAX_ORDER:
         raise ValueError(f"enumeration needs 1 <= order <= {MAX_ORDER}, got {m}")
     tables = _TABLES.get(m)
     if tables is None:
         tables = np.array(list(_fill(m)), dtype=np.int32).reshape(-1, m, m)
-        bad = _non_associative(tables)
-        if bad.any():
-            i = int(bad.argmax())
-            a, b, c = assoc_witness(tables[i])
-            raise EngineBug(f"enumerated table {i} of order {m} is not associative:"
-                            f" ({a}*{b})*{c} != {a}*({b}*{c})")
+        for i, table in enumerate(tables):
+            witness = assoc_witness(table)
+            if witness is not None:
+                a, b, c = witness
+                raise EngineBug(f"enumerated table {i} of order {m} is not associative:"
+                                f" ({a}*{b})*{c} != {a}*({b}*{c})")
         tables.setflags(write=False)
         _TABLES[m] = tables
     return tables

@@ -377,9 +377,10 @@ def _violations(tables) -> dict:
     arrays = ideals.subset_arrays(tables)
     facts = ideals.table_facts(tables)
     m = np.shape(tables)[1]
+    height_r = arrays.chain_param[:, -1]  # M = S: the longest chain of R-classes of S
     table_bad = np.stack([
-        facts.height_r > facts.height_j,
-        (facts.height_r == 1) != (facts.right_union == (1 << m) - 1),
+        height_r > facts.height_j,
+        (height_r == 1) != (facts.right_union == (1 << m) - 1),
     ], axis=1)
     masks = np.arange(1, 1 << m, dtype=np.int32)
     premises = {"bi_ideal": facts.local_right,

@@ -145,12 +145,11 @@ def subset_arrays(tables) -> SubsetArrays:
 @dataclass(frozen=True, slots=True)
 class TableFacts:
     """table_facts of a stack of N tables, one entry per table, every set an
-    int32 bitmask: the R- and J-heights, the kernel, the union of the
-    minimal principal right ideals and the regular elements. local_right,
-    of shape (N, 2^m - 1) with column k - 1 for mask k, is true where every
-    a in M has a in a*M."""
+    int32 bitmask: the J-height, the kernel, the union of the minimal
+    principal right ideals and the regular elements. local_right, of shape
+    (N, 2^m - 1) with column k - 1 for mask k, is true where every a in M
+    has a in a*M."""
 
-    height_r: np.ndarray
     height_j: np.ndarray
     kernel: np.ndarray
     right_union: np.ndarray
@@ -163,12 +162,13 @@ def table_facts(tables) -> TableFacts:
     m <= 16, in whole-array steps on the int32 masks of subset_arrays.
 
     The R and L down-sets of c are {c} | c*S and {c} | S*c, and the J
-    down-set of c joins the R down-sets of its L down-set; the heights peel
-    them as subset_arrays peels the column M = S. The kernel K is the union
-    of the minimal R-classes, the members with an empty strict R down-set.
-    As in green.kernel, each minimal R-class must be a right ideal and K a
-    two-sided ideal, completely simple (its own R.L all true, its R and L
-    symmetric), or EngineBug is raised. The minimal principal right ideals
+    down-set of c joins the R down-sets of its L down-set; the J-height
+    peels it as subset_arrays peels the column M = S, whose chain parameter
+    is the R-height. The kernel K is the union of the minimal R-classes,
+    the members with an empty strict R down-set. As in green.kernel, each
+    minimal R-class must be a right ideal and K a two-sided ideal,
+    completely simple (its own R.L all true, its R and L symmetric), or
+    EngineBug is raised. The minimal principal right ideals
     are found by raw mask inclusion, the regular elements are the a in
     a*S*a, and a is in a*M when M meets the b with a*b = a.
     """
@@ -206,7 +206,6 @@ def table_facts(tables) -> TableFacts:
     masks = np.arange(1, 1 << m, dtype=np.int32)[:, None]
     local = ((fixers[:, None, :] & masks) != 0) | ((masks >> element & 1) == 0)
     return TableFacts(
-        height_r=_peel(strict_r, full),
         height_j=_peel(_strict_below(_join(down_l, down_r)), full),
         kernel=kernel,
         right_union=np.bitwise_or.reduce(np.where(least, down_r, 0), axis=1),
@@ -223,6 +222,9 @@ def _product_bits(tables, caller):
     if t.shape[1] > _SCAN_MAX_ORDER:
         raise ValueError(f"{caller} scans tables of at most {_SCAN_MAX_ORDER}"
                          f" elements, got {t.shape[1]}")
+    # checked before the cast, which would truncate a float or pass a bool
+    if t.dtype.kind not in "iu":
+        raise ValueError(f"{caller} needs integer entries, got dtype {t.dtype}")
     if t.size and not 0 <= t.min() <= t.max() < t.shape[1]:
         raise ValueError(f"{caller} needs entries in 0..{t.shape[1] - 1}")
     return np.left_shift(np.int32(1), t.astype(np.int32))

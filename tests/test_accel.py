@@ -88,6 +88,30 @@ def test_enumerated_tables_are_pinned():
         assert hashlib.sha256(tables.tobytes()).hexdigest() == digest
 
 
+def test_every_placement_the_fill_accepts_keeps_the_partial_table_associative(monkeypatch):
+    # _placement_ok checks only the triples in which the new cell is a
+    # factor; _forced settles those in which it is the product. Together
+    # they must leave no fully determined triple failing at any node.
+    real = _accel._placement_ok
+    accepted = []
+
+    def checked(t, m, a, b):
+        ok = real(t, m, a, b)
+        if ok:
+            accepted.append(m)
+            for x, y, z in itertools.product(range(m), repeat=3):
+                xy, yz = t[x * m + y], t[y * m + z]
+                if xy >= 0 and yz >= 0:
+                    left, right = t[xy * m + z], t[x * m + yz]
+                    assert left < 0 or right < 0 or left == right, (t, (a, b), (x, y, z))
+        return ok
+
+    monkeypatch.setattr(_accel, "_placement_ok", checked)
+    for m in range(1, 5):
+        assert sum(1 for _ in _accel._fill(m)) == CLASSES[m]
+    assert accepted.count(4) > 2000
+
+
 def test_labelled_tables_match_the_earlier_exhaustive_enumerator():
     # sha256 of the int32 bytes of every labelled table of order m, as the
     # enumerator returned them before it kept one table per class

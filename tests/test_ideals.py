@@ -538,6 +538,18 @@ def test_stacked_kernels_reject_entries_outside_the_table(scan, entry):
         scan(np.array([[[0, entry], [0, 0]]]))
 
 
+@pytest.mark.parametrize("stack", [
+    # truncated by a cast, this is the all-zero table, which is associative
+    np.array([[[0.0, 0.9], [0.9, 0.0]]]),
+    np.array([[[0.0, 1.0], [1.0, 0.0]]]),
+    np.array([[[False, True], [True, False]]]),
+], ids=["fractional", "integral-float", "bool"])
+@pytest.mark.parametrize("scan", [subset_arrays, table_facts])
+def test_stacked_kernels_refuse_float_and_bool_stacks(scan, stack):
+    with pytest.raises(ValueError, match=f"integer entries, got dtype {stack.dtype}"):
+        scan(stack)
+
+
 def test_subset_arrays_stops_on_the_cycle_of_a_non_associative_table():
     # x*M for x in S: 0 -> {0, 1}, 1 -> {1, 2}, 2 -> {0} ((0*0)*2 != 0*(0*2)),
     # so the down-sets of S put 0 < 2 < 1 < 0
@@ -560,11 +572,12 @@ def test_table_facts_match_the_oracles_and_the_per_table_green_path():
     checked = 0
     for stack in _stacks_for_facts():
         facts = table_facts(stack)
+        height_r = subset_arrays(stack).chain_param[:, -1]
         for i, t in enumerate(stack):
             s, rows = make(t), t.tolist()
             kern = kernel(s)
             right_union = frozenset().union(*kern.minimal_right_ideals)
-            assert facts.height_r[i] == height(s, "R") == oracles.naive_height(rows, "R")
+            assert height_r[i] == height(s, "R") == oracles.naive_height(rows, "R")
             assert facts.height_j[i] == height(s, "J") == oracles.naive_height(rows, "J")
             assert facts.kernel[i] == _mask(kern.members) == _mask(oracles.naive_kernel(rows))
             assert oracles.naive_completely_simple(rows)  # as a finite kernel always is
