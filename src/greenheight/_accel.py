@@ -1,7 +1,9 @@
-"""Hot kernels: the exact associativity check, which is Light's test by
-whole-row numpy gathers over a generating set found in one walk on Python
-ints, stopping at the first failing generator, and the lex-first witness
-scan (numpy), the one associativity scan; and one backtracking fill on
+"""Hot kernels: the exact associativity check, which is Light's test over a
+generating set found in one walk on Python ints, stopping at the first
+failing generator, each generator checked by whole-row numpy gathers over
+the full table or, where that reads fewer cells, over the rows and columns
+its images select, on a narrow unsigned copy of the table; the lex-first
+witness scan (numpy), the one associativity scan; and one backtracking fill on
 plain Python ints that enumerates one associative table per isomorphism
 class through order 5, trying only a forced value where filled cells force
 one, pruned by associativity and, at every cell, by a lex-leader test over
@@ -27,6 +29,13 @@ _WITNESS_CELLS = 1 << 15
 # a crossover: at smaller orders Light's test is faster on some tables and
 # slower on others, depending on the size of the generating set
 _LIGHT_MIN_ORDER = 48
+# cells that a generator's image path, 2*(k + k')*m, must save on the full
+# compare, m*m, to be taken (see _light_holds): it has about 18 us of fixed
+# cost a generator. One core, CPython 3.11, numpy 2.4, narrow copies: the two
+# tie on the order-181 null table (saving 32,037 cells, 20 us each), the
+# image path wins from order 200 (39,200 cells, 21 against 25 us) and loses
+# on bi_ideal_family(16) (-4,525 cells, 45 against 22 us)
+_IMAGE_MIN_SAVING = 1 << 15
 
 
 def assoc_witness(table):
@@ -35,12 +44,18 @@ def assoc_witness(table):
     _LIGHT_MIN_ORDER up it first runs Light's test (Clifford and Preston,
     1961, section 1.2): (x*g)*y == x*(g*y) for all x, y and all g in A, where
     A's closure under right multiplication by A is S. The middles that pass
-    form a subsemigroup, so then the table is associative. For each g both
-    sides are whole-row gathers, t[t[:, g]] and t.T[t[g]], compared
-    transposed, and the test stops at the first g that fails. It costs
-    m*m*|A|, or m**3 where no smaller A exists, as in null and left-zero
-    semigroups. Below that order, and when some g fails, the lex-first scan
-    over every middle gives the witness."""
+    form a subsemigroup, so then the table is associative. For each g the
+    full compare gathers whole rows, t[t[:, g]] and t.T[t[g]], compared
+    transposed, m*m cells; where x*g and g*y take k and k' values, the image
+    path reads the (k + k')*m + k*k' cells those values select (see
+    _light_holds), and g takes it when that saves _IMAGE_MIN_SAVING cells.
+    The test stops at the first g that fails. It costs m*m*|A| where every g
+    takes the full compare, m**3 where no smaller A exists either, as in
+    left-zero semigroups; a null table has k = k' = 1 for every g, so about
+    2*m*m. Below that order, and when some g fails, the lex-first scan over
+    every middle gives the witness. Entries must lie in 0..m-1, as
+    FiniteSemigroup and the fill ensure: Light's test may read a copy of
+    the table in the narrowest unsigned dtype that holds m-1."""
     t = np.ascontiguousarray(table, dtype=np.int32)
     if len(t) >= _LIGHT_MIN_ORDER and _light_holds(t):
         return None
@@ -49,9 +64,57 @@ def assoc_witness(table):
 
 def _light_holds(t):
     """Whether (x*g)*y == x*(g*y) for all x, y and each g in _generators(t),
-    stopping at the first g that fails."""
+    stopping at the first g that fails. Entries of t must lie in 0..m-1:
+    where some g may take the image path, both paths read a copy of t in the
+    narrowest unsigned dtype that holds m-1 (uint8 to order 256).
+
+    With c = t[:, g] and r = t[g] taking the k values V and the k' values U,
+    the full compare reads every cell of t[c] and t.T[r]. The identity holds
+    if and only if each row v in V of t is constant on every fibre of r,
+    each column u in U is constant on every fibre of c, and t[v, y] ==
+    t[x, u] for one y in each fibre of r and one x in each fibre of c, which
+    reads (k + k')*m + k*k' cells as row gathers of t and t.T. A generator
+    takes this image path when m*m - 2*(k + k')*m >= _IMAGE_MIN_SAVING; k
+    and k' of every g come from two (|A|, m) boolean scatters."""
+    m = len(t)
+    gens = _generators(t).tolist()
+    images = [False] * len(gens)
+    # k = k' = 1 saves the most; below that no generator can take the image
+    # path, so the table is neither narrowed nor scanned for images
+    if m * m - 4 * m >= _IMAGE_MIN_SAVING:
+        t = t.astype(np.min_scalar_type(m - 1))
+        # the values of x*g and of g*y, one row of each mask per generator
+        at = np.arange(0, len(gens) * m, m)[:, None]
+        in_v, in_u = np.zeros((2, len(gens), m), dtype=bool)
+        in_v.ravel()[at + t.T[gens]] = True
+        in_u.ravel()[at + t[gens]] = True
+        saving = m * m - 2 * m * (in_v.sum(axis=1) + in_u.sum(axis=1))
+        images = (saving >= _IMAGE_MIN_SAVING).tolist()
     tt = np.ascontiguousarray(t.T)
-    return all(np.array_equal(t[tt[g]], tt[t[g]].T) for g in _generators(t).tolist())
+    for i, g in enumerate(gens):
+        if images[i]:
+            ok = _images_agree(t, tt, g, in_v[i], in_u[i])
+        else:
+            ok = np.array_equal(t[tt[g]], tt[t[g]].T)
+        if not ok:
+            return False
+    return True
+
+
+def _images_agree(t, tt, g, in_v, in_u):
+    """Light's test for g on its images: with c = t[:, g] and r = t[g] taking
+    the values marked in in_v and in_u, each row v of t is constant on every
+    fibre of r, each column u on every fibre of c, and t[v, y] == t[x, u] for
+    one y with g*y = u and one x with x*g = v. tt is t.T, contiguous."""
+    c, r = tt[g], t[g]
+    idx = np.arange(len(t))
+    x_of, y_of = np.empty_like(idx), np.empty_like(idx)
+    x_of[c], y_of[r] = idx, idx  # some x with x*g = v, some y with g*y = u
+    v, u = np.flatnonzero(in_v), np.flatnonzero(in_u)
+    rows, cols = t[v], tt[u]
+    return ((rows == rows[:, y_of[r]]).all()
+            and (cols == cols[:, x_of[c]]).all()
+            and (rows[:, y_of[u]] == cols[:, x_of[v]].T).all())
 
 
 def _generators(t):

@@ -37,12 +37,14 @@ def _boolean_product(x, y):
 
 def _scatter_below(t, relation: str):
     """The R or L below matrix of the table t, by one scatter."""
-    below = np.eye(len(t), dtype=bool)
-    idx = np.arange(len(t))
+    m = len(t)
+    below = np.eye(m, dtype=bool)
+    rows = np.arange(0, m * m, m)
+    # one flat scatter: cell (b, y) is b*m + y
     if relation == "R":
-        below[idx[:, None], t] = True  # below[b, b*x]
+        below.ravel()[rows[:, None] + t] = True  # below[b, b*x]
     else:
-        below[idx, t] = True  # below[b, x*b]
+        below.ravel()[rows + t] = True  # below[b, x*b]
     return below
 
 

@@ -377,23 +377,107 @@ def test_assoc_witness_memory_is_bounded_on_accepted_tables(kind):
     assert peak < 12 * 2**20
 
 
-def test_light_holds_iff_associative():
-    # Light's test alone must never accept a table that is not associative,
-    # nor refuse one that is: the left-zero and right-zero tables and the
-    # family tables are not commutative
+def count_image_paths(monkeypatch):
+    """A list that gets one entry per generator Light's test checks on its images."""
+    calls = []
+    real = _accel._images_agree
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(_accel, "_images_agree", counting)
+    return calls
+
+
+def check_light_holds_iff_associative(monkeypatch):
+    """Light's test alone must never accept a table that is not associative,
+    nor refuse one that is: the left-zero and right-zero tables and the
+    family tables are not commutative. Returns the generators checked on
+    their images."""
+    images = count_image_paths(monkeypatch)
     z = np.arange(50, dtype=np.int32)
     left_zero = np.repeat(z[:, None], 50, axis=1)
     tables = [left_zero, left_zero.T]
     for build in FAMILIES.values():
         t = np.array(build().table)
         tables += [t, *one_bad_cell_copies(t)]
-    tables += [t for t in tables_with_bad_cells(27) if len(t) >= _accel._LIGHT_MIN_ORDER]
+    # the tables with bad cells from order 48 up, and their transposes, which
+    # move a bad cell from a row of the table to a column
+    large = [t for t in tables_with_bad_cells(27) if len(t) >= _accel._LIGHT_MIN_ORDER]
+    tables += large + [t.T for t in large]
     verdicts = []
     for t in tables:
         t = np.ascontiguousarray(t, dtype=np.int32)
         verdicts.append(_accel._light_holds(t))
         assert verdicts[-1] == (oracles.naive_assoc_witness(t.tolist()) is None)
     assert sum(verdicts) >= 6 and not all(verdicts)
+    return images
+
+
+def test_light_holds_iff_associative(monkeypatch):
+    # these tables are below the order where the default gate takes images
+    assert check_light_holds_iff_associative(monkeypatch) == []
+
+
+@pytest.mark.parametrize("gate", [-math.inf, math.inf], ids=["images", "full"])
+def test_light_holds_iff_associative_with_the_gate_forced(monkeypatch, gate):
+    # the least saving for the image path: every generator takes it, or none
+    monkeypatch.setattr(_accel, "_IMAGE_MIN_SAVING", gate)
+    assert bool(check_light_holds_iff_associative(monkeypatch)) == (gate < 0)
+
+
+@pytest.fixture(scope="module")
+def large_tables():
+    """The order-341 tower and the order-600 null table, built once."""
+    return {"tower5": np.array(right_ideal_tower(5).semigroup.table),
+            "null600": np.full((600, 600), 599, dtype=np.int32)}
+
+
+@pytest.mark.parametrize("name", ["tower5", "null600"])
+def test_image_path_agrees_with_the_scan_on_large_tables(monkeypatch, large_tables, name):
+    # default gate; the lex-first scan is the reference, since the Python
+    # oracle is too slow at these orders
+    images = count_image_paths(monkeypatch)
+    t = large_tables[name]
+    assert _accel.assoc_witness(t) is None
+    assert len(images) == len(_accel._generators(t))  # every generator on its images
+    bads = list(one_bad_cell_copies(t))
+    if name == "null600":
+        # a random cell of the null table rarely breaks it, and each accepted
+        # copy costs a full scan here: three of those, and two that fail,
+        # (5, 7, 7) on a row of the table and (590, 590, 3) on a column
+        bads = bads[:3]
+        for i, j, v in [(5, 7, 5), (590, 3, 3)]:
+            bad = t.copy()
+            bad[i, j] = v
+            bads.append(bad)
+    rejected = 0
+    for bad in bads:
+        want = _accel._first_failure(bad)
+        assert _accel.assoc_witness(bad) == want
+        rejected += want is not None
+    assert rejected >= 2
+
+
+@pytest.mark.parametrize("m", [256, 257])
+def test_narrow_copy_keeps_the_largest_entry(monkeypatch, m):
+    # uint8 holds the entries of order 256, not 257. The null table (zero
+    # m - 1) takes the image path, the left-zero table (every entry) the full
+    # compare. The left-zero copy with 0*5 = m - 1 fails at (0, 0, 5), but
+    # with m - 1 read as 0 it would be associative
+    images = count_image_paths(monkeypatch)
+    t = np.full((m, m), m - 1, dtype=np.int32)
+    left_zero = np.repeat(np.arange(m, dtype=np.int32)[:, None], m, axis=1)
+    bad_null, bad_left = t.copy(), left_zero.copy()
+    bad_null[3, 4] = 3
+    bad_left[0, 5] = m - 1
+    for table, want in [(t, None), (left_zero, None), (bad_null, (3, 4, 4)),
+                        (bad_left, (0, 0, 5))]:
+        assert _accel._first_failure(table) == want
+        before = len(images)
+        assert _accel.assoc_witness(table) == want
+        assert (len(images) > before) == (table[0, 0] == m - 1)  # the null tables
 
 
 def test_a_non_associative_table_from_the_fill_is_an_internal_error(monkeypatch, capsys):
