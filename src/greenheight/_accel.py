@@ -54,8 +54,8 @@ def assoc_witness(table):
     left-zero semigroups; a null table has k = k' = 1 for every g, so about
     2*m*m. Below that order, and when some g fails, the lex-first scan over
     every middle gives the witness. Entries must lie in 0..m-1, as
-    FiniteSemigroup and the fill ensure: Light's test may read a copy of
-    the table in the narrowest unsigned dtype that holds m-1."""
+    FiniteSemigroup and the fill ensure: Light's test reads a copy of the
+    table in the narrowest unsigned dtype that holds m-1."""
     t = np.ascontiguousarray(table, dtype=np.int32)
     if len(t) >= _LIGHT_MIN_ORDER and _light_holds(t):
         return None
@@ -65,8 +65,8 @@ def assoc_witness(table):
 def _light_holds(t):
     """Whether (x*g)*y == x*(g*y) for all x, y and each g in _generators(t),
     stopping at the first g that fails. Entries of t must lie in 0..m-1:
-    where some g may take the image path, both paths read a copy of t in the
-    narrowest unsigned dtype that holds m-1 (uint8 to order 256).
+    both paths read a copy of t in the narrowest unsigned dtype that holds
+    m-1 (uint8 to order 256).
 
     With c = t[:, g] and r = t[g] taking the k values V and the k' values U,
     the full compare reads every cell of t[c] and t.T[r]. The identity holds
@@ -78,18 +78,14 @@ def _light_holds(t):
     and k' of every g come from two (|A|, m) boolean scatters."""
     m = len(t)
     gens = _generators(t).tolist()
-    images = [False] * len(gens)
-    # k = k' = 1 saves the most; below that no generator can take the image
-    # path, so the table is neither narrowed nor scanned for images
-    if m * m - 4 * m >= _IMAGE_MIN_SAVING:
-        t = t.astype(np.min_scalar_type(m - 1))
-        # the values of x*g and of g*y, one row of each mask per generator
-        at = np.arange(0, len(gens) * m, m)[:, None]
-        in_v, in_u = np.zeros((2, len(gens), m), dtype=bool)
-        in_v.ravel()[at + t.T[gens]] = True
-        in_u.ravel()[at + t[gens]] = True
-        saving = m * m - 2 * m * (in_v.sum(axis=1) + in_u.sum(axis=1))
-        images = (saving >= _IMAGE_MIN_SAVING).tolist()
+    t = t.astype(np.min_scalar_type(m - 1))
+    # the values of x*g and of g*y, one row of each mask per generator
+    at = np.arange(0, len(gens) * m, m)[:, None]
+    in_v, in_u = np.zeros((2, len(gens), m), dtype=bool)
+    in_v.ravel()[at + t.T[gens]] = True
+    in_u.ravel()[at + t[gens]] = True
+    saving = m * m - 2 * m * (in_v.sum(axis=1) + in_u.sum(axis=1))
+    images = (saving >= _IMAGE_MIN_SAVING).tolist()
     tt = np.ascontiguousarray(t.T)
     for i, g in enumerate(gens):
         if images[i]:

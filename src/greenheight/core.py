@@ -35,7 +35,8 @@ class FiniteSemigroup:
         if len(set(names)) != m:
             raise ValueError("element names must be distinct")
         for n in names:
-            if n.split() != [n]:  # empty, or holds whitespace
+            # empty, or holds whitespace or '#', which starts a comment in table text
+            if n.split() != [n] or "#" in n:
                 raise ValueError(f"bad element name {n!r}")
         # range-checked before the cast, which would wrap or truncate
         if table.dtype.kind not in "iu" or table.min() < 0 or table.max() >= m:

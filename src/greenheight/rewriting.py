@@ -1,5 +1,6 @@
 """Length-reducing string rewriting: reduction, critical pairs, completeness,
-irreducible-word enumeration, and semigroup construction from presentations.
+and semigroups from presentations, whose irreducible words and right Cayley
+graph come from one walk.
 
 Internally a word is a plain str with one character per letter; alphabets
 with multi-character tokens map onto private-use characters so matching is
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .errors import CapExceeded, EngineBug, NotConfluent, ParseError
+from .errors import CapExceeded, NotConfluent, ParseError
 
 DEFAULT_CAP = 10_000
 
@@ -233,59 +234,82 @@ def first_unresolved(rs: RewritingSystem, pairs):
     return None
 
 
-def enumerate_irreducibles(rs: RewritingSystem, cap: int = DEFAULT_CAP):
-    """Irreducible words in shortlex order, ZERO appended iff declared.
+def _walk(rs: RewritingSystem, cap: int):
+    """The normal forms in shortlex order, ZERO last iff declared, their
+    index, and the right Cayley graph (Froidure and Pin, 1997): right[i, k]
+    is the index of words[i] times letter k.
 
-    Grows words letter by letter: every factor of an irreducible word is
-    irreducible, so level k+1 extends level k and an empty level ends the
-    walk. A candidate w·c extends an irreducible w, so it is reducible iff
-    a left side is one of its suffixes: one dict lookup per distinct
-    left-side length. Raises CapExceeded past ``cap`` words (system likely
-    infinite).
+    Grows words letter by letter: every factor of a normal form is one, so
+    level k+1 extends level k and an empty level ends the walk. As u is
+    irreducible, a redex of u·a is a suffix, found by one dict lookup per
+    distinct left-side length. Either there is none, and u·a is the next
+    word, whose index is the edge; or u·a = p·lhs -> p·rhs, and the edge is
+    p's element sent letter by letter through rhs. Each step leaves a word
+    shorter than u, whose row an earlier level has filled; the empty word's
+    row holds each letter's element. Raises CapExceeded past ``cap`` words
+    (system likely infinite).
     """
     if cap < 1:
         raise ValueError("cap must be positive")
     rhs_of, lengths = rs._rhs_of, rs._lhs_lengths
+    letter_of = {c: k for k, c in enumerate(rs._letter_syms)}
+    # -1 stands for ZERO until the walk ends, -2 for the empty word
+    index = {"": -2}
+    rows = {-1: [-1] * len(letter_of)}
     words = []
     level = [""]
     total = 1 if rs.has_zero else 0
-    while True:
-        nxt = []
-        for w in level:
+    while level:
+        first = len(words)
+        for u in level:
+            row = []
             for c in rs._letter_syms:
-                cand = w + c
+                w = u + c
                 for k in lengths:
-                    if cand[-k:] in rhs_of:
+                    rhs = rhs_of.get(w[-k:])
+                    if rhs is not None:
                         break
                 else:
-                    nxt.append(cand)
-        if not nxt:
-            break
-        total += len(nxt)
+                    index[w] = len(words)
+                    row.append(len(words))
+                    words.append(w)
+                    continue
+                if rhs is ZERO:
+                    row.append(-1)
+                    continue
+                e = index[w[:-k]]
+                for d in rhs:
+                    e = rows[e][letter_of[d]]
+                row.append(e)
+            rows[index[u]] = row
+        total += len(words) - first
         if total > cap:
             raise CapExceeded(cap, total)
-        words.extend(nxt)
-        level = nxt
+        level = words[first:]
     if rs.has_zero:
+        rows[len(words)] = rows[-1]
         words.append(ZERO)
-    return words
+    right = np.array([rows[i] for i in range(len(words))], dtype=np.int32)
+    right[right < 0] = len(words) - 1
+    return words, index, right
+
+
+def enumerate_irreducibles(rs: RewritingSystem, cap: int = DEFAULT_CAP):
+    """Irreducible words in shortlex order, ZERO appended iff declared: the
+    words of the walk that semigroup_from_presentation builds its table on.
+    Raises CapExceeded past ``cap`` words (system likely infinite)."""
+    return _walk(rs, cap)[0]
 
 
 def semigroup_from_presentation(rs, cap: int = DEFAULT_CAP) -> core.FiniteSemigroup:
     """Build the presented semigroup; elements are irreducible words.
 
     Accepts a RewritingSystem or presentation text. The system must be
-    complete (raises NotConfluent with a witness otherwise). The table comes
-    from the right Cayley graph (Froidure and Pin, 1997), whose edge
-    right[u, a] is the element of u·a. As u is irreducible, any redex of u·a
-    is a suffix: either u·a is itself a normal form, found by lookup, or a
-    rule's left side ends it, u·a = p·lhs -> p·rhs, and the edge is p's
-    element (or rhs's first letter's, for an empty p) sent letter by letter
-    through rows of words shorter than u, which shortlex order has already
-    filled. No word is rewritten by search. Normal forms are prefix-closed
-    and unique, so for v = v'a the product u*v is right[u*v', a], and the
-    columns fill in shortlex order by one gather each. The core constructor
-    re-verifies associativity.
+    complete (raises NotConfluent with a witness otherwise). One walk gives
+    the normal forms and the right Cayley graph, with no word rewritten by
+    search. Normal forms are prefix-closed and unique, so for v = v'a the
+    product u*v is right[u*v', a], and the columns fill in shortlex order by
+    one gather each. The core constructor re-verifies associativity.
     """
     if isinstance(rs, str):
         rs = parse_presentation(rs)
@@ -298,69 +322,13 @@ def semigroup_from_presentation(rs, cap: int = DEFAULT_CAP) -> core.FiniteSemigr
             f"{rs.display(reduce_word(rs, witness.left_result))} and "
             f"{rs.display(reduce_word(rs, witness.right_result))}",
         )
-    words = enumerate_irreducibles(rs, cap)
-    if not words:
-        raise ValueError("presentation has no elements")
-    index = {w: i for i, w in enumerate(words)}
-    for v in words:
-        if len(v) > 1 and v[:-1] not in index:
-            raise EngineBug(
-                f"normal form {rs.display(v)} has a prefix outside the"
-                " enumerated normal forms"
-            )
+    words, index, right = _walk(rs, cap)
     letter_of = {c: k for k, c in enumerate(rs._letter_syms)}
-    rhs_of, lengths = rs._rhs_of, rs._lhs_lengths
     m = len(words)
-    zero = index.get(ZERO)
-    rows = [None] * m
-    if zero is not None:
-        rows[zero] = [zero] * len(letter_of)
-
-    def element(w):
-        """Index of w = u·c for a normal form u, or for a letter w; None if
-        w reduces outside the enumerated normal forms."""
-        j = index.get(w)
-        if j is not None:
-            return j
-        # u is irreducible, so a redex of w is a suffix
-        for k in lengths:
-            rhs = rhs_of.get(w[-k:])
-            if rhs is not None:
-                break
-        else:
-            return None
-        if rhs is ZERO:
-            return zero
-        p = w[:-k]
-        if p:
-            e, rest = index[p], rhs
-        else:
-            # a letter is a normal form, or a rule a -> 0 kills it
-            e, rest = element(rhs[0]), rhs[1:]
-            if e is None:
-                return None
-        for d in rest:
-            e = rows[e][letter_of[d]]
-        return e
-
-    for i, u in enumerate(words):
-        if u is ZERO:
-            continue
-        row = []
-        for c in rs._letter_syms:
-            j = element(u + c)
-            if j is None:
-                raise EngineBug(
-                    f"product {rs.display(u)}*{rs.display(c)} reduced to a word"
-                    " outside the enumerated normal forms"
-                )
-            row.append(j)
-        rows[i] = row
-    right = np.array(rows, dtype=np.int32)
     table = np.empty((m, m), dtype=np.int32)
     for j, v in enumerate(words):
         if v is ZERO:
-            table[:, j] = zero
+            table[:, j] = j
             continue
         column = right[:, letter_of[v[-1]]]
         if len(v) > 1:

@@ -280,12 +280,28 @@ def random_reduce(rules, word, rng, zero_token="!"):
         word = apply_rule_at(word, lhs, rhs, p)
 
 
+def presentation_normal_forms(rs):
+    """The words w with reduce_word(rs, w) == w of a finite presentation, in
+    shortlex order by extending each level's words one letter at a time (a
+    prefix of a normal form is one), ZERO last iff declared."""
+    from greenheight.rewriting import ZERO, reduce_word
+
+    letters = [rs.word([tok]) for tok in rs.letters]
+    words, level = [], [""]
+    while level:
+        level = [u + c for u in level for c in letters if reduce_word(rs, u + c) == u + c]
+        words += level
+    if rs.has_zero:
+        words.append(ZERO)
+    return words
+
+
 def presentation_table_all_pairs(rs):
     """Names and table (list of lists) of a complete presentation, with
     every product u*v of normal forms reduced as one word."""
-    from greenheight.rewriting import ZERO, enumerate_irreducibles, reduce_word
+    from greenheight.rewriting import ZERO, reduce_word
 
-    words = enumerate_irreducibles(rs)
+    words = presentation_normal_forms(rs)
     index = {w: i for i, w in enumerate(words)}
     table = [
         [index[ZERO if u is ZERO or v is ZERO else reduce_word(rs, u + v)] for v in words]

@@ -516,21 +516,6 @@ def test_kernel_engine_bug_in_small_order_oracle_exits_three(capsys, monkeypatch
     assert err == "error: internal: kernel is not completely simple\n"
 
 
-def test_lost_normal_form_is_internal_error_exit_three(capsys, monkeypatch, bi2_presentation):
-    enumerate_all = rewriting.enumerate_irreducibles
-
-    def lossy(rs, cap=rewriting.DEFAULT_CAP):
-        words = enumerate_all(rs, cap)
-        return words[:-2] + words[-1:]  # the longest word goes, the zero stays
-
-    monkeypatch.setattr(rewriting, "enumerate_irreducibles", lossy)
-    code, out, err = run(capsys, "height", bi2_presentation)
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: internal: ")
-    assert "outside the enumerated normal forms" in err
-
-
 def test_verify_small_order_oracle_tiny(capsys):
     code, out, _ = run(capsys, "verify", "small-order-oracle", "--order", "2")
     assert code == 0

@@ -280,6 +280,28 @@ def test_table_and_presentation_text_round_trip():
     assert again.names == fi.semigroup.names
 
 
+@pytest.mark.parametrize("build", [
+    trivial_semigroup,
+    lambda: left_zero_semigroup(3),
+    lambda: null_semigroup(4),
+    brandt_example,
+    lambda: brandt_extension(left_zero_semigroup(2), 3),
+    lambda: null_extension(brandt_example())[0],
+    lambda: bi_ideal_family(3).semigroup,
+    lambda: left_ideal_cs_family(3).semigroup,
+    lambda: right_ideal_tower(3).semigroup,
+    lambda: full_transformation_monoid(3),
+    lambda: symmetric_inverse_monoid(3),
+])
+def test_stock_constructions_parse_back_from_their_table_text(build):
+    from greenheight import parse_table_text
+
+    s = build()
+    again = parse_table_text(format_table_text(s))
+    assert again.names == s.names
+    assert (again.table == s.table).all()
+
+
 # sha256 of table.tobytes() followed by the names joined by newlines, as the
 # cell-by-cell builders produced them
 PINNED_TABLES = [

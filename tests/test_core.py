@@ -220,7 +220,9 @@ def test_index_and_names():
         s.index("zz")
 
 
-@pytest.mark.parametrize("name", ["", "a b", "a\t", "\u2003a", "a\x1c", "\u3000"])
+# "a#" too: table text reads '#' as the start of a comment, so that name
+# could be written out but not read back
+@pytest.mark.parametrize("name", ["", "a b", "a\t", "\u2003a", "a\x1c", "\u3000", "a#"])
 def test_names_with_whitespace_are_refused(name):
     with pytest.raises(ValueError, match="bad element name"):
         from_table([name], [[0]])

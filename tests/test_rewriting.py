@@ -11,7 +11,6 @@ import oracles
 from greenheight import (
     ZERO,
     CapExceeded,
-    EngineBug,
     NotConfluent,
     ParseError,
     RewritingSystem,
@@ -326,6 +325,29 @@ def test_random_complete_presentations_match_all_pairs_oracle():
         assert s.table.tolist() == table, format_presentation(rs)
 
 
+def assert_rows_are_reduced_products(rs):
+    """Each edge of the walk's right Cayley graph, words[i]·a, against the
+    normal form of that word, with the words from the oracle."""
+    words, _, right = rewriting._walk(rs, rewriting.DEFAULT_CAP)
+    assert words == oracles.presentation_normal_forms(rs), format_presentation(rs)
+    index = {w: i for i, w in enumerate(words)}
+    for i, u in enumerate(words):
+        for k, tok in enumerate(rs.letters):
+            product = ZERO if u is ZERO else reduce_word(rs, u + rs.word([tok]))
+            assert right[i, k] == index[product], format_presentation(rs)
+
+
+def test_walk_rows_are_reduced_products_of_random_presentations():
+    for rs in random_complete_presentations(20261019, 3000, 60):
+        assert_rows_are_reduced_products(rs)
+
+
+@pytest.mark.parametrize("family", [bi_ideal_family, left_ideal_cs_family])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_walk_rows_are_reduced_products_of_the_families(family, n):
+    assert_rows_are_reduced_products(parse_presentation(family(n).presentation_text))
+
+
 @pytest.mark.parametrize("family, n, digest", [
     pytest.param(bi_ideal_family, 16,
                  "695f032429836ee4dd85e4965bd383068c261de07692cbd6f455784b0a347287",
@@ -365,37 +387,6 @@ def test_table_build_reduces_words_only_to_check_completeness(monkeypatch):
     semigroup_from_presentation(text)
     # the completeness check of is_complete, which semigroup_from_presentation runs
     assert callers == ["first_unresolved"] * (2 * pairs)
-
-
-def drop_normal_form(monkeypatch, k):
-    """Make enumerate_irreducibles lose its k-th normal form."""
-    enumerate_all = rewriting.enumerate_irreducibles
-
-    def lossy(rs, cap=rewriting.DEFAULT_CAP):
-        words = enumerate_all(rs, cap)
-        return words[:k] + words[k + 1:]
-
-    monkeypatch.setattr(rewriting, "enumerate_irreducibles", lossy)
-
-
-def test_lost_normal_form_is_engine_bug(monkeypatch):
-    text = bi_ideal_family(2).presentation_text
-    for k in range(13):
-        drop_normal_form(monkeypatch, k)
-        with pytest.raises(EngineBug, match="outside the enumerated normal forms"):
-            semigroup_from_presentation(text)
-        monkeypatch.undo()
-
-
-def test_lost_prefix_of_a_normal_form_is_engine_bug(monkeypatch):
-    # "a" is no product of two elements, so only the prefix check sees it go
-    text = ("letters: a b\nzero: 0\nrule: aa -> 0\nrule: ba -> 0\n"
-            "rule: bb -> 0\n")
-    words = enumerate_irreducibles(parse_presentation(text))
-    assert words == ["a", "b", "ab", ZERO]
-    drop_normal_form(monkeypatch, 0)
-    with pytest.raises(EngineBug, match="normal form ab has a prefix outside"):
-        semigroup_from_presentation(text)
 
 
 def test_semigroup_from_presentation_rejects_incomplete():
