@@ -234,9 +234,6 @@ def kernel(s: core.FiniteSemigroup) -> KernelInfo:
     is a right ideal, K is a two-sided ideal by the closure law of its
     handle, and on the handle J is all true and R and L are symmetric.
     """
-    cached = s._cache.get("kernel")
-    if cached is not None:
-        return cached
     rp = class_poset(s, "R")
     mins = tuple(frozenset(rp.classes[i]) for i in rp.minimal_classes())
     members = frozenset().union(*mins)
@@ -251,9 +248,7 @@ def kernel(s: core.FiniteSemigroup) -> KernelInfo:
     r, l = _below(kh, "R"), _below(kh, "L")
     if not (_below(kh, "J").all() and (r == r.T).all() and (l == l.T).all()):
         raise EngineBug("kernel is not completely simple")
-    info = KernelInfo(members, mins)
-    s._cache["kernel"] = info
-    return info
+    return KernelInfo(members, mins)
 
 
 def _sandwich(t):
@@ -264,12 +259,7 @@ def _sandwich(t):
 
 def regular_elements(s: core.FiniteSemigroup) -> frozenset:
     """{a : a*b*a = a for some b}."""
-    cached = s._cache.get("regular")
-    if cached is not None:
-        return cached
-    out = frozenset(np.flatnonzero(_sandwich(s.table).any(axis=1)).tolist())
-    s._cache["regular"] = out
-    return out
+    return frozenset(np.flatnonzero(_sandwich(s.table).any(axis=1)).tolist())
 
 
 def idempotents(s: core.FiniteSemigroup):

@@ -242,6 +242,37 @@ def test_input_without_declaration_is_parse_error(capsys, tmp_path):
         assert key in err
 
 
+@pytest.mark.parametrize("text, line", [
+    ("# c\n\nfoo: 1\n", 3),
+    ("  # only comments\n\n   \n", 1),
+    ("", 1),
+    ("\n  hello # world\norder: 1\n", 2),
+])
+def test_input_kind_error_names_the_first_line_it_read(capsys, tmp_path, text, line):
+    p = tmp_path / "junk.txt"
+    p.write_text(text)
+    code, out, err = run(capsys, "height", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line {line}, column 1: input must start with ")
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_cap_below_one_is_usage_error(capsys, bi2_presentation, left3_table, cap):
+    for path in (bi2_presentation, left3_table):
+        code, out, err = run(capsys, "height", path, "--cap", cap)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: greenheight height ")
+        assert f"argument --cap: count must be positive, got {cap}" in err
+
+
+def test_cap_of_one_still_reaches_the_walk(capsys, bi2_presentation, left3_table):
+    code, out, err = run(capsys, "height", bi2_presentation, "--cap", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    code, out, _ = run(capsys, "height", left3_table, "--cap", "1")
+    assert code == 0 and out.startswith("R: ")
+
+
 def _bi2_lines():
     return bi_ideal_family(2).presentation_text.splitlines(keepends=True)
 
@@ -300,24 +331,15 @@ def test_verify_deterministic_modulo_elapsed(capsys):
     (("brandt-tower", "--n", "1..4"), 7,
      "2050e87104973e96819cf6fc13a16be6d465ad5c3c46d98b1f6f60da8c6a42eb",
      "4be361c9b7ad81a88e3cdf48395243a79add39ec5d7cc1a7ab7f11aa8ed7e851"),
-    (("brandt-tower", "--n", "1..5"), 8,
-     "0cfd8e6c03964b51a901d258342aa977903723bbc19ae0ebaa83309667eb6759",
-     "18fcd50569c3fca977e408385d06a5cfb0990ec83d3433b0626f3c56090b63c8"),
     (("reference-monoids", "--n", "1..3"), 4,
      "62e23365d1364a0d8c976871095cbc06459991db8318fa17c560858dad8569d1",
      "26fd140e09291718aecfad921aa42bbe78e94ee76d64d7106074db37ffd863e8"),
     (("bi-ideal-family", "--n", "2..4"), 3,
      "bfa9e677942dc53689a6db7eaa64c254f3aa7ca51e50c8b3dbe716da21cda622",
      "813c7b57ea18ccc5299a750f7e586c1e1e14a8e145fab36e174f6ccd4d5df767"),
-    (("bi-ideal-family", "--n", "20"), 1,
-     "fb35c88c7419e873f4933b7ab0e421bcc8c6ab557e367d6e76566b136efebb7a",
-     "33a84d4f3cc56aeedf0afaff1931b6b1a507689695dda0dd917f724c45ccd10e"),
     (("left-ideal-cs-family", "--n", "2..4"), 3,
      "1a36499da524bf540aefe5de25451ee569aeb0ca8139ef4262166289f904f872",
      "7122d0796c045c65326a707e818be32d0522dc661cd217797a9cbb247a4d9cbc"),
-    (("left-ideal-cs-family", "--n", "40"), 1,
-     "657277e2342fd51b93b40d0c1f939a795096e0d512fd8b2f80f4622ae4919cf3",
-     "744353f63ed9753b3ee08b91fe6d6976178fd8ba4b6ef070d4e5b0a6ff2cc1da"),
     (("small-order-oracle", "--order", "3"), 3,
      "9c6b4eebdd67a11cb35888125843518c75d945ba6d0d33e942031252e66e1492",
      "ec26b0f24804658490f20965b20f0ef457ca8f446cb3c4c6affaed2cc20f4615"),
@@ -327,10 +349,20 @@ def test_verify_deterministic_modulo_elapsed(capsys):
     (("brandt-example",), 1,
      "9b14e556722dae9e8c9e1d0981e7b38c0030edefd9fc5c1ec2798295d5acde59",
      "d98a4f75b960d38e56b498cfb3cca77b622cd6403ab27a59bf2e986f55f41b1f"),
+    (("brandt-tower", "--n", "1..5"), 8,
+     "0cfd8e6c03964b51a901d258342aa977903723bbc19ae0ebaa83309667eb6759",
+     "18fcd50569c3fca977e408385d06a5cfb0990ec83d3433b0626f3c56090b63c8"),
+    (("bi-ideal-family", "--n", "20"), 1,
+     "fb35c88c7419e873f4933b7ab0e421bcc8c6ab557e367d6e76566b136efebb7a",
+     "33a84d4f3cc56aeedf0afaff1931b6b1a507689695dda0dd917f724c45ccd10e"),
+    (("left-ideal-cs-family", "--n", "40"), 1,
+     "657277e2342fd51b93b40d0c1f939a795096e0d512fd8b2f80f4622ae4919cf3",
+     "744353f63ed9753b3ee08b91fe6d6976178fd8ba4b6ef070d4e5b0a6ff2cc1da"),
 ])
 def test_verify_every_suite_is_pinned(capsys, tmp_path, argv, n_cases, stdout_digest,
                                       cases_digest):
-    # digests taken while the suites still coerced every value for JSON
+    # digests taken while the suites still coerced every value for JSON; those at
+    # the benchmark's sizes, before the family suites shared one closed-form case
     target = tmp_path / "suite.json"
     code, out, err = run(capsys, "verify", *argv, "--json", str(target))
     assert (code, err) == (0, "")

@@ -311,6 +311,13 @@ def test_kernel_known_cases():
     assert kernel(bz).members == frozenset({bz.index("0")})
 
 
+def test_kernel_and_regular_elements_cache_only_their_inputs():
+    s = brandt_example()
+    assert kernel(s) == kernel(s)
+    assert regular_elements(s) == regular_elements(s)
+    assert {key[0] for key in s._cache} == {"below", "poset"}
+
+
 def test_regular_and_idempotents_match_oracle():
     for t in ALL_SMALL + list(oracles.relabelled(4, 25, seed=12)):
         s = make(t)
