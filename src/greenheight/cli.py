@@ -188,35 +188,31 @@ def _case(case_id, expected, computed):
     }
 
 
-def _family_case(fi):
-    """(expected, computed) for a family instance: its closed forms beside
-    the engine's values, plus the complement of the distinguished subset
-    and the bound's verdict where the instance lists what it excludes."""
-    s = fi.semigroup
-    report = ideals.bound_report(s, fi.distinguished)
-    expected = {key: fi.expected[key]
-                for key in ("order", "height_r", "relative_height", "chain_param")}
-    computed = {
-        "order": s.order,
-        "height_r": green.height(s, "R"),
-        "relative_height": report.relative_height,
-        "chain_param": report.chain_param,
-    }
-    if "excluded" in fi.expected:
-        expected.update(complement=sorted(fi.expected["excluded"]),
-                        bound_pass=True, bound_tight=True)
-        computed.update(complement=sorted(set(s.names) - set(fi.distinguished.member_names)),
-                        bound_pass=report.passed, bound_tight=report.tight)
-    return expected, computed
+# key -> the engine's reading of it, from a family instance and its bound report
+_READINGS = {
+    "order": lambda fi, report: fi.semigroup.order,
+    "height_r": lambda fi, report: green.height(fi.semigroup, "R"),
+    "height_j": lambda fi, report: green.height(fi.semigroup, "J"),
+    "relative_height": lambda fi, report: report.relative_height,
+    "chain_param": lambda fi, report: report.chain_param,
+    "complement": lambda fi, report: sorted(
+        set(fi.semigroup.names) - set(fi.distinguished.member_names)),
+    "bound_pass": lambda fi, report: report.passed,
+    "bound_tight": lambda fi, report: report.tight,
+}
+
+
+def _family_case(case_id, fi, **checks):
+    """A case for a family instance: the closed forms it lists beside the
+    engine's reading of each, and of nothing it does not list, then each of
+    `checks`, a fact no closed form states, expected true."""
+    report = ideals.bound_report(fi.semigroup, fi.distinguished)
+    computed = {key: _READINGS[key](fi, report) for key in fi.expected}
+    return _case(case_id, {**fi.expected, **dict.fromkeys(checks, True)}, {**computed, **checks})
 
 
 def suite_bi_ideal_family(args):
-    cases = []
-    for n in args.n:
-        fi = constructions.bi_ideal_family(n)
-        expected, computed = _family_case(fi)
-        cases.append(_case(f"n={n}", expected, computed))
-    return cases
+    return [_family_case(f"n={n}", constructions.bi_ideal_family(n)) for n in args.n]
 
 
 def suite_left_ideal_cs_family(args):
@@ -224,11 +220,8 @@ def suite_left_ideal_cs_family(args):
     for n in args.n:
         fi = constructions.left_ideal_cs_family(n)
         jp = green.class_poset(fi.semigroup, "J")
-        single_chain = jp.height == len(jp.classes)  # a chain through every class
-        expected, computed = _family_case(fi)
-        expected.update(height_j=fi.expected["height_j"], single_j_chain=True)
-        computed.update(height_j=jp.height, single_j_chain=single_chain)
-        cases.append(_case(f"n={n}", expected, computed))
+        # a chain through every class
+        cases.append(_family_case(f"n={n}", fi, single_j_chain=jp.height == len(jp.classes)))
     return cases
 
 
@@ -236,13 +229,11 @@ def suite_brandt_tower(args):
     cases = []
     for n in args.n:
         fi = constructions.right_ideal_tower(n)
-        expected, computed = _family_case(fi)
+        checks = {}
         if n == 2:
-            expected["matches_brandt_example"] = True
-            computed["matches_brandt_example"] = bool(
-                np.array_equal(fi.semigroup.table, constructions.brandt_example().table)
-            )
-        cases.append(_case(f"tower n={n}", expected, computed))
+            checks["matches_brandt_example"] = bool(
+                np.array_equal(fi.semigroup.table, constructions.brandt_example().table))
+        cases.append(_family_case(f"tower n={n}", fi, **checks))
     # one-step extension laws over small bases
     bases = [
         ("trivial", constructions.trivial_semigroup()),
@@ -271,29 +262,14 @@ def suite_null_extension(args):
     ]
     cases = []
     for label, t_sem in bases:
-        s, handle = constructions.null_extension(t_sem)
+        fi = constructions.null_extension(t_sem)
         m = t_sem.order
         mirror = all(
-            green.leq(s, m + a, m + b, "R") == green.leq(t_sem, a, b, "R")
+            green.leq(fi.semigroup, m + a, m + b, "R") == green.leq(t_sem, a, b, "R")
             for a in range(m)
             for b in range(m)
         )
-        report = ideals.bound_report(s, handle)
-        expected = {
-            "order": 2 * m + 1,
-            "relative_height": 2,
-            "chain_param": green.height(t_sem, "R") + 1,
-            "mirror_order": True,
-            "bound_pass": True,
-        }
-        computed = {
-            "order": s.order,
-            "relative_height": report.relative_height,
-            "chain_param": report.chain_param,
-            "mirror_order": mirror,
-            "bound_pass": report.passed,
-        }
-        cases.append(_case(f"base {label}", expected, computed))
+        cases.append(_family_case(f"base {label}", fi, mirror_order=mirror))
     return cases
 
 

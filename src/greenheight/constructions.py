@@ -15,15 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core, ideals, rewriting
+from . import core, green, ideals, rewriting
 
 
 @dataclass(frozen=True)
 class FamilyInstance:
     """One member of a parametrized family, with its distinguished subset
-    and the closed-form values the construction promises."""
+    and the closed-form values the construction promises, under the keys
+    the verify suites report."""
 
-    n: int
     semigroup: core.FiniteSemigroup
     distinguished: core.SubsetHandle
     expected: dict
@@ -49,14 +49,10 @@ def bi_ideal_family(n: int) -> FamilyInstance:
     s = rewriting.semigroup_from_presentation(rs)
     gens = {rewriting.element_index(rs, s, w) for w in ("x", "y", "z", "tx")}
     handle = ideals.generate(s, gens, "bi_ideal")
-    expected = {
-        "order": 12 * (n - 1) + 1,
-        "height_r": n,
-        "relative_height": 3 * n - 2,
-        "chain_param": n,
-        "excluded": ("t", "zt", "ty", "yzt", "tyz"),
-    }
-    return FamilyInstance(n, s, handle, expected, text)
+    expected = {"order": 12 * (n - 1) + 1, "height_r": n, "relative_height": 3 * n - 2,
+                "chain_param": n, "complement": ["t", "ty", "tyz", "yzt", "zt"],
+                "bound_pass": True, "bound_tight": True}
+    return FamilyInstance(s, handle, expected, text)
 
 
 def left_ideal_cs_family(n: int) -> FamilyInstance:
@@ -73,15 +69,10 @@ def left_ideal_cs_family(n: int) -> FamilyInstance:
     s = rewriting.semigroup_from_presentation(rs)
     gens = {rewriting.element_index(rs, s, w) for w in ("x", "y")}
     handle = ideals.generate(s, gens, "left_ideal")
-    expected = {
-        "order": 6 * (n - 1) + 1,
-        "height_r": n,
-        "relative_height": 2 * n - 1,
-        "chain_param": n,
-        "excluded": ("z", "yz"),
-        "height_j": 2 * n - 1,
-    }
-    return FamilyInstance(n, s, handle, expected, text)
+    expected = {"order": 6 * (n - 1) + 1, "height_r": n, "height_j": 2 * n - 1,
+                "relative_height": 2 * n - 1, "chain_param": n, "complement": ["yz", "z"],
+                "bound_pass": True, "bound_tight": True}
+    return FamilyInstance(s, handle, expected, text)
 
 
 def brandt_extension(s: core.FiniteSemigroup, k: int) -> core.FiniteSemigroup:
@@ -155,19 +146,14 @@ def right_ideal_tower(n: int) -> FamilyInstance:
         s = brandt_extension(s, 2)
         order = 4 * order + 1
     handle = ideals.generate(s, {a}, "right_ideal")
-    expected = {
-        "order": order,
-        "height_r": n,
-        "relative_height": 2 * n - 1,
-        "chain_param": n,
-    }
-    return FamilyInstance(n, s, handle, expected)
+    expected = {"order": order, "height_r": n, "relative_height": 2 * n - 1, "chain_param": n}
+    return FamilyInstance(s, handle, expected)
 
 
-def null_extension(t_sem: core.FiniteSemigroup):
+def null_extension(t_sem: core.FiniteSemigroup) -> FamilyInstance:
     """Adjoin a null mirror: S = T | {x_a} | {0} with a*x_b = x_a*b = x_(ab)
-    and all other new products 0. Returns (S, handle for N = {x_a} | {0}),
-    a two-sided ideal with relative R-height 2 whose chain parameter is
+    and all other new products 0. The distinguished subset is the two-sided
+    ideal N = {x_a} | {0}, with relative R-height 2 and chain parameter
     H_R(T) + 1."""
     m = t_sem.order
     size = 2 * m + 1
@@ -186,7 +172,9 @@ def null_extension(t_sem: core.FiniteSemigroup):
     table[m:2 * m, :m] = m + st
     s = core.from_table(names, table)
     handle = core.SubsetHandle(s, frozenset(range(m, size)), "two_sided_ideal")
-    return s, handle
+    expected = {"order": 2 * m + 1, "relative_height": 2,
+                "chain_param": green.height(t_sem, "R") + 1, "bound_pass": True}
+    return FamilyInstance(s, handle, expected)
 
 
 def _composition_table(maps: np.ndarray) -> np.ndarray:

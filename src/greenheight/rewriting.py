@@ -370,6 +370,15 @@ def _tokenize(text: str, lineno: int, col0: int):
     return toks
 
 
+def _rule_arrow(text: str) -> int:
+    """Index of the first '->' outside brackets, or -1. A '[' that no ']'
+    closes opens no bracket, so _tokenize reports it."""
+    i = text.find("->")
+    while i >= 0 and text.rfind("[", 0, i) > text.rfind("]", 0, i) and text.find("]", i) >= 0:
+        i = text.find("->", i + 2)
+    return i
+
+
 def parse_presentation(text: str) -> RewritingSystem:
     """Parse presentation text: `letters:`, optional `zero:`, `rule:` lines."""
     letters = None
@@ -400,9 +409,10 @@ def parse_presentation(text: str) -> RewritingSystem:
                 raise ParseError(lineno, col0 + 1, "zero declaration needs exactly one token")
             zero = toks[0]
         else:
-            lhs_txt, arrow, rhs_txt = rest.partition("->")
-            if not arrow:
+            arrow = _rule_arrow(rest)
+            if arrow < 0:
                 raise ParseError(lineno, col0 + 1, "rule needs '->'")
+            lhs_txt, rhs_txt = rest[:arrow], rest[arrow + 2:]
             lhs = _tokenize(lhs_txt, lineno, col0)
             rhs = _tokenize(rhs_txt, lineno, col0 + len(lhs_txt) + 2)
             if not lhs:
@@ -436,11 +446,15 @@ def parse_presentation(text: str) -> RewritingSystem:
 
 def format_presentation(rs: RewritingSystem) -> str:
     """Presentation text that parses back to an equivalent system; tokens
-    longer than one character, the zero token too, are bracketed."""
+    longer than one character, the zero token too, are bracketed, and so
+    are '-' and '>' letters in rules, where "->" outside brackets is the
+    arrow."""
     lines = ["letters: " + " ".join(map(_bracketed, rs.letters))]
     if rs.zero_token is not None:
         lines.append(f"zero: {_bracketed(rs.zero_token)}")
+    shown = str.maketrans({sym: f"[{tok}]" if tok in ("-", ">") else _bracketed(tok)
+                           for sym, tok in rs._tok_of.items()})
     for r in rs.rules:
-        rhs = _bracketed(rs.zero_token) if r.rhs is ZERO else rs.display(r.rhs)
-        lines.append(f"rule: {rs.display(r.lhs)} -> {rhs}")
+        rhs = _bracketed(rs.zero_token) if r.rhs is ZERO else r.rhs.translate(shown)
+        lines.append(f"rule: {r.lhs.translate(shown)} -> {rhs}")
     return "\n".join(lines) + "\n"

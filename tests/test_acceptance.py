@@ -147,7 +147,8 @@ def test_criterion_5_five_element_example():
 
 def test_criterion_6_null_extension():
     t_sem = left_ideal_cs_family(3).semigroup
-    s, handle = null_extension(t_sem)
+    fi = null_extension(t_sem)
+    s, handle = fi.semigroup, fi.distinguished
     ok = relative_height(handle) == 2
     ok &= chain_param(s, handle) == 4
     ok &= chain_param(s, handle) == height(t_sem, "R") + 1

@@ -23,6 +23,7 @@ from greenheight.constructions import (
     bi_ideal_family,
     brandt_example,
     left_ideal_cs_family,
+    null_extension,
     right_ideal_tower,
 )
 from greenheight.errors import (
@@ -486,6 +487,25 @@ def test_verify_failure_path_prints_diff(capsys, monkeypatch):
     assert "failures: 1" in out
 
 
+@pytest.mark.parametrize("build, reads_j", [
+    (lambda: bi_ideal_family(3), False),
+    (lambda: right_ideal_tower(3), False),
+    (lambda: null_extension(brandt_example()), False),
+    (lambda: left_ideal_cs_family(3), True),
+])
+def test_family_case_reads_only_the_keys_its_instance_lists(monkeypatch, build, reads_j):
+    fi = build()
+    relations = []
+    real = green.class_poset
+    monkeypatch.setattr(green, "class_poset",
+                        lambda x, relation="R": relations.append(relation) or real(x, relation))
+    case = cli._family_case("n", fi, extra=False)
+    assert case["expected"] == {**fi.expected, "extra": True}
+    assert set(case["computed"]) == set(fi.expected) | {"extra"}
+    assert not case["pass"]
+    assert ("J" in relations) == reads_j
+
+
 def test_engine_bug_is_internal_error_exit_three(capsys, monkeypatch, bi2_presentation):
     def broken_poset(s, relation="R"):
         raise EngineBug("class order is not antisymmetric: engine bug")
@@ -605,6 +625,20 @@ def test_verify_negative_samples_is_usage_error(capsys):
 def test_verify_bad_range(capsys):
     code, _, _ = run(capsys, "verify", "bi-ideal-family", "--n", "5..2")
     assert code == 2
+
+
+def test_verify_n_that_is_not_a_range_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "bi-ideal-family", "--n", "two")
+    assert code == 2
+    assert out == ""
+    assert "bad range 'two', expected A..B" in err
+
+
+def test_count_that_is_not_an_integer_is_usage_error(capsys):
+    code, out, err = run(capsys, "search-open1", "--budget", "1.5")
+    assert code == 2
+    assert out == ""
+    assert "bad count '1.5', expected an integer" in err
 
 
 def test_search_open1_deterministic(capsys):
@@ -831,6 +865,22 @@ def test_python_dash_m_runs_the_cli():
     res = subprocess.run([sys.executable, "-m", "greenheight", "--help"],
                          capture_output=True, text=True, env=env, timeout=60)
     _assert_help_output(res)
+
+
+def test_python_dash_m_runs_a_command_and_reports_an_input_error(tmp_path):
+    table = tmp_path / "lz2.txt"
+    table.write_text("order: 2\nnames: a b\n0 0\n1 1\n")
+    package_root = Path(greenheight.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    res = subprocess.run([sys.executable, "-m", "greenheight", "elements", str(table)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert (res.returncode, res.stdout, res.stderr) == (0, "order: 2\ne0: a\ne1: b\n", "")
+    res = subprocess.run([sys.executable, "-m", "greenheight", "elements",
+                          str(tmp_path / "missing.txt")],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr.startswith("error: ")
+    assert "missing.txt" in res.stderr
 
 
 @pytest.mark.skipif(shutil.which("greenheight") is None,

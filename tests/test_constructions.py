@@ -10,6 +10,7 @@ import oracles
 from greenheight import (
     chain_param,
     format_table_text,
+    from_table,
     height,
     kernel,
     leq,
@@ -200,7 +201,8 @@ def test_tower_heights_step_by_one_and_two():
 def test_null_extension_structure():
     for build in NULL_BASES.values():
         t_sem = build()
-        s, handle = null_extension(t_sem)
+        fi = null_extension(t_sem)
+        s, handle = fi.semigroup, fi.distinguished
         m = t_sem.order
         assert s.order == 2 * m + 1
         assert handle.kind == "two_sided_ideal"
@@ -220,8 +222,18 @@ def test_null_extension_structure():
 
 def test_null_extension_name_collisions_avoided():
     t_sem = null_semigroup(2)  # already contains a "0" name
-    s, handle = null_extension(t_sem)
+    s = null_extension(t_sem).semigroup
     assert len(set(s.names)) == s.order
+
+
+def test_null_extension_lengthens_its_mirror_prefix_past_the_base_names():
+    t_sem = from_table(["x_a", "b"], [[0, 0], [1, 1]])
+    assert null_extension(t_sem).semigroup.names == ("x_a", "b", "xx_x_a", "xx_b", "0")
+
+
+def test_null_semigroup_refuses_order_zero():
+    with pytest.raises(ValueError, match="^order must be positive$"):
+        null_semigroup(0)
 
 
 def test_full_transformation_monoid_tables():
@@ -286,7 +298,7 @@ def test_table_and_presentation_text_round_trip():
     lambda: null_semigroup(4),
     brandt_example,
     lambda: brandt_extension(left_zero_semigroup(2), 3),
-    lambda: null_extension(brandt_example())[0],
+    lambda: null_extension(brandt_example()).semigroup,
     lambda: bi_ideal_family(3).semigroup,
     lambda: left_ideal_cs_family(3).semigroup,
     lambda: right_ideal_tower(3).semigroup,
@@ -359,13 +371,13 @@ PINNED_TABLES = [
      "19f5b580cc6da1d74da8b66173539ab4d72be046a0536857ad55a2598b943dea"),
     ("brandt null-3 k=3", lambda: brandt_extension(BRANDT_BASES["null-3"](), 3),
      "6439f831a85d5530403430f1857da6faeff7285755c291d23a823ceac71b0d66"),
-    ("null left-family-3", lambda: null_extension(NULL_BASES["left-family-3"]())[0],
+    ("null left-family-3", lambda: null_extension(NULL_BASES["left-family-3"]()).semigroup,
      "96d30f2d1f4be44d4cc22e48ea197ecf4e06fc2f7569287c498bcfbd93fd9c28"),
-    ("null trivial", lambda: null_extension(NULL_BASES["trivial"]())[0],
+    ("null trivial", lambda: null_extension(NULL_BASES["trivial"]()).semigroup,
      "e77648b575669be625a1897b83a9ae76fa3e84188a3108379d407ed8bef3a094"),
-    ("null left-zero-2", lambda: null_extension(NULL_BASES["left-zero-2"]())[0],
+    ("null left-zero-2", lambda: null_extension(NULL_BASES["left-zero-2"]()).semigroup,
      "c9d245d2ec318009bf10c1cf706cb45bba3b7d2ee06231a86616e9e149c6bdaf"),
-    ("null null-2", lambda: null_extension(null_semigroup(2))[0],
+    ("null null-2", lambda: null_extension(null_semigroup(2)).semigroup,
      "dbf08f62a32a3113d602bdd139606078c5742651559bb65747bbe6d6d5b36d12"),
 ]
 

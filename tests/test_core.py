@@ -91,6 +91,10 @@ PARSE_ERRORS = [
     ("order: 2\nnames: a a\n0 1\n1 0\n", "distinct",
      "line 1, column 1: element names must be distinct"),
     ("order: 2\nnames: a b\n0 x\n1 0\n", "bad table entry", "line 3, column 1: bad table entry 'x'"),
+    ("", "empty", "line 1, column 1: empty table text"),
+    ("# a comment\n\n", "comments only", "line 1, column 1: empty table text"),
+    ("order: 2\n", "no names line", "line 1, column 1: missing 'names' line"),
+    ("order: x\n", "integer", "line 1, column 7: order must be an integer"),
 ]
 
 
@@ -228,6 +232,17 @@ def test_names_with_whitespace_are_refused(name):
         from_table([name], [[0]])
 
 
+@pytest.mark.parametrize("names, table, message", [
+    (["a"], [[0, 0]], "table must be square, got shape (1, 2)"),
+    ([], np.zeros((0, 0), dtype=np.int32), "semigroup must have at least one element"),
+    (["a"], [[0, 0], [0, 0]], "1 names for 2 elements"),
+])
+def test_semigroup_refuses_bad_shapes_and_name_counts(names, table, message):
+    with pytest.raises(ValueError) as exc:
+        core.FiniteSemigroup(names, table)
+    assert str(exc.value) == message
+
+
 def test_names_of_non_space_characters_are_kept():
     names = ("\u200b", "\xb7", "a\u2060")
     assert from_table(names, [[0, 0, 0], [1, 1, 1], [2, 2, 2]]).names == names
@@ -296,6 +311,12 @@ def test_bi_ideal_witness_on_random_subsets_of_bi_family():
         assert witness == oracles.naive_bi_ideal_witness(rows, members)
         shapes.add(None if witness is None else witness[0])
     assert "middle" in shapes
+
+
+@pytest.mark.parametrize("members", [{0, 2}, {-1}])
+def test_closure_violation_refuses_members_out_of_range(members):
+    with pytest.raises(ValueError, match="^member set contains an invalid element index$"):
+        closure_violation(left_zero_semigroup(2), members, "right_ideal")
 
 
 def test_closure_violation_witness_is_real():

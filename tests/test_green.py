@@ -8,6 +8,7 @@ import pytest
 import oracles
 from greenheight import _accel, green
 from greenheight import (
+    SubsetHandle,
     class_poset,
     from_table,
     has_local_right_identity,
@@ -340,6 +341,18 @@ def test_has_local_right_identity():
     z = s.index("0")
     assert has_local_right_identity(s, z)
     assert not has_local_right_identity(s, s.index("n1"))
+
+
+def test_leq_and_local_right_identity_refuse_elements_out_of_range():
+    s = left_zero_semigroup(2)
+    for a, b in ((0, 2), (-1, 0)):
+        with pytest.raises(ValueError, match="^element index out of range$"):
+            leq(s, a, b)
+    with pytest.raises(ValueError, match="^element index out of range$"):
+        has_local_right_identity(s, 2)
+    handle = SubsetHandle(s, frozenset({0}), "right_ideal")
+    with pytest.raises(ValueError, match="^element is not a member of the handle$"):
+        has_local_right_identity(handle, 1)
 
 
 def test_inverse_structure_classification():

@@ -194,6 +194,14 @@ def test_generate_requires_seeds():
         generate(s, set(), "right_ideal")
 
 
+def test_generate_refuses_unknown_kinds_and_generators_out_of_range():
+    s = left_zero_semigroup(2)
+    with pytest.raises(ValueError, match="^unknown kind 'ideal'$"):
+        generate(s, {0}, "ideal")
+    with pytest.raises(ValueError, match="^generator index out of range$"):
+        generate(s, {2}, "right_ideal")
+
+
 def test_relative_height_matches_oracle():
     fi = bi_ideal_family(3)
     rows = fi.semigroup.table.tolist()
@@ -332,6 +340,18 @@ def test_bound_report_rejects_subsemigroup():
     h = SubsetHandle(s, frozenset({0}), "subsemigroup")
     with pytest.raises(ValueError):
         bound_report(s, h)
+
+
+def test_bound_verdict_rejects_subsemigroup():
+    with pytest.raises(ValueError,
+                       match="^bound_verdict requires an ideal kind, not 'subsemigroup'$"):
+        bound_verdict("subsemigroup", 1, 1)
+
+
+def test_chain_param_rejects_a_handle_of_another_semigroup():
+    handle = generate(left_zero_semigroup(2), {0}, "right_ideal")
+    with pytest.raises(ValueError, match="^handle does not belong to this semigroup$"):
+        chain_param(left_zero_semigroup(2), handle)
 
 
 def test_two_sided_bound_uses_contained_classes():

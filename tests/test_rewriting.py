@@ -76,12 +76,52 @@ def test_parse_accepts_comments_and_blank_lines():
         ("letters: a b\nrule:  -> a\n", "empty"),
         ("letters: a b\nzero: a\nrule: ab -> a\n", "zero"),
         ("letters: a b\nnonsense: 3\n", "expected"),
+        ("letters: a [b\n", "line 1, column 12: unclosed '['"),
+        ("letters: a []\n", "line 1, column 12: bad bracketed token ''"),
+        ("letters: a ]\n", "line 1, column 12: unexpected ']'"),
+        ("letters: a\nletters: b\n", "line 2, column 1: duplicate 'letters:' declaration"),
+        ("letters:  \n", "line 1, column 9: empty alphabet"),
+        ("letters: a\nzero: 0\nzero: 1\n", "line 3, column 1: duplicate 'zero:' declaration"),
+        ("letters: a\nzero: 0 1\n", "line 2, column 6: zero declaration needs exactly one token"),
+        ("letters: a b\nrule: ab -> \n", "line 2, column 12: empty rule rhs"),
+        # an arrow inside brackets is part of a token, not the rule arrow
+        ("letters: a b\nrule: [p->q]b\n", "line 2, column 6: rule needs '->'"),
+        # a '[' that nothing closes is reported, whatever follows it
+        ("letters: a b\nrule: a [b -> a\n", "line 2, column 9: unclosed '['"),
     ],
 )
 def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as exc:
         parse_presentation(text)
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("letters, rules, message", [
+    (("",), [], "letter must be a non-empty string"),
+    (("a b",), [], "letter 'a b' contains whitespace or reserved characters"),
+    (("\ue000",), [], "letter '\\ue000' is in the reserved private-use range"),
+    ((), [], "alphabet must be non-empty"),
+    (("a",), [("", "a")], "rule lhs must be a non-empty word over the alphabet"),
+    (("a",), [("a", "aa")], "rule a -> aa is not length-reducing"),
+    (("a",), [("aa", ZERO)], "rules rewrite to zero but no zero token is declared"),
+])
+def test_rewriting_system_refuses_bad_input(letters, rules, message):
+    with pytest.raises(ValueError) as exc:
+        RewritingSystem(letters, rules)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("build", [
+    # '-' then '>' would read as the arrow unless bracketed
+    lambda: RewritingSystem(("-", ">", "a"), [("->", "a")]),
+    # a bracketed token may hold "->"; the rule arrow is the one outside brackets
+    lambda: parse_presentation("letters: [p->q] b\nrule: [p->q]b -> b\n"),
+], ids=["dash and angle letters", "arrow inside a token"])
+def test_format_round_trip_of_arrow_characters(build):
+    rs = build()
+    again = parse_presentation(format_presentation(rs))
+    assert again.letters == rs.letters
+    assert rules_as_strings(again) == rules_as_strings(rs)
 
 
 def test_parse_error_carries_position():
@@ -231,6 +271,8 @@ def test_enumerate_irreducibles_cap():
     with pytest.raises(CapExceeded) as exc:
         enumerate_irreducibles(rs, cap=10)
     assert exc.value.cap == 10
+    with pytest.raises(ValueError, match="^cap must be positive$"):
+        enumerate_irreducibles(rs, cap=0)
 
 
 def test_semigroup_from_presentation_matches_table_route():
