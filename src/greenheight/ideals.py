@@ -11,6 +11,7 @@ genuinely differ (the 5-element Brandt example is the regression case).
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -66,7 +67,8 @@ def _distinct(entries):
     return np.flatnonzero(np.bincount(entries.ravel()))
 
 
-# subset_arrays walks all 2^m - 1 subsets, as int32 masks
+# subset_arrays walks all 2^m subsets as the bits of rows of words; at
+# m = 16 a row is 1,024 uint64 words, and xm takes 2 MB a table
 _SCAN_MAX_ORDER = 16
 
 
@@ -87,58 +89,55 @@ class SubsetArrays:
 def subset_arrays(tables) -> SubsetArrays:
     """Laws, relative R-heights and the chain parameter of every nonempty subset
     of every table in a stack of shape (N, m, m), m <= 16, in whole-array
-    steps over the N * 2^m masks.
+    steps on sets of masks, each a row of words (see _mask_words).
 
-    Every set is an int32 bitmask, bit i for element i. x*M for each x, M*S
-    and S*M take one OR-step per element over the mask axis. The laws read:
-    x*M inside M for every x in M for subsemigroups, and also for every x in
+    Every array keeps its element axes first and the table axis last before
+    the words, so each step runs over whole (N, W) slabs: xm[x, z] is the
+    set of M with z in x*M, one OR of mem[y] per y. The laws read: x*M
+    inside M for every x in M for subsemigroups, and also for every x in
     M*S for bi-ideals; M*S inside M for right ideals, S*M for left ideals,
-    both for two-sided ones. In a closed M, b <=_R c iff b is in the down-set
-    {c} | c*M, and a longest chain of R-classes counts the rounds that peel
-    off the minimal remaining members. The chain parameter peels the
-    R-classes of S that meet M with the same routine, on the column M = S,
-    whose down-sets are c*S^1. The tables are taken to be associative.
+    both for two-sided ones. In a closed M, b <_R c iff b is in c*M and c is
+    not in b*M, so the strict order is xm & ~xm transposed, and a longest
+    chain of R-classes counts the rounds that peel off the minimal remaining
+    members. The chain parameter peels the R-classes of S that meet M under
+    S's strict R order, stacked on the table axis of the same peel. The
+    tables are taken to be associative.
     """
-    bits = _product_bits(tables, "subset_arrays")
-    n, m = bits.shape[:2]
-    size = 1 << m
-    masks = np.arange(size, dtype=np.int32)
-    xm = np.zeros((n, size, m), dtype=np.int32)  # xm[:, k, x]: x*M for M = k
-    ms = np.zeros((n, size), dtype=np.int32)
-    sm = np.zeros((n, size), dtype=np.int32)
-    right = np.bitwise_or.reduce(bits, axis=2)  # right[:, a]: aS
-    left = np.bitwise_or.reduce(bits, axis=1)  # left[:, a]: Sa
-    for b in range(m):  # the masks with top bit b are those below it plus b
-        lo, hi = 1 << b, 2 << b
-        np.bitwise_or(xm[:, :lo], bits[:, None, :, b], out=xm[:, lo:hi])
-        np.bitwise_or(ms[:, :lo], right[:, b, None], out=ms[:, lo:hi])
-        np.bitwise_or(sm[:, :lo], left[:, b, None], out=sm[:, lo:hi])
-    element = np.arange(m, dtype=np.int32)
-    escapes = (xm & ~masks[:, None]) != 0  # x*M leaves M
-    closed = ~(escapes & (masks[:, None] >> element & 1).astype(bool)).any(axis=2)
-    in_ms = (ms[:, :, None] >> element & 1).astype(bool)
-    right_law = (ms & ~masks) == 0
-    left_law = (sm & ~masks) == 0
-    laws = {
+    tt = _element_major(tables, "subset_arrays")
+    m, n = tt.shape[1:]
+    mem, full = _mask_words(m)
+    width = mem.shape[1]
+    xm = np.zeros((m, m, n, width), dtype=mem.dtype)
+    cells = xm.reshape(m * m * n, width)
+    at = (np.arange(m)[:, None, None] * m + tt) * n + np.arange(n)  # [x, y]: xm[x, x*y]
+    for y in range(m):
+        cells[at[:, y]] |= mem[y]
+    below_r = _below(tt)
+    in_ms = _meets(below_r.swapaxes(0, 1), mem)  # [x]: the M with x in M*S^1
+    in_sm = _meets(_below(tt, left=True).swapaxes(0, 1), mem)
+    held, outside = mem[:, None], ~mem[:, None]  # broadcast over the tables
+    escapes = _fold_or(xm & outside, axis=1)  # [x]: the M with x*M not inside M
+    right_law = full & ~_fold_or(in_ms & outside, axis=0)
+    left_law = full & ~_fold_or(in_sm & outside, axis=0)
+    closed = full & ~_fold_or(escapes & held, axis=0)
+    law_words = {
         "subsemigroup": closed,
-        "bi_ideal": closed & ~(escapes & in_ms).any(axis=2),
+        "bi_ideal": full & ~_fold_or(escapes & in_ms, axis=0),  # x in M*S^1: in M or M*S
         "right_ideal": right_law,
         "left_ideal": left_law,
         "two_sided_ideal": right_law & left_law,
     }
-    down = xm | np.left_shift(np.int32(1), element)  # {c} | c*M
-    strict = _strict_below(down)
-    heights = _peel(strict, np.where(closed, masks, 0))
-    # M = S is the last column: the R-classes of S, and each element's class
-    meets = np.zeros((n, size), dtype=np.int32)  # the classes M meets, as elements
-    same = down[:, -1] & ~strict[:, -1]
-    for b in range(m):
-        lo, hi = 1 << b, 2 << b
-        np.bitwise_or(meets[:, :lo], same[:, b, None], out=meets[:, lo:hi])
+    laws = _unpack(np.stack(list(law_words.values())), m)[..., 1:]
+    # S's strict R order and its R-classes, as sets of masks: all or none
+    above_r = below_r.swapaxes(0, 1)
+    fronts = _peel(
+        np.concatenate([xm & ~xm.swapaxes(0, 1), (below_r & ~above_r)[..., None] * full], axis=2),
+        np.concatenate([held & closed, _meets(below_r & above_r, mem)], axis=1))
+    counts = _unpack(fronts, m).sum(axis=0, dtype=np.int32)
     return SubsetArrays(
-        laws={kind: law[:, 1:] for kind, law in laws.items()},
-        relative_height=heights[:, 1:],
-        chain_param=_peel(strict[:, -1, None, :], meets)[:, 1:],
+        laws=dict(zip(law_words, laws)),
+        relative_height=counts[:n, 1:],
+        chain_param=counts[n:, 1:],
     )
 
 
@@ -159,113 +158,156 @@ class TableFacts:
 
 def table_facts(tables) -> TableFacts:
     """The table-level facts of every table in a stack of shape (N, m, m),
-    m <= 16, in whole-array steps on the int32 masks of subset_arrays.
+    m <= 16, in whole-array steps.
 
-    The R and L down-sets of c are {c} | c*S and {c} | S*c, and the J
-    down-set of c joins the R down-sets of its L down-set; the J-height
-    peels it as subset_arrays peels the column M = S, whose chain parameter
-    is the R-height. The kernel K is the union of the minimal R-classes,
-    the members with an empty strict R down-set. As in green.kernel, each
-    minimal R-class must be a right ideal and K a two-sided ideal,
-    completely simple (its own R.L all true, its R and L symmetric), or
-    EngineBug is raised. The minimal principal right ideals
-    are found by raw mask inclusion, the regular elements are the a in
-    a*S*a, and a is in a*M when M meets the b with a*b = a.
+    S's R, L and J orders are stacked boolean below-matrices, as green keeps
+    them for one semigroup, with the table axis last: below[c, b] is true
+    where b is in c*S^1, S^1*c or S^1*c*S^1, J being the boolean product
+    L.R. The J-height peels the J order as subset_arrays peels its masks.
+    The kernel K is the union of the minimal R-classes, the members with no
+    member strictly R below them. As in green.kernel, each minimal R-class
+    must be a right ideal and K a two-sided ideal, completely simple (its
+    own R.L all true, its R and L symmetric), or EngineBug is raised. The
+    minimal principal right ideals are found by raw inclusion of the rows of
+    R, the regular elements are the a in a*S*a, and a is in a*M when M meets
+    the b with a*b = a, a set of masks in subset_arrays' words.
     """
-    bits = _product_bits(tables, "table_facts")
-    n, m = bits.shape[:2]
-    element = np.arange(m, dtype=np.int32)
-    weight = np.left_shift(np.int32(1), element)
-    full = np.full(n, (1 << m) - 1, dtype=np.int32)
-    down_r = np.bitwise_or.reduce(bits, axis=2) | weight  # {c} | c*S
-    down_l = np.bitwise_or.reduce(bits, axis=1) | weight  # {c} | S*c
-    strict_r = _strict_below(down_r)
-    minimal = strict_r == 0  # c lies in a minimal R-class, which is down_r[c]
-    kernel = minimal @ weight
-    if (minimal & (_join(down_r, down_r) != down_r)).any():
+    tt = _element_major(tables, "table_facts")
+    m, n = tt.shape[1:]
+    a = np.arange(m)[:, None, None]
+    weight = np.left_shift(np.int32(1), np.arange(m, dtype=np.int32))
+    below_r, below_l = _below(tt), _below(tt, left=True)
+    minimal = ~_fold_or(below_r & ~below_r.swapaxes(0, 1), axis=1)
+    down_r = weight @ below_r  # [c]: c*S^1 as an int32 bitmask
+    inside = (down_r & ~down_r[:, None]) == 0  # [c, b]: b*S^1 inside c*S^1
+    if (minimal[:, None] & below_r & ~inside).any():
         raise EngineBug("minimal R-class is not a right ideal")
-    if (np.bitwise_or.reduce(np.where(minimal, down_l, 0), axis=1) & ~kernel).any():
+    if (minimal[:, None] & below_l & ~minimal).any():
         raise EngineBug("union of the minimal R-classes is not a two-sided ideal")
-    # K's own down-sets {c} | c*K and {c} | K*c, and none outside K
-    c_k = np.bitwise_or.reduce(np.where(minimal[:, None, :], bits, 0), axis=2)
-    k_c = np.bitwise_or.reduce(np.where(minimal[:, :, None], bits, 0), axis=1)
-    k_right = np.where(minimal, c_k | weight, 0)
-    k_left = np.where(minimal, k_c | weight, 0)
-    if not ((~minimal | (_join(k_right, k_left) == kernel[:, None])).all()
-            and (_strict_below(k_right) == 0).all() and (_strict_below(k_left) == 0).all()):
+    # K's own orders: c*K^1 and K^1*c for c in K, and nothing outside K
+    k_right = _below(tt, keep=minimal) & minimal[:, None]
+    k_left = _below(tt, left=True, keep=minimal) & minimal[:, None]
+    if not ((~minimal[:, None] | (_product(k_right, k_left) == minimal)).all()
+            and (k_right == k_right.swapaxes(0, 1)).all()
+            and (k_left == k_left.swapaxes(0, 1)).all()):
         raise EngineBug("kernel is not completely simple")
-    # down_r[b] is a proper subset of down_r[a]
-    smaller = ((down_r[:, None, :] & ~down_r[:, :, None]) == 0) & (
-        down_r[:, None, :] != down_r[:, :, None])
-    least = ~smaller.any(axis=2)
-    t = np.asarray(tables)
-    row = np.arange(n)[:, None, None]
-    a = element[:, None]
-    sandwich = t[row, t, a] == a  # [:, a, b]: a*b*a == a
-    fixers = (t == a) @ weight  # [:, a]: the b with a*b == a
-    masks = np.arange(1, 1 << m, dtype=np.int32)[:, None]
-    local = ((fixers[:, None, :] & masks) != 0) | ((masks >> element & 1) == 0)
+    least = ~_fold_or(inside & ~inside.swapaxes(0, 1), axis=1)  # no row properly inside
+    sandwich = tt[tt, a, np.arange(n)] == a  # [a, b]: a*b*a == a
+    mem, full = _mask_words(m)
+    fixed = _meets(tt == a, mem)  # [a]: the M with a in a*M
+    below_j = _product(below_l, below_r)
+    fronts = _peel(below_j & ~below_j.swapaxes(0, 1), np.ones((m, n), dtype=bool))
     return TableFacts(
-        height_j=_peel(_strict_below(_join(down_l, down_r)), full),
-        kernel=kernel,
-        right_union=np.bitwise_or.reduce(np.where(least, down_r, 0), axis=1),
-        regular=sandwich.any(axis=2) @ weight,
-        local_right=local.all(axis=2),
+        height_j=fronts.sum(axis=0, dtype=np.int32),
+        kernel=weight @ minimal,
+        right_union=weight @ _fold_or(least[:, None] & below_r, axis=0),
+        regular=weight @ _fold_or(sandwich, axis=1),
+        local_right=_unpack(full & ~_fold_or(mem[:, None] & ~fixed, axis=0), m)[:, 1:],
     )
 
 
-def _product_bits(tables, caller):
-    """bits[:, x, y] = 1 << x*y for a stack of shape (N, m, m), m <= 16."""
+def _element_major(tables, caller):
+    """The stack of tables as tt[x, y, n] = x*y in table n, checked to be
+    an integer (N, m, m) stack, m <= 16, with entries in 0..m-1."""
     t = np.asarray(tables)
     if t.ndim != 3 or t.shape[1] != t.shape[2]:
         raise ValueError(f"{caller} needs an (N, m, m) stack, got shape {t.shape}")
     if t.shape[1] > _SCAN_MAX_ORDER:
         raise ValueError(f"{caller} scans tables of at most {_SCAN_MAX_ORDER}"
                          f" elements, got {t.shape[1]}")
-    # checked before the cast, which would truncate a float or pass a bool
+    # checked before any use as an index, which would take a bool as a mask
     if t.dtype.kind not in "iu":
         raise ValueError(f"{caller} needs integer entries, got dtype {t.dtype}")
     if t.size and not 0 <= t.min() <= t.max() < t.shape[1]:
         raise ValueError(f"{caller} needs entries in 0..{t.shape[1] - 1}")
-    return np.left_shift(np.int32(1), t.astype(np.int32))
+    return np.ascontiguousarray(t.transpose(1, 2, 0), dtype=np.intp)
 
 
-def _join(sets, down):
-    """out[..., c] is the union of down[..., b] over the b in sets[..., c]."""
-    m = sets.shape[-1]
-    inside = (sets[..., :, None] >> np.arange(m, dtype=np.int32) & 1).astype(bool)
-    return np.bitwise_or.reduce(np.where(inside, down[..., None, :], 0), axis=-1)
+@functools.cache
+def _mask_words(m):
+    """mem[x], the set of masks that hold element x, and full, the set of all
+    2^m masks, as read-only rows of words with bit k of a row standing for
+    mask k. A word is the narrowest unsigned dtype that holds 2^m bits, up
+    to uint64 at m = 6; above that a row has W = 2^(m - 6) of them. mem has
+    shape (m, W) and full (W,)."""
+    size = 1 << m
+    bits = np.ones((m + 1, size), dtype=bool)
+    for x in range(m):
+        bits[x].reshape(-1, 2, 1 << x)[:, 0] = False  # the masks without bit x
+    dtype = np.dtype(f"<u{min(max(size // 8, 1), 8)}")
+    words = np.packbits(bits, axis=1, bitorder="little").view(dtype)
+    words = words.astype(dtype.newbyteorder("="))
+    words.setflags(write=False)
+    return words[:m], words[m]
 
 
-def _strict_below(down):
-    """down[..., c] is the down-set of c in a preorder on bits 0..m-1; the
-    strict down-sets: b < c iff b is in down[c] and c is not in down[b]."""
-    m = down.shape[-1]
-    element = np.arange(m, dtype=np.int32)
-    up = np.zeros_like(down)  # up[..., c]: the b whose down-set holds c
-    for b in range(m):
-        up |= (down[..., b, None] >> element & 1) << b
-    return down & ~up
+def _unpack(words, m):
+    """The 2^m bits of each row of words, as a bool array whose last axis
+    has 2^m entries in place of the W words."""
+    data = words.astype(words.dtype.newbyteorder("<"), copy=False).view(np.uint8)
+    return np.unpackbits(data, axis=-1, count=1 << m, bitorder="little").view(bool)
+
+
+def _below(tt, left=False, keep=None):
+    """below[a, b, n] is true where b is in a*S^1 in table n of the stack
+    tt[x, y, n] = x*y, the R below-matrices; with left, where b is in
+    S^1*a, the L ones; with keep, an (m, N) bool array, where b is in a*K^1
+    or K^1*a for K the kept elements."""
+    m, _, n = tt.shape
+    a = np.arange(m).reshape((1, m, 1) if left else (m, 1, 1))  # the axis of tt a runs along
+    if keep is not None:  # a product with a factor outside K becomes a
+        tt = np.where(keep[:, None] if left else keep, tt, a)
+    below = np.zeros((m, m, n), dtype=bool)
+    below.ravel()[(a * m + tt) * n + np.arange(n)] = True
+    below.reshape(m * m, n)[::m + 1] = True  # b = a
+    return below
+
+
+def _product(x, y):
+    """The boolean product of two stacks of below-matrices, table axis last."""
+    return _fold_or(x[:, :, None] & y, axis=1)
+
+
+def _meets(select, mem):
+    """out[c] is the set of masks that meet {a : select[c, a]}, the OR of
+    mem[a] over those a, for select of shape (m, m, N)."""
+    return _fold_or(select[..., None] * mem[:, None], axis=1)
+
+
+def _fold_or(x, axis):
+    """The OR of x over an axis, by halving it: a ufunc reduce over a middle
+    axis costs several elementwise steps."""
+    keep = (slice(None),) * axis
+    if x.shape[axis] == 0:  # the empty OR, of an order-0 stack
+        return np.zeros(x.shape[:axis] + x.shape[axis + 1:], dtype=x.dtype)
+    while (size := x.shape[axis]) > 1:
+        half = size // 2
+        folded = x[keep + (slice(half),)] | x[keep + (slice(half, 2 * half),)]
+        if size % 2:
+            folded[keep + (0,)] |= x[keep + (-1,)]
+        x = folded
+    return x[keep + (0,)]
 
 
 def _peel(strict, alive):
-    """The number of rounds that empty the mask alive when each round removes
-    the members with no member strictly below them, strict[..., c] holding
-    the strict down-set of c; strict and alive broadcast. When strict orders
-    the members, this is the longest chain of classes in alive. A cycle
-    cannot be peeled, and raises EngineBug after m rounds."""
-    m = strict.shape[-1]
-    weight = np.left_shift(np.int32(1), np.arange(m, dtype=np.int32))
-    rounds = np.zeros(np.broadcast_shapes(strict.shape[:-1], alive.shape), dtype=np.int32)
-    for _ in range(m):
-        if not alive.any():
-            return rounds
-        rounds += alive != 0
-        minimal = (strict & alive[..., None]) == 0
-        alive = alive & ~(minimal @ weight)
+    """The fronts of peeling alive, of shape (m, ...), in rounds that each
+    remove the members with no member left strictly below them, where
+    strict[c, b], of shape (m, m, ...), is true where b < c: front r is the
+    OR of what is alive after r rounds, up to the round that leaves nothing.
+    Sets of masks as words and single bools both peel. When strict orders
+    the members, the fronts holding a mask count the classes on a longest
+    chain of its members. A cycle cannot be peeled, and raises EngineBug
+    after m rounds."""
+    m = len(alive)
+    fronts = np.zeros_like(alive)  # at most m fronts, each the shape of alive[0]
+    for r in range(m):
+        fronts[r] = _fold_or(alive, axis=0)
+        if not fronts[r].any():
+            return fronts[:r]
+        alive = alive & _fold_or(strict & alive, axis=1)
     if alive.any():
         raise EngineBug("a strict order to peel has a cycle; is the table associative?")
-    return rounds
+    return fronts
 
 
 def relative_height(handle: core.SubsetHandle) -> int:

@@ -131,7 +131,7 @@ class RewritingSystem:
         if isinstance(w, str):
             if all(c in self._tok_of for c in w):
                 return w
-            tokens = _tokenize(w, 0, 0)
+            tokens = _tokenize(w, 0, 0)[0]
         else:
             tokens = list(w)
         out = []
@@ -345,8 +345,9 @@ def element_index(rs: RewritingSystem, s: core.FiniteSemigroup, w) -> int:
 
 def _tokenize(text: str, lineno: int, col0: int):
     """Split into tokens: one character each, or [multi char]; '#' never appears
-    (comments are stripped before tokenizing)."""
-    toks = []
+    (comments are stripped before tokenizing). Returns the tokens and the
+    column of each, that of its '[' for a bracketed one."""
+    toks, cols = [], []
     i = 0
     while i < len(text):
         c = text[i]
@@ -361,13 +362,15 @@ def _tokenize(text: str, lineno: int, col0: int):
             if not tok or any(ch.isspace() or ch in "[]#" for ch in tok):
                 raise ParseError(lineno, col0 + i + 1, f"bad bracketed token {tok!r}")
             toks.append(tok)
+            cols.append(col0 + i + 1)
             i = j + 1
         elif c in "]#":
             raise ParseError(lineno, col0 + i + 1, f"unexpected {c!r}")
         else:
             toks.append(c)
+            cols.append(col0 + i + 1)
             i += 1
-    return toks
+    return toks, cols
 
 
 def _rule_arrow(text: str) -> int:
@@ -397,14 +400,14 @@ def parse_presentation(text: str) -> RewritingSystem:
         if key == "letters":
             if letters is not None:
                 raise ParseError(lineno, 1, "duplicate 'letters:' declaration")
-            letters = _tokenize(rest, lineno, col0)
+            letters = _tokenize(rest, lineno, col0)[0]
             letters_line = lineno
             if not letters:
                 raise ParseError(lineno, col0 + 1, "empty alphabet")
         elif key == "zero":
             if zero is not None:
                 raise ParseError(lineno, 1, "duplicate 'zero:' declaration")
-            toks = _tokenize(rest, lineno, col0)
+            toks = _tokenize(rest, lineno, col0)[0]
             if len(toks) != 1:
                 raise ParseError(lineno, col0 + 1, "zero declaration needs exactly one token")
             zero = toks[0]
@@ -413,30 +416,30 @@ def parse_presentation(text: str) -> RewritingSystem:
             if arrow < 0:
                 raise ParseError(lineno, col0 + 1, "rule needs '->'")
             lhs_txt, rhs_txt = rest[:arrow], rest[arrow + 2:]
-            lhs = _tokenize(lhs_txt, lineno, col0)
-            rhs = _tokenize(rhs_txt, lineno, col0 + len(lhs_txt) + 2)
+            lhs, lhs_cols = _tokenize(lhs_txt, lineno, col0)
+            rhs, rhs_cols = _tokenize(rhs_txt, lineno, col0 + len(lhs_txt) + 2)
             if not lhs:
                 raise ParseError(lineno, col0 + 1, "empty rule lhs")
             if not rhs:
                 raise ParseError(lineno, col0 + len(lhs_txt) + 3, "empty rule rhs")
-            raw_rules.append((lineno, col0, lhs, rhs))
+            raw_rules.append((lineno, lhs, lhs_cols, rhs, rhs_cols))
     if letters is None:
         raise ParseError(1, 1, "missing 'letters:' declaration")
 
     rules = []
     letter_set = set(letters)
-    for lineno, col0, lhs, rhs in raw_rules:
-        for tok in lhs:
+    for lineno, lhs, lhs_cols, rhs, rhs_cols in raw_rules:
+        for tok, col in zip(lhs, lhs_cols):
             if tok not in letter_set:
-                raise ParseError(lineno, col0 + 1, f"rule lhs uses non-letter {tok!r}")
+                raise ParseError(lineno, col, f"rule lhs uses non-letter {tok!r}")
         if zero is not None and rhs == [zero]:
             rules.append((lhs, ZERO))
             continue
-        for tok in rhs:
+        for tok, col in zip(rhs, rhs_cols):
             if tok not in letter_set:
-                raise ParseError(lineno, col0 + 1, f"rule rhs uses non-letter {tok!r}")
+                raise ParseError(lineno, col, f"rule rhs uses non-letter {tok!r}")
         if len(rhs) >= len(lhs):
-            raise ParseError(lineno, col0 + 1, "rule is not length-reducing")
+            raise ParseError(lineno, rhs_cols[0], "rule is not length-reducing")
         rules.append((lhs, rhs))
     try:
         return RewritingSystem(letters, rules, zero=zero)

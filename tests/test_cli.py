@@ -151,11 +151,16 @@ def test_bounds_report_and_json(capsys, tmp_path, bi2_presentation):
     assert data["pass"] is True
 
 
-def test_bi_ideal_bounds_leaves_numpy_ma_unimported(bi2_presentation):
+@pytest.mark.parametrize("argv", [
+    ("bounds", "{bi2}", "--kind", "bi", "--generators", "x", "y", "z", "tx"),
+    ("search-open1", "--max-order", "4"),
+    ("verify", "small-order-oracle", "--order", "4", "--samples", "50"),
+], ids=["bounds", "search-open1", "small-order-oracle"])
+def test_commands_leave_numpy_ma_unimported(bi2_presentation, argv):
     # np.unique imports numpy.ma, which takes milliseconds, on its first call
+    argv = [arg.format(bi2=bi2_presentation) for arg in argv]
     script = ("import sys; from greenheight import cli; "
-              f"code = cli.main(['bounds', {bi2_presentation!r}, '--kind', 'bi',"
-              " '--generators', 'x', 'y', 'z', 'tx']); "
+              f"code = cli.main({argv!r}); "
               "print(code, 'numpy.ma' in sys.modules)")
     package_root = Path(greenheight.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(package_root)}

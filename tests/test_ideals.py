@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,10 +30,12 @@ from greenheight import _accel, ideals
 from greenheight.constructions import (
     bi_ideal_family,
     brandt_example,
+    brandt_extension,
     left_ideal_cs_family,
     left_zero_semigroup,
     null_semigroup,
     right_ideal_tower,
+    symmetric_inverse_monoid,
 )
 from greenheight.green import RELATIONS, has_local_right_identity, regular_elements
 from greenheight.ideals import subset_arrays, table_facts
@@ -510,19 +513,35 @@ def test_scan_records_match_the_scan_on_lists_of_rows():
     )
 
 
-@pytest.mark.parametrize("build, order, count, digest", [
-    (null_semigroup, 16, 131072,
+# the tables above order 5 with longer chains: orders 6 and 7 fill one and
+# two 64-bit words of masks, and bi_ideal_family(2) has a bi-ideal at 3n - 2
+_STRUCTURED = {
+    "brandt_extension6": lambda: brandt_extension(brandt_example(), 1),
+    "symmetric_inverse7": lambda: symmetric_inverse_monoid(2),
+    "bi_ideal_family13": lambda: bi_ideal_family(2).semigroup,
+}
+
+
+@pytest.mark.parametrize("build, count, digest", [
+    (lambda: null_semigroup(16), 131072,
      "626a2d35fc8b7058c3690c0d1e4968d0c40a37fe145dac1fe5c0d1f33a3e24e4"),
-    (left_zero_semigroup, 16, 131072,
+    (lambda: left_zero_semigroup(16), 131072,
      "2e22e159c2c10004843452bc71c26bcc9696dbbe1e9e72f9ea9cf179d9c1c658"),
-    (null_semigroup, 12, 8192,
+    (lambda: null_semigroup(12), 8192,
      "dc3693fd7cdfc9f652a0484802a1f72c19ee30157211a13c95960f992113d9e3"),
-], ids=["null16", "left_zero16", "null12"])
-def test_scan_records_of_large_tables_are_pinned(build, order, count, digest):
-    # digests taken from the scan on Python-int bitmasks, one table at a time
+    (_STRUCTURED["brandt_extension6"], 24,
+     "afddeae4d14b5d5bd6c0988d12658f9d52be5a4c0c21a7ffbf63c031453bdfd3"),
+    (_STRUCTURED["symmetric_inverse7"], 24,
+     "3978a329ac937ccbae8fe107a1560769c39fd803b154f3b73c17a76a8cdf42ac"),
+    (_STRUCTURED["bi_ideal_family13"], 236,
+     "deeb21495228a9555fea2205127f59e7fa7e0f9ae6aa598724eae0855c17cc05"),
+], ids=["null16", "left_zero16", "null12", *_STRUCTURED])
+def test_scan_records_of_large_tables_are_pinned(build, count, digest):
+    # the first three digests taken from the scan on Python-int bitmasks, one
+    # table at a time, the others from the scan on int32 masks
     sha = hashlib.sha256()
     records = 0
-    for record in _scan(build(order)):
+    for record in _scan(build()):
         records += 1
         sha.update(repr(record).encode())
     assert records == count
@@ -549,6 +568,7 @@ def test_subset_arrays_rejects_bad_shapes_and_large_orders():
         subset_arrays(null_semigroup(17).table[None])
     empty = subset_arrays(_accel.enumerate_assoc_tables(3)[:0])
     assert empty.relative_height.shape == (0, 7)
+    assert subset_arrays(np.zeros((2, 0, 0), dtype=np.int32)).chain_param.shape == (2, 0)
 
 
 @pytest.mark.parametrize("entry", [-1, 2])
@@ -586,6 +606,8 @@ def _stacks_for_facts():
         yield _accel.enumerate_assoc_tables(m)
     for m in (1, 2, 3):
         yield oracles.labelled_tables(m)
+    for build in _STRUCTURED.values():
+        yield build().table[None]
 
 
 def test_table_facts_match_the_oracles_and_the_per_table_green_path():
@@ -606,7 +628,7 @@ def test_table_facts_match_the_oracles_and_the_per_table_green_path():
             assert facts.regular[i] == _mask(regular_elements(s)) == _mask(
                 oracles.naive_regular(rows))
             checked += 1
-    assert checked == 1 + 5 + 24 + 188 + 1915 + 1 + 8 + 113
+    assert checked == 1 + 5 + 24 + 188 + 1915 + 1 + 8 + 113 + 3
 
 
 def test_table_facts_local_right_identity_premise_on_every_closed_mask():
@@ -640,3 +662,21 @@ def test_table_facts_keep_the_kernel_checks_of_green_kernel():
     with pytest.raises(ValueError, match="at most 16 elements, got 17"):
         table_facts(null_semigroup(17).table[None])
     assert table_facts(_accel.enumerate_assoc_tables(3)[:0]).local_right.shape == (0, 7)
+
+
+def _scan_peak(scan, table):
+    """The tracemalloc peak of one scan call, in bytes, with the mask words
+    of its order built inside the call."""
+    ideals._mask_words.cache_clear()
+    tracemalloc.start()
+    try:
+        scan(table)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("scan, bound_mb", [(subset_arrays, 23.1), (table_facts, 9.3)])
+def test_scan_memory_at_the_largest_order(scan, bound_mb):
+    # the peaks of the scan on int32 masks, on this order-16 table
+    assert _scan_peak(scan, null_semigroup(16).table[None]) < bound_mb * 2**20

@@ -88,6 +88,13 @@ def test_parse_accepts_comments_and_blank_lines():
         ("letters: a b\nrule: [p->q]b\n", "line 2, column 6: rule needs '->'"),
         # a '[' that nothing closes is reported, whatever follows it
         ("letters: a b\nrule: a [b -> a\n", "line 2, column 9: unclosed '['"),
+        # a rule's letter errors point at the token, its length at the rhs
+        ("letters: a b\nrule: abbbc -> a\n", "line 2, column 11: rule lhs uses non-letter 'c'"),
+        ("letters: a b\nrule: ab -> ac\n", "line 2, column 14: rule rhs uses non-letter 'c'"),
+        ("letters: a b\nrule: a[cd] -> a\n",
+         "line 2, column 8: rule lhs uses non-letter 'cd'"),
+        ("letters: a b\nrule: ab -> abb\n", "line 2, column 13: rule is not length-reducing"),
+        ("letters: a b\nrule:ab->[b]a\n", "line 2, column 10: rule is not length-reducing"),
     ],
 )
 def test_parse_errors(text, fragment):
