@@ -8,6 +8,7 @@ products and preorders, never a materialized element.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -204,18 +205,17 @@ def parse_table_text(text: str) -> FiniteSemigroup:
     names = rest.split()
     if len(names) != m:
         raise ParseError(lineno, 1, f"expected {m} names, got {len(names)}")
+    if len(set(names)) != m:  # reported at the first repeat
+        k = next(k for k, name in enumerate(names) if name in names[:k])
+        col = len(lines[1][1]) - len(rest) + list(re.finditer(r"\S+", rest))[k].start() + 1
+        raise ParseError(lineno, col, "element names must be distinct")
     if len(lines) != 2 + m:
         raise ParseError(lines[-1][0], 1, f"expected {m} table rows, got {len(lines) - 2}")
     rows = lines[2:]
     table = _table_by_rows(rows, m)
     if table is None:
         table = _table_by_cells(rows, m)  # raises the first error, as line and message
-    try:
-        return FiniteSemigroup(names, table)
-    except NotAssociative:
-        raise
-    except ValueError as e:
-        raise ParseError(lines[0][0], 1, str(e)) from None
+    return FiniteSemigroup(names, table)
 
 
 def _table_by_rows(rows, m):

@@ -7,6 +7,10 @@ The relative order inside a subset is always computed inside it, from the
 parent's products on its members (green's class poset of a handle, c*M in
 the subset_arrays kernel), never by restricting the parent preorder; the two
 genuinely differ (the 5-element Brandt example is the regression case).
+
+The stacked scans read S's R and L orders from green.below_matrices; their
+boolean product, longest chains and kernel check keep forms of their own,
+for the reasons of scale that green's module docstring measures.
 """
 
 from __future__ import annotations
@@ -112,9 +116,9 @@ def subset_arrays(tables) -> SubsetArrays:
     at = (np.arange(m)[:, None, None] * m + tt) * n + np.arange(n)  # [x, y]: xm[x, x*y]
     for y in range(m):
         cells[at[:, y]] |= mem[y]
-    below_r = _below(tt)
+    below_r = green.below_matrices(tt, "R")
     in_ms = _meets(below_r.swapaxes(0, 1), mem)  # [x]: the M with x in M*S^1
-    in_sm = _meets(_below(tt, left=True).swapaxes(0, 1), mem)
+    in_sm = _meets(green.below_matrices(tt, "L").swapaxes(0, 1), mem)
     held, outside = mem[:, None], ~mem[:, None]  # broadcast over the tables
     escapes = _fold_or(xm & outside, axis=1)  # [x]: the M with x*M not inside M
     right_law = full & ~_fold_or(in_ms & outside, axis=0)
@@ -160,8 +164,8 @@ def table_facts(tables) -> TableFacts:
     """The table-level facts of every table in a stack of shape (N, m, m),
     m <= 16, in whole-array steps.
 
-    S's R, L and J orders are stacked boolean below-matrices, as green keeps
-    them for one semigroup, with the table axis last: below[c, b] is true
+    S's R, L and J orders are stacked boolean below-matrices, R and L from
+    green.below_matrices, with the table axis last: below[c, b] is true
     where b is in c*S^1, S^1*c or S^1*c*S^1, J being the boolean product
     L.R. The J-height peels the J order as subset_arrays peels its masks.
     The kernel K is the union of the minimal R-classes, the members with no
@@ -176,7 +180,7 @@ def table_facts(tables) -> TableFacts:
     m, n = tt.shape[1:]
     a = np.arange(m)[:, None, None]
     weight = np.left_shift(np.int32(1), np.arange(m, dtype=np.int32))
-    below_r, below_l = _below(tt), _below(tt, left=True)
+    below_r, below_l = green.below_matrices(tt, "R"), green.below_matrices(tt, "L")
     minimal = ~_fold_or(below_r & ~below_r.swapaxes(0, 1), axis=1)
     down_r = weight @ below_r  # [c]: c*S^1 as an int32 bitmask
     inside = (down_r & ~down_r[:, None]) == 0  # [c, b]: b*S^1 inside c*S^1
@@ -184,9 +188,9 @@ def table_facts(tables) -> TableFacts:
         raise EngineBug("minimal R-class is not a right ideal")
     if (minimal[:, None] & below_l & ~minimal).any():
         raise EngineBug("union of the minimal R-classes is not a two-sided ideal")
-    # K's own orders: c*K^1 and K^1*c for c in K, and nothing outside K
-    k_right = _below(tt, keep=minimal) & minimal[:, None]
-    k_left = _below(tt, left=True, keep=minimal) & minimal[:, None]
+    # K's own orders, c*K^1 and K^1*c for c in K: a factor outside K is masked to c
+    k_right = green.below_matrices(np.where(minimal, tt, a), "R") & minimal[:, None]
+    k_left = green.below_matrices(np.where(minimal[:, None], tt, a[:, 0]), "L") & minimal[:, None]
     if not ((~minimal[:, None] | (_product(k_right, k_left) == minimal)).all()
             and (k_right == k_right.swapaxes(0, 1)).all()
             and (k_left == k_left.swapaxes(0, 1)).all()):
@@ -246,21 +250,6 @@ def _unpack(words, m):
     has 2^m entries in place of the W words."""
     data = words.astype(words.dtype.newbyteorder("<"), copy=False).view(np.uint8)
     return np.unpackbits(data, axis=-1, count=1 << m, bitorder="little").view(bool)
-
-
-def _below(tt, left=False, keep=None):
-    """below[a, b, n] is true where b is in a*S^1 in table n of the stack
-    tt[x, y, n] = x*y, the R below-matrices; with left, where b is in
-    S^1*a, the L ones; with keep, an (m, N) bool array, where b is in a*K^1
-    or K^1*a for K the kept elements."""
-    m, _, n = tt.shape
-    a = np.arange(m).reshape((1, m, 1) if left else (m, 1, 1))  # the axis of tt a runs along
-    if keep is not None:  # a product with a factor outside K becomes a
-        tt = np.where(keep[:, None] if left else keep, tt, a)
-    below = np.zeros((m, m, n), dtype=bool)
-    below.ravel()[(a * m + tt) * n + np.arange(n)] = True
-    below.reshape(m * m, n)[::m + 1] = True  # b = a
-    return below
 
 
 def _product(x, y):

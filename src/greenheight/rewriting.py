@@ -143,9 +143,9 @@ class RewritingSystem:
         return "".join(out)
 
     def display(self, w) -> str:
-        """Human form: bracketed multi-character tokens, zero token for ZERO."""
+        """Human form: bracketed multi-character tokens, the zero token too."""
         if w is ZERO:
-            return self.zero_token if self.zero_token is not None else "0"
+            return _bracketed(self.zero_token) if self.zero_token is not None else "0"
         return w.translate(self._shown)
 
     def __repr__(self):
@@ -292,13 +292,6 @@ def _walk(rs: RewritingSystem, cap: int):
     right = np.array([rows[i] for i in range(len(words))], dtype=np.int32)
     right[right < 0] = len(words) - 1
     return words, index, right
-
-
-def enumerate_irreducibles(rs: RewritingSystem, cap: int = DEFAULT_CAP):
-    """Irreducible words in shortlex order, ZERO appended iff declared: the
-    words of the walk that semigroup_from_presentation builds its table on.
-    Raises CapExceeded past ``cap`` words (system likely infinite)."""
-    return _walk(rs, cap)[0]
 
 
 def semigroup_from_presentation(rs, cap: int = DEFAULT_CAP) -> core.FiniteSemigroup:
@@ -454,10 +447,10 @@ def format_presentation(rs: RewritingSystem) -> str:
     arrow."""
     lines = ["letters: " + " ".join(map(_bracketed, rs.letters))]
     if rs.zero_token is not None:
-        lines.append(f"zero: {_bracketed(rs.zero_token)}")
+        lines.append(f"zero: {rs.display(ZERO)}")
     shown = str.maketrans({sym: f"[{tok}]" if tok in ("-", ">") else _bracketed(tok)
                            for sym, tok in rs._tok_of.items()})
     for r in rs.rules:
-        rhs = _bracketed(rs.zero_token) if r.rhs is ZERO else r.rhs.translate(shown)
+        rhs = rs.display(ZERO) if r.rhs is ZERO else r.rhs.translate(shown)
         lines.append(f"rule: {r.lhs.translate(shown)} -> {rhs}")
     return "\n".join(lines) + "\n"

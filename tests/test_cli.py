@@ -169,6 +169,19 @@ def test_commands_leave_numpy_ma_unimported(bi2_presentation, argv):
     assert res.stdout.splitlines()[-1] == "0 False", res.stderr
 
 
+def test_a_zero_token_spelled_like_a_word_gets_its_own_name(capsys, tmp_path):
+    # the zero once displayed as ab, the name of the word ab, and elements exited 2
+    p = tmp_path / "zero.txt"
+    p.write_text("letters: a b\nzero: [ab]\nrule: aa -> [ab]\nrule: bb -> [ab]\n"
+                 "rule: ba -> [ab]\n")
+    code, out, _ = run(capsys, "elements", str(p))
+    assert (code, out) == (0, "order: 4\ne0: a\ne1: b\ne2: ab\ne3: [ab]\n")
+    code, out, _ = run(capsys, "bounds", str(p), "--kind", "bi", "--generators", "[ab]")
+    assert (code, out.splitlines()[0]) == (0, "members: {[ab]}")
+    code, out, _ = run(capsys, "bounds", str(p), "--kind", "bi", "--generators", "ab")
+    assert (code, out.splitlines()[0]) == (0, "members: {ab, [ab]}")
+
+
 def test_bounds_unknown_generator(capsys, bi2_presentation):
     code, _, err = run(capsys, "bounds", bi2_presentation, "--kind", "right",
                        "--generators", "nope")

@@ -89,7 +89,9 @@ PARSE_ERRORS = [
      "line 7, column 1: table entry -5 out of range"),
     ("order: 2\nnames: a\n0 1\n1 0\n", "names", "line 2, column 1: expected 2 names, got 1"),
     ("order: 2\nnames: a a\n0 1\n1 0\n", "distinct",
-     "line 1, column 1: element names must be distinct"),
+     "line 2, column 10: element names must be distinct"),
+    ("# c\norder: 4\nnames:\tb ab  a a\n" + "0 0 0 0\n" * 4, "distinct at the repeat",
+     "line 3, column 16: element names must be distinct"),
     ("order: 2\nnames: a b\n0 x\n1 0\n", "bad table entry", "line 3, column 1: bad table entry 'x'"),
     ("", "empty", "line 1, column 1: empty table text"),
     ("# a comment\n\n", "comments only", "line 1, column 1: empty table text"),
@@ -205,6 +207,13 @@ def test_identity_detection():
             assert "identity" not in vars(s)
             assert s.identity == oracles.naive_identity(t.tolist())
             assert vars(s)["identity"] == s.identity
+
+
+def test_len_and_repr():
+    s = null_semigroup(3)
+    assert (len(s), repr(s)) == (3, "FiniteSemigroup(order=3)")
+    s = full_transformation_monoid(2)
+    assert (len(s), repr(s)) == (4, f"FiniteSemigroup(order=4, identity={s.names[s.identity]!r})")
 
 
 def test_every_exported_name_resolves_once():

@@ -266,6 +266,12 @@ def test_height_single_class_is_one():
     assert height(left_zero_semigroup(3), "L") == 1
 
 
+def test_class_poset_repr():
+    s = brandt_example()
+    assert repr(class_poset(s, "R")) == "ClassPoset(R, 3 classes, height=2)"
+    assert repr(class_poset(s, "J")) == "ClassPoset(J, 2 classes, height=2)"
+
+
 def test_bad_relation_rejected():
     with pytest.raises(ValueError):
         height(trivial_semigroup(), "D")

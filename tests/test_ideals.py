@@ -26,7 +26,7 @@ from greenheight import (
     kernel,
     relative_height,
 )
-from greenheight import _accel, ideals
+from greenheight import _accel, green, ideals
 from greenheight.constructions import (
     bi_ideal_family,
     brandt_example,
@@ -559,6 +559,29 @@ def test_each_row_of_a_stack_is_the_scan_of_its_table_alone():
                 assert (whole.laws[kind][i] == alone.laws[kind][0]).all()
             for name in ("relative_height", "chain_param"):
                 assert (getattr(whole, name)[i] == getattr(alone, name)[0]).all()
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.intp])
+def test_below_matrices_are_the_matrices_green_keeps_per_semigroup(dtype):
+    stacks = [_accel.enumerate_assoc_tables(m) for m in range(1, 5)]
+    stacks += [build().table[None] for build in _STRUCTURED.values()]
+    checked = 0
+    for stack in stacks:
+        tt = stack.transpose(1, 2, 0).astype(dtype)  # element-major
+        below = {rel: green.below_matrices(tt, rel) for rel in "RL"}
+        for i, t in enumerate(stack):
+            s = make(t)
+            for rel in "RL":
+                assert below[rel].shape == tt.shape and below[rel].dtype == bool
+                assert (below[rel][..., i] == green._below(s, rel)).all()
+            checked += 1
+    assert checked == 1 + 5 + 24 + 188 + 3
+
+
+def test_below_matrices_of_an_order_zero_stack_and_other_relations():
+    assert green.below_matrices(np.zeros((0, 0, 0), dtype=np.int32), "R").shape == (0, 0, 0)
+    with pytest.raises(ValueError, match="scatters R or L, not 'J'"):
+        green.below_matrices(np.zeros((1, 1, 1), dtype=np.int32), "J")
 
 
 def test_subset_arrays_rejects_bad_shapes_and_large_orders():

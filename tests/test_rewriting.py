@@ -17,7 +17,6 @@ from greenheight import (
     Rule,
     critical_pairs,
     element_index,
-    enumerate_irreducibles,
     format_presentation,
     is_complete,
     parse_presentation,
@@ -56,6 +55,20 @@ def test_format_round_trip_brackets_a_long_zero_token(zero):
     assert again.letters == rs.letters
     assert again.zero_token == zero
     assert again.rules == rs.rules
+
+
+def test_a_long_zero_token_is_displayed_bracketed():
+    # else the zero [ab] and the word ab would share the name ab
+    rs = RewritingSystem(("a", "b"), [("aa", ZERO)], zero="ab")
+    assert (rs.display(ZERO), rs.display("ab")) == ("[ab]", "ab")
+    assert RewritingSystem(("a",), [("aa", ZERO)], zero="0").display(ZERO) == "0"
+    assert RewritingSystem(("a",), [("aa", "a")]).display(ZERO) == "0"
+
+
+def test_rewriting_system_repr():
+    rs = parse_presentation(bi_ideal_family(2).presentation_text)
+    assert repr(rs) == "RewritingSystem(letters='xyzt', 16 rules, zero='0')"
+    assert repr(RewritingSystem(("a",), [("aa", "a")])) == "RewritingSystem(letters='a', 1 rules)"
 
 
 def test_parse_accepts_comments_and_blank_lines():
@@ -260,26 +273,26 @@ def test_is_complete_reports_nonconfluent_witness():
     assert sides == {"aa", "a"}
 
 
-def test_enumerate_irreducibles_small():
+def test_walk_small():
     rs = parse_presentation("letters: a\nrule: aa -> a\n")
-    words = enumerate_irreducibles(rs, cap=100)
+    words = rewriting._walk(rs, 100)[0]
     assert {rs.display(w) for w in words} == {"a"}
 
 
-def test_enumerate_irreducibles_counts_zero():
+def test_walk_counts_zero():
     rs = parse_presentation(bi_ideal_family(2).presentation_text)
-    words = enumerate_irreducibles(rs, cap=100)
+    words = rewriting._walk(rs, 100)[0]
     assert len(words) == 13
     assert ZERO in words
 
 
-def test_enumerate_irreducibles_cap():
+def test_walk_cap():
     rs = RewritingSystem(("a", "b"), (Rule("aaaa", "a"),))
     with pytest.raises(CapExceeded) as exc:
-        enumerate_irreducibles(rs, cap=10)
+        rewriting._walk(rs, 10)
     assert exc.value.cap == 10
     with pytest.raises(ValueError, match="^cap must be positive$"):
-        enumerate_irreducibles(rs, cap=0)
+        rewriting._walk(rs, 0)
 
 
 def test_semigroup_from_presentation_matches_table_route():
@@ -349,7 +362,7 @@ def random_complete_presentations(seed, draws, max_order):
         if not is_complete(rs)[0]:
             continue
         try:
-            enumerate_irreducibles(rs, cap=max_order)
+            rewriting._walk(rs, max_order)
         except CapExceeded:
             continue
         kept.append(rs)
@@ -362,7 +375,7 @@ def test_random_complete_presentations_match_all_pairs_oracle():
     killed = [rs for rs in kept if any(len(r.lhs) == 1 for r in rs.rules)]
     assert len(killed) == 206
     for rs in kept:
-        words = enumerate_irreducibles(rs)
+        words = rewriting._walk(rs, rewriting.DEFAULT_CAP)[0]
         # the words are the irreducible ones, checked by reduction alone
         listed = set(words)
         for u in [""] + words[:-1]:
