@@ -105,36 +105,37 @@ def closure_violation(s: FiniteSemigroup, members, kind: str):
         raise ValueError("member set contains an invalid element index")
     mem = np.array(mem, dtype=np.int64)
     t = s.table
-    inside = np.zeros(s.order, dtype=bool)
-    inside[mem] = True
+    # looked up by take, not []: on int32 products a third of the time
+    outside = np.ones(s.order, dtype=bool)
+    outside[mem] = False
 
-    def first_escape(prods):
-        bad = np.argwhere(~inside[prods])
-        return None if bad.size == 0 else tuple(int(v) for v in bad[0])
+    def first(bad):
+        # the row-major first true cell; argmax only once any() finds one
+        return divmod(int(bad.argmax()), bad.shape[1]) if bad.any() else None
 
     if kind in ("subsemigroup", "bi_ideal"):
-        hit = first_escape(t[np.ix_(mem, mem)])
+        hit = first(outside.take(t[mem][:, mem]))
         if hit is not None:
             i, j = hit
             a, b = int(mem[i]), int(mem[j])
             return ("product", a, b, int(t[a, b]))
     if kind in ("right_ideal", "two_sided_ideal"):
-        hit = first_escape(t[mem])
+        hit = first(outside.take(t[mem]))
         if hit is not None:
             i, c = hit
             a = int(mem[i])
             return ("right", a, c, int(t[a, c]))
     if kind in ("left_ideal", "two_sided_ideal"):
-        hit = first_escape(t[:, mem])
+        hit = first(outside.take(t[:, mem]))
         if hit is not None:
             c, j = hit
             a = int(mem[j])
             return ("left", c, a, int(t[c, a]))
     if kind == "bi_ideal":
-        escapes = ~inside[t[:, mem]]  # escapes[x, j]: x*mem[j] is outside
-        bad = np.argwhere(escapes.any(axis=1)[t[mem, :]])  # (i, u): mem[i]*u is such an x
-        if bad.size:
-            i, u = (int(v) for v in bad[0])
+        escapes = outside.take(t[:, mem])  # escapes[x, j]: x*mem[j] is outside
+        hit = first(escapes.any(axis=1).take(t[mem]))  # (i, u): mem[i]*u is such an x
+        if hit is not None:
+            i, u = hit
             a = int(mem[i])
             x = int(t[a, u])
             b = int(mem[np.argmax(escapes[x])])

@@ -52,13 +52,13 @@ def generate(s: core.FiniteSemigroup, xs, kind: str) -> core.SubsetHandle:
         members.update(left.tolist())
         members.update(t[left, :].ravel().tolist())  # (SX)S
     elif kind == "bi_ideal":
-        members.update(t[np.ix_(xa, xa)].ravel().tolist())  # XX
+        members.update(t[xa][:, xa].ravel().tolist())  # XX
         mids = _distinct(t[xa, :])
-        members.update(t[np.ix_(mids, xa)].ravel().tolist())  # (XS)X
+        members.update(t[mids][:, xa].ravel().tolist())  # (XS)X
     else:
         while True:
             mem_arr = np.array(sorted(members), dtype=np.int64)
-            prods = set(t[np.ix_(mem_arr, mem_arr)].ravel().tolist())
+            prods = set(t[mem_arr][:, mem_arr].ravel().tolist())
             if prods <= members:
                 break
             members |= prods

@@ -126,22 +126,32 @@ def naive_is_kind(t, members, kind: str) -> bool:
     raise ValueError(kind)
 
 
-def naive_bi_ideal_witness(t, members):
-    """Lexicographically first witness that members is not a bi-ideal, in
-    the engine's shapes: ("product", a, b, ab) for a pair product, checked
-    first, then ("middle", a, u, b, aub); None for a bi-ideal."""
+def naive_closure_witness(t, members, kind: str):
+    """First product escaping members, in the engine's shapes and order, or
+    None where the kind's law holds. Pair closure, for subsemigroups and
+    bi-ideals: ("product", a, b, ab), a then b over members. Right and
+    two-sided ideals: ("right", a, c, ac), a over members, c over S. Left
+    and two-sided ideals, after the right law: ("left", c, a, ca), c over
+    S, a over members. Bi-ideals, after pair closure: ("middle", a, u, b,
+    aub), a over members, u over S, b over members."""
+    if kind not in ("subsemigroup", "bi_ideal", "right_ideal", "left_ideal", "two_sided_ideal"):
+        raise ValueError(kind)
     m = len(t)
     mem = sorted(set(members))
-    for a in mem:
-        for b in mem:
-            if t[a][b] not in members:
-                return ("product", a, b, t[a][b])
-    for a in mem:
-        for u in range(m):
-            for b in mem:
-                if t[t[a][u]][b] not in members:
-                    return ("middle", a, u, b, t[t[a][u]][b])
-    return None
+    inside = set(mem)
+
+    def products():
+        if kind in ("subsemigroup", "bi_ideal"):
+            yield from (("product", a, b, t[a][b]) for a in mem for b in mem)
+        if kind in ("right_ideal", "two_sided_ideal"):
+            yield from (("right", a, c, t[a][c]) for a in mem for c in range(m))
+        if kind in ("left_ideal", "two_sided_ideal"):
+            yield from (("left", c, a, t[c][a]) for c in range(m) for a in mem)
+        if kind == "bi_ideal":
+            yield from (("middle", a, u, b, t[t[a][u]][b])
+                        for a in mem for u in range(m) for b in mem)
+
+    return next((w for w in products() if w[-1] not in inside), None)
 
 
 def sub_table(t, members):

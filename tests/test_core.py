@@ -284,42 +284,33 @@ def test_a_checked_table_is_not_shared_with_the_caller():
 
 
 def test_closure_violation_matches_oracle_on_all_small_tables():
-    kinds = ("right_ideal", "left_ideal", "two_sided_ideal", "bi_ideal", "subsemigroup")
-    for t in oracles.labelled_tables(3):
-        s = from_table(["0", "1", "2"], t)
-        rows = t.tolist()
-        for bits in range(1, 8):
-            members = frozenset(i for i in range(3) if bits >> i & 1)
-            for kind in kinds:
-                witness = closure_violation(s, members, kind)
-                assert (witness is None) == oracles.naive_is_kind(rows, members, kind)
-
-
-def test_bi_ideal_witness_is_lex_first():
-    middles = 0
+    shapes = set()
     for m in (1, 2, 3):
         for t in oracles.labelled_tables(m):
             s = from_table([str(i) for i in range(m)], t)
             rows = t.tolist()
             for bits in range(1, 1 << m):
                 members = frozenset(i for i in range(m) if bits >> i & 1)
-                witness = closure_violation(s, members, "bi_ideal")
-                assert witness == oracles.naive_bi_ideal_witness(rows, members)
-                middles += witness is not None and witness[0] == "middle"
-    assert middles > 0
+                for kind in core.KINDS:
+                    witness = closure_violation(s, members, kind)
+                    assert witness == oracles.naive_closure_witness(rows, members, kind)
+                    assert (witness is None) == oracles.naive_is_kind(rows, members, kind)
+                    shapes.add(None if witness is None else witness[0])
+    assert shapes == {None, "product", "right", "left", "middle"}
 
 
-def test_bi_ideal_witness_on_random_subsets_of_bi_family():
+def test_closure_witnesses_on_random_subsets_of_bi_family():
     rng = random.Random(5)
     s = bi_ideal_family(3).semigroup
     rows = s.table.tolist()
     shapes = set()
     for _ in range(300):
         members = frozenset(rng.sample(range(s.order), rng.randint(1, s.order)))
-        witness = closure_violation(s, members, "bi_ideal")
-        assert witness == oracles.naive_bi_ideal_witness(rows, members)
-        shapes.add(None if witness is None else witness[0])
-    assert "middle" in shapes
+        for kind in core.KINDS:
+            witness = closure_violation(s, members, kind)
+            assert witness == oracles.naive_closure_witness(rows, members, kind)
+            shapes.add(None if witness is None else witness[0])
+    assert shapes == {None, "product", "right", "left", "middle"}
 
 
 @pytest.mark.parametrize("members", [{0, 2}, {-1}])

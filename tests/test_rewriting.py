@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -69,6 +70,8 @@ def test_rewriting_system_repr():
     rs = parse_presentation(bi_ideal_family(2).presentation_text)
     assert repr(rs) == "RewritingSystem(letters='xyzt', 16 rules, zero='0')"
     assert repr(RewritingSystem(("a",), [("aa", "a")])) == "RewritingSystem(letters='a', 1 rules)"
+    # else a b c and a [bc] would print alike
+    assert repr(RewritingSystem(("a", "bc"), [])) == "RewritingSystem(letters='a[bc]', 0 rules)"
 
 
 def test_parse_accepts_comments_and_blank_lines():
@@ -390,7 +393,7 @@ def test_random_complete_presentations_match_all_pairs_oracle():
 def assert_rows_are_reduced_products(rs):
     """Each edge of the walk's right Cayley graph, words[i]·a, against the
     normal form of that word, with the words from the oracle."""
-    words, _, right = rewriting._walk(rs, rewriting.DEFAULT_CAP)
+    words, _, _, right = rewriting._walk(rs, rewriting.DEFAULT_CAP)
     assert words == oracles.presentation_normal_forms(rs), format_presentation(rs)
     index = {w: i for i, w in enumerate(words)}
     for i, u in enumerate(words):
@@ -408,6 +411,28 @@ def test_walk_rows_are_reduced_products_of_random_presentations():
 @pytest.mark.parametrize("n", range(2, 7))
 def test_walk_rows_are_reduced_products_of_the_families(family, n):
     assert_rows_are_reduced_products(parse_presentation(family(n).presentation_text))
+
+
+def assert_prefixes_spell_words(rs):
+    """Each word but ZERO is its recorded prefix, -1 the empty word,
+    followed by its recorded last letter."""
+    words, prefix, last, _ = rewriting._walk(rs, rewriting.DEFAULT_CAP)
+    assert len(prefix) == len(last) == len(words) - rs.has_zero
+    assert words[len(prefix):] == ([ZERO] if rs.has_zero else [])
+    for j, (p, a) in enumerate(zip(prefix.tolist(), last.tolist())):
+        spelled = ("" if p == -1 else words[p]) + rs.word([rs.letters[a]])
+        assert spelled == words[j], format_presentation(rs)
+
+
+def test_walk_prefixes_spell_the_words_of_random_presentations():
+    for rs in random_complete_presentations(20261019, 3000, 60):
+        assert_prefixes_spell_words(rs)
+
+
+@pytest.mark.parametrize("family", [bi_ideal_family, left_ideal_cs_family])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_walk_prefixes_spell_the_words_of_the_families(family, n):
+    assert_prefixes_spell_words(parse_presentation(family(n).presentation_text))
 
 
 @pytest.mark.parametrize("family, n, digest", [
@@ -432,6 +457,20 @@ def test_family_presentation_tables_are_pinned(family, n, digest):
     h = hashlib.sha256(s.table.tobytes())
     h.update("\n".join(s.names).encode())
     assert h.hexdigest() == digest
+
+
+def test_table_build_peaks_within_four_and_a_half_tables():
+    # the column gathers, the transposed copy and the associativity check
+    # together: 4.3 tables at order 1,189
+    text = bi_ideal_family(100).presentation_text
+    tracemalloc.start()
+    try:
+        s = semigroup_from_presentation(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.order == 1189
+    assert peak <= 4.5 * s.table.nbytes
 
 
 def test_table_build_reduces_words_only_to_check_completeness(monkeypatch):
