@@ -299,6 +299,20 @@ def test_closure_violation_matches_oracle_on_all_small_tables():
     assert shapes == {None, "product", "right", "left", "middle"}
 
 
+def test_bi_ideal_witness_is_lex_first():
+    middles = 0
+    for m in (1, 2, 3):
+        for t in oracles.labelled_tables(m):
+            s = from_table([str(i) for i in range(m)], t)
+            rows = t.tolist()
+            for bits in range(1, 1 << m):
+                members = frozenset(i for i in range(m) if bits >> i & 1)
+                witness = closure_violation(s, members, "bi_ideal")
+                assert witness == oracles.naive_closure_witness(rows, members, "bi_ideal")
+                middles += witness is not None and witness[0] == "middle"
+    assert middles > 0
+
+
 def test_closure_witnesses_on_random_subsets_of_bi_family():
     rng = random.Random(5)
     s = bi_ideal_family(3).semigroup
