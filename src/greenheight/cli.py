@@ -320,12 +320,6 @@ def suite_reference_monoids(args):
     return cases
 
 
-# the table-level checks of the small-order oracle, in message order
-_TABLE_MESSAGES = ("H_R exceeds H_J", "height-1 union lemma fails")
-# kind -> the proposition that makes its relative height equal its chain parameter
-_PROPOSITIONS = {"bi_ideal": "local-right-identity", "left_ideal": "regular-left-ideal"}
-
-
 def _violations(tables) -> dict:
     """Every invariant the small-order oracle asserts, on a stack of tables
     of shape (N, m, m): row -> its messages, for the rows that have any, in
@@ -338,38 +332,36 @@ def _violations(tables) -> dict:
     facts = ideals.table_facts(tables)
     m = np.shape(tables)[1]
     height_r = arrays.chain_param[:, -1]  # M = S: the longest chain of R-classes of S
-    table_bad = np.stack([
-        height_r > facts.height_j,
-        (height_r == 1) != (facts.right_union == (1 << m) - 1),
-    ], axis=1)
+    table_checks = [
+        ("H_R exceeds H_J", height_r > facts.height_j),
+        ("height-1 union lemma fails", (height_r == 1) != (facts.right_union == (1 << m) - 1)),
+    ]
     masks = np.arange(1, 1 << m, dtype=np.int32)
-    premises = {"bi_ideal": facts.local_right,
-                "left_ideal": (masks & ~facts.regular[:, None]) == 0}
+    # kind -> the proposition that makes its relative height equal its chain
+    # parameter, and the [row, mask - 1] subsets that meet its premise
+    propositions = {"bi_ideal": ("local-right-identity", facts.local_right),
+                    "left_ideal": ("regular-left-ideal", (masks & ~facts.regular[:, None]) == 0)}
     h = arrays.relative_height
-    reports = [ideals.bound_verdict(kind, h, arrays.chain_param)
-               for kind in ideals.IDEAL_KINDS]
-    checks = []
-    for rep in reports:
-        law = arrays.laws[rep.kind]
-        over_sanity = False if rep.sanity_bound is None else h > rep.sanity_bound
-        premise = premises.get(rep.kind, False)
-        checks.append(np.stack([law & ~rep.passed, law & over_sanity,
-                                law & (h != rep.chain_param) & premise], axis=-1))
-    flags = np.stack(checks, axis=2)  # [row, mask - 1, kind, check]
-    bad = table_bad.any(axis=1) | flags.any(axis=(1, 2, 3))
+    subset_checks = []  # (message up to the subset, [row, mask - 1] fails), in message order
+    for kind in ideals.IDEAL_KINDS:
+        rep = ideals.bound_verdict(kind, h, arrays.chain_param)
+        law = arrays.laws[kind]
+        subset_checks.append((f"{rep.theorem_id} bound fails on {kind}", law & ~rep.passed))
+        if rep.sanity_bound is not None:
+            subset_checks.append((f"sanity bound fails on {kind}", law & (h > rep.sanity_bound)))
+        if kind in propositions:
+            name, premise = propositions[kind]
+            subset_checks.append((f"{name} proposition fails on {kind}",
+                                  law & (h != rep.chain_param) & premise))
+    bad = np.any([fails for _, fails in table_checks]
+                 + [fails.any(axis=1) for _, fails in subset_checks], axis=0)
     out = {}
     for row in np.flatnonzero(bad).tolist():
-        messages = [text for text, fails in zip(_TABLE_MESSAGES, table_bad[row]) if fails]
-        for col, j, check in zip(*np.nonzero(flags[row])):
-            kind = reports[j].kind
-            where = f"{kind} {[i for i in range(m) if (col + 1) >> i & 1]}"
-            if check == 0:
-                messages.append(f"{reports[j].theorem_id} bound fails on {where}")
-            elif check == 1:
-                messages.append(f"sanity bound fails on {where}")
-            else:
-                messages.append(f"{_PROPOSITIONS[kind]} proposition fails on {where}")
-        out[row] = messages
+        hits = sorted((col, j) for j, (_, fails) in enumerate(subset_checks)
+                      for col in np.flatnonzero(fails[row]).tolist())
+        out[row] = [text for text, fails in table_checks if fails[row]] + [
+            f"{subset_checks[j][0]} {[i for i in range(m) if (col + 1) >> i & 1]}"
+            for col, j in hits]
     return out
 
 

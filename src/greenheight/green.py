@@ -74,7 +74,7 @@ def _sub_table(t, members):
     """t on members, a sorted index array closed under products, relabelled 0..len-1."""
     back = np.zeros(len(t), dtype=np.int32)
     back[members] = np.arange(len(members), dtype=np.int32)
-    return back[t[members][:, members]]
+    return back.take(t[members][:, members])
 
 
 def _below(x, relation: str):

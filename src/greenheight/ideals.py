@@ -31,7 +31,8 @@ def generate(s: core.FiniteSemigroup, xs, kind: str) -> core.SubsetHandle:
     """Smallest structure of the given kind containing the generators.
 
     right = X | XS; left = X | SX; two_sided = X | XS | SX | SXS;
-    bi = X | X*S^1*X; subsemigroup = closure under products.
+    bi = X | X*S^1*X; the members are counted over X and these product
+    blocks. A subsemigroup adds its members' products until a round adds none.
     """
     if kind not in core.KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -41,34 +42,29 @@ def generate(s: core.FiniteSemigroup, xs, kind: str) -> core.SubsetHandle:
     if xa[0] < 0 or xa[-1] >= s.order:
         raise ValueError("generator index out of range")
     t = s.table
-    members = set(xa)
+    members = np.array(xa)
+    rows = t.take(members, axis=0)  # XS, read by every kind but left ideals
     if kind == "right_ideal":
-        members.update(t[xa, :].ravel().tolist())
+        members = _distinct(members, rows)
     elif kind == "left_ideal":
-        members.update(t[:, xa].ravel().tolist())
+        members = _distinct(members, t.take(members, axis=1))
     elif kind == "two_sided_ideal":
-        left = _distinct(t[:, xa])
-        members.update(t[xa, :].ravel().tolist())
-        members.update(left.tolist())
-        members.update(t[left, :].ravel().tolist())  # (SX)S
+        left = _distinct(t.take(members, axis=1))
+        members = _distinct(members, rows, left, t.take(left, axis=0))  # XS, SX, (SX)S
     elif kind == "bi_ideal":
-        members.update(t[xa][:, xa].ravel().tolist())  # XX
-        mids = _distinct(t[xa, :])
-        members.update(t[mids][:, xa].ravel().tolist())  # (XS)X
+        mids = t.take(_distinct(rows), axis=0)  # (XS)S
+        members = _distinct(members, rows.take(members, axis=1),  # XX
+                            mids.take(members, axis=1))  # (XS)X
     else:
-        while True:
-            mem_arr = np.array(sorted(members), dtype=np.int64)
-            prods = set(t[mem_arr][:, mem_arr].ravel().tolist())
-            if prods <= members:
-                break
-            members |= prods
-    return core.SubsetHandle(s, frozenset(members), kind)
+        while len(grown := _distinct(members, rows.take(members, axis=1))) > len(members):
+            members, rows = grown, t.take(grown, axis=0)
+    return core.SubsetHandle(s, members.tolist(), kind)
 
 
-def _distinct(entries):
-    """The sorted distinct values of an array of element indices; a count,
+def _distinct(*entries):
+    """The sorted distinct values of arrays of element indices; a count,
     not np.unique, whose first call in a process imports numpy.ma."""
-    return np.flatnonzero(np.bincount(entries.ravel()))
+    return np.bincount(np.concatenate(entries, axis=None)).nonzero()[0]
 
 
 # subset_arrays walks all 2^m subsets as the bits of rows of words; at

@@ -154,6 +154,30 @@ def naive_closure_witness(t, members, kind: str):
     return next((w for w in products() if w[-1] not in inside), None)
 
 
+def naive_generate(t, seeds, kind: str) -> frozenset:
+    """Least kind-closed superset of seeds: add every product that the
+    kind's law names (a*c, c*a, a*b, a*u*b for a, b in the set and c, u in
+    S) until a round adds nothing."""
+    if kind not in ("subsemigroup", "bi_ideal", "right_ideal", "left_ideal", "two_sided_ideal"):
+        raise ValueError(kind)
+    m = len(t)
+    mem = set(seeds)
+    while True:
+        new = set()
+        for a in mem:
+            if kind in ("right_ideal", "two_sided_ideal"):
+                new.update(t[a][c] for c in range(m))
+            if kind in ("left_ideal", "two_sided_ideal"):
+                new.update(t[c][a] for c in range(m))
+            if kind in ("subsemigroup", "bi_ideal"):
+                new.update(t[a][b] for b in mem)
+            if kind == "bi_ideal":
+                new.update(t[t[a][u]][b] for u in range(m) for b in mem)
+        if new <= mem:
+            return frozenset(mem)
+        mem |= new
+
+
 def sub_table(t, members):
     """Multiplication table of a multiplicatively closed subset."""
     mem = sorted(members)

@@ -815,6 +815,11 @@ def test_small_order_oracle_table_checks_fire_on_non_associative_tables():
         cli._violations(np.array([[[0, 0, 1], [0, 0, 0], [0, 0, 0]]], dtype=np.int32))
 
 
+def test_small_order_oracle_violations_of_an_empty_stack_are_empty():
+    for shape in ((0, 3, 3), (0, 1, 1)):
+        assert cli._violations(np.zeros(shape, dtype=np.int32)) == {}
+
+
 def test_search_open1_zero_budget(capsys):
     for max_order in ("4", "5"):
         code, out, _ = run(capsys, "search-open1", "--budget", "0", "--max-order", max_order)
