@@ -59,7 +59,3 @@ class CapExceeded(RuntimeError):
 class EngineBug(RuntimeError):
     """An invariant that holds for every finite semigroup failed inside the
     engine: the fault is in the program, not in its input."""
-
-
-class PreconditionViolated(ValueError):
-    """An argument fails a documented precondition of the operation."""

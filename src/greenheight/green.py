@@ -1,6 +1,6 @@
 """Green's relations R, L, J, H over a finite semigroup: preorders, class
-posets with heights, kernel and minimal right ideals, regular elements,
-local right identities, and inverse-semigroup classification.
+posets with heights, kernel and minimal right ideals, idempotents, and the
+inverse-semigroup classification, which decides regularity on the way.
 
 Each preorder is one m-by-m boolean "below" matrix, with below[b, a] true
 when a <= b. The S^1 convention is kept without materializing an identity:
@@ -8,8 +8,8 @@ a <=_R b iff a = b or a in bS, so R is the identity plus one scatter of the
 rows, L the same from the columns, J the boolean product R.L (a <=_L c <=_R
 b for some c), and H is R and L. Classes are the mutually reachable
 elements. The kernel is the union of the minimal R-classes, so finding it
-needs no J product of S, and it is checked as a handle; regularity and
-inverses share one gather, true where aba = a.
+needs no J product of S, and it is checked as a handle. inverse_structure
+reads regularity and inverses from one gather, true where aba = a.
 
 class_poset and height also take a SubsetHandle as a semigroup of its own
 (element i is its i-th smallest member), read on the parent's products and
@@ -182,10 +182,6 @@ class ClassPoset:
             raise ValueError("class id out of range")
         return max(_longest_chains(self._below_rows, sel))
 
-    def chains_above(self):
-        """lengths[i] = classes on a longest chain whose bottom is class i."""
-        return _longest_chains(_row_masks(self.strict))
-
     def to_dot(self) -> str:
         """Hasse diagram, one node per class, edges larger -> smaller."""
         names = self.names
@@ -273,33 +269,9 @@ def kernel(s: core.FiniteSemigroup) -> KernelInfo:
     return KernelInfo(members, mins)
 
 
-def _sandwich(t):
-    """A[a, b] is true when a*b*a == a."""
-    a = np.arange(len(t))[:, None]
-    return t[t, a] == a
-
-
-def regular_elements(s: core.FiniteSemigroup) -> frozenset:
-    """{a : a*b*a = a for some b}."""
-    return frozenset(np.flatnonzero(_sandwich(s.table).any(axis=1)).tolist())
-
-
 def idempotents(s: core.FiniteSemigroup):
     t = s.table
     return tuple(e for e in range(s.order) if int(t[e, e]) == e)
-
-
-def has_local_right_identity(x, a: int) -> bool:
-    """Is a in a*T, for T the semigroup or the handle's member set?"""
-    a = operator.index(a)
-    if isinstance(x, core.SubsetHandle):
-        if a not in x.members:
-            raise ValueError("element is not a member of the handle")
-        t = x.parent.table
-        return any(int(t[a, b]) == a for b in x.members)
-    if not 0 <= a < x.order:
-        raise ValueError("element index out of range")
-    return bool((x.table[a] == a).any())
 
 
 @dataclass(frozen=True)
@@ -314,13 +286,14 @@ def inverse_structure(s: core.FiniteSemigroup) -> InverseStructure:
     idempotent_height is the longest chain (in elements) of idempotents
     under e <= f iff ef = fe = e.
     """
-    sandwich = _sandwich(s.table)
+    t = s.table
+    a = np.arange(s.order)[:, None]
+    sandwich = t[t, a] == a  # sandwich[a, b]: a*b*a == a
     if not sandwich.any(axis=1).all():
         return InverseStructure("not_regular")
     # b is an inverse of a iff a*b*a == a and b*a*b == b
     if not ((sandwich & sandwich.T).sum(axis=1) == 1).all():
         return InverseStructure("regular_not_inverse")
-    t = s.table
     es = np.array(idempotents(s))
     e, f = es[:, None], es[None, :]
     below = (t[e, f] == f) & (t[f, e] == f)  # below[i, j]: es[j] <= es[i]

@@ -1,7 +1,7 @@
 """Bi-ideals and one-/two-sided ideals: generation, recognition, relative
-R-height, the chain parameter, height-bound reports, and kernel chains;
-and, on whole stacks of tables, the subset scan and the table-level facts
-that the small-order oracle checks.
+R-height, the chain parameter and height-bound reports; and, on whole
+stacks of tables, the subset scan and the table-level facts that the
+small-order oracle checks.
 
 The relative order inside a subset is always computed inside it, from the
 parent's products on its members (green's class poset of a handle, c*M in
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, green
-from .errors import EngineBug, PreconditionViolated
+from .errors import EngineBug
 
 IDEAL_KINDS = ("bi_ideal", "right_ideal", "left_ideal", "two_sided_ideal")
 
@@ -402,39 +402,3 @@ def bound_verdict(kind: str, relative_height: int, chain_param: int) -> BoundRep
         sanity_bound=None if sanity is None else sanity[0] * n + sanity[1],
     )
 
-
-def chain_into_kernel(s: core.FiniteSemigroup, handle: core.SubsetHandle, k: int):
-    """A chain b1 <_B b2 <_B ... <_B bk of parent indices with b1 in K(S).
-
-    Strictness is taken inside the handle's own semigroup. Requires
-    relative_height(handle) >= k; the chain then exists. A greedy walk
-    returns the lexicographically least one (by parent index sequence).
-    """
-    if handle.parent is not s:
-        raise ValueError("handle does not belong to this semigroup")
-    if k < 1:
-        raise PreconditionViolated("k must be at least 1")
-    if handle.kind not in IDEAL_KINDS:
-        raise PreconditionViolated(
-            "chain_into_kernel needs a bi-ideal or ideal handle; plain"
-            " subsemigroups carry no kernel-chain guarantee"
-        )
-    poset = green.class_poset(handle, "R")
-    if poset.height < k:
-        raise PreconditionViolated(
-            f"relative height {poset.height} is smaller than k={k}"
-        )
-    kern = green.kernel(s).members
-    parent_of = handle.sorted_members
-    cls_of = poset.class_of.tolist()
-    # up[c] >= k - pos leaves a class above c that passes, so no step backtracks
-    up = poset.chains_above()
-    fits = [p in kern for p in parent_of]
-    chain = []
-    for pos in range(k):
-        e = next((e for e, c in enumerate(cls_of) if fits[e] and up[c] >= k - pos), None)
-        if e is None:
-            raise EngineBug("no kernel-rooted chain found despite sufficient height")
-        chain.append(parent_of[e])
-        fits = poset.strict[cls_of[e], poset.class_of].tolist()
-    return chain

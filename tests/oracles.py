@@ -254,6 +254,11 @@ def naive_regular(t) -> frozenset:
     return frozenset(a for a in range(m) if any(t[t[a][b]][a] == a for b in range(m)))
 
 
+def naive_local_right_identity(t, members, a: int) -> bool:
+    """Is a in a*members: a*b == a for some member b?"""
+    return any(t[a][b] == a for b in members)
+
+
 def naive_idempotents(t) -> frozenset:
     return frozenset(a for a in range(len(t)) if t[a][a] == a)
 

@@ -33,7 +33,6 @@ from greenheight.errors import (
     NotClosed,
     NotConfluent,
     ParseError,
-    PreconditionViolated,
 )
 
 
@@ -541,7 +540,6 @@ ERROR_EXITS = [
     (ParseError(3, 4, "bad cell"), 2, "line 3, column 4: bad cell"),
     (NotAssociative((0, 1, 2)), 2, "not associative: (0*1)*2 != 0*(1*2)"),
     (NotConfluent(None, "unresolved critical pair"), 2, "unresolved critical pair"),
-    (PreconditionViolated("k must be at least 1"), 2, "k must be at least 1"),
     (NotClosed("bi_ideal", None, "not a bi-ideal"), 2, "not a bi-ideal"),
     (CapExceeded(10, 11), 2, "enumeration exceeded cap=10 (at least 11 irreducible words);"
                              " the presented semigroup may be infinite"),

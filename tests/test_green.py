@@ -1,4 +1,4 @@
-"""Green's preorders, class posets, kernel, and regularity cross-checks."""
+"""Green's preorders, class posets, kernel, and inverse-structure cross-checks."""
 
 import random
 
@@ -8,16 +8,13 @@ import pytest
 import oracles
 from greenheight import _accel, green
 from greenheight import (
-    SubsetHandle,
     class_poset,
     from_table,
-    has_local_right_identity,
     height,
     idempotents,
     inverse_structure,
     kernel,
     leq,
-    regular_elements,
 )
 from greenheight.constructions import (
     bi_ideal_family,
@@ -232,17 +229,12 @@ def test_longest_chains_on_masks_matches_oracle():
                     downs, lambda a, b: a == b or bool(below[b] >> a & 1))
 
 
-def test_public_strict_order_and_chains_above():
+def test_public_strict_order():
     for t in oracles.relabelled(4, 25, seed=10):
         s = make(t)
         poset = class_poset(s, "R")
-        n = len(poset.classes)
         assert poset.strict.tolist() == strict_of(s, poset)
         assert not poset.strict.flags.writeable
-        # a longest chain of the classes above i can always start at i
-        want = [poset.longest_chain(j for j in range(n) if i == j or poset.strict[i, j])
-                for i in range(n)]
-        assert poset.chains_above() == want
 
 
 def test_to_dot_shape():
@@ -289,7 +281,7 @@ def test_kernel_matches_oracle_on_all_small_tables():
         assert frozenset().union(*got_min) == info.members
 
 
-def test_kernel_identity_and_regular_match_oracle_on_every_order_four_table():
+def test_kernel_and_identity_match_oracle_on_every_order_four_table():
     for t in oracles.labelled_tables(4):
         s = make(t)
         rows = t.tolist()
@@ -299,7 +291,6 @@ def test_kernel_identity_and_regular_match_oracle_on_every_order_four_table():
         assert {frozenset(r) for r in info.minimal_right_ideals} == want_min, rows
         assert oracles.naive_completely_simple(rows), rows
         assert s.identity == oracles.naive_identity(rows), rows
-        assert regular_elements(s) == oracles.naive_regular(rows), rows
 
 
 def test_kernel_known_cases():
@@ -318,47 +309,24 @@ def test_kernel_known_cases():
     assert kernel(bz).members == frozenset({bz.index("0")})
 
 
-def test_kernel_and_regular_elements_cache_only_their_inputs():
+def test_kernel_caches_only_its_inputs():
     s = brandt_example()
     assert kernel(s) == kernel(s)
-    assert regular_elements(s) == regular_elements(s)
     assert {key[0] for key in s._cache} == {"below", "poset"}
 
 
-def test_regular_and_idempotents_match_oracle():
+def test_idempotents_match_oracle():
     for t in ALL_SMALL + list(oracles.relabelled(4, 25, seed=12)):
         s = make(t)
         rows = t.tolist()
-        assert regular_elements(s) == oracles.naive_regular(rows)
         assert idempotents(s) == tuple(sorted(oracles.naive_idempotents(rows)))
 
 
-def test_regular_known_cases():
-    assert regular_elements(brandt_example()) == frozenset(range(5))
-    s = null_semigroup(3)
-    assert regular_elements(s) == frozenset({s.index("0")})
-
-
-def test_has_local_right_identity():
-    lz = left_zero_semigroup(2)
-    for a in range(2):
-        assert has_local_right_identity(lz, a)  # a * b = a always
-    s = null_semigroup(3)
-    z = s.index("0")
-    assert has_local_right_identity(s, z)
-    assert not has_local_right_identity(s, s.index("n1"))
-
-
-def test_leq_and_local_right_identity_refuse_elements_out_of_range():
+def test_leq_refuses_elements_out_of_range():
     s = left_zero_semigroup(2)
     for a, b in ((0, 2), (-1, 0)):
         with pytest.raises(ValueError, match="^element index out of range$"):
             leq(s, a, b)
-    with pytest.raises(ValueError, match="^element index out of range$"):
-        has_local_right_identity(s, 2)
-    handle = SubsetHandle(s, frozenset({0}), "right_ideal")
-    with pytest.raises(ValueError, match="^element is not a member of the handle$"):
-        has_local_right_identity(handle, 1)
 
 
 def test_inverse_structure_classification():
