@@ -6,12 +6,13 @@ success / all-pass, 1 for a negative or failing result, 2 for usage and
 input errors (`ValueError`, `CapExceeded`, `OSError`), 3 for an internal
 error: an engine invariant failed (`EngineBug`) or any other exception
 escaped. Every command is deterministic for fixed input and flags; the one
-exception is the elapsed_ms line of `verify`. The first declaration key
-gives the input kind: `letters`, `zero` or `rule` a presentation, `order` a
-table. Each `verify` suite has a sub-parser with only the flags it reads.
-`verify small-order-oracle` and `search-open1` walk one table per
-isomorphism class, in the order of `_accel.enumerate_assoc_tables`; both
-still accept `--seed` and ignore it.
+exception is the elapsed_ms line of `verify`. Files are read and written as
+UTF-8; an input may start with a byte-order mark. Its first declaration key,
+on the first line that both parsers read, gives its kind: `letters`, `zero`
+or `rule` a presentation, `order` a table. Each `verify` suite has a
+sub-parser with only the flags it reads. `verify small-order-oracle` and
+`search-open1` walk one table per isomorphism class, in the order of
+`_accel.enumerate_assoc_tables`; both still accept `--seed` and ignore it.
 """
 
 from __future__ import annotations
@@ -66,25 +67,23 @@ def _positive_int(text: str) -> int:
     return _nonnegative_int(text, least=1)
 
 
-def _detect_input_kind(text: str) -> str:
-    """The kind of the first declaration key, read as both parsers read it.
-    An error names the first line holding more than a comment or blanks."""
-    line = 1
-    for number, raw in enumerate(text.splitlines(), 1):
-        head, sep, _ = raw.split("#", 1)[0].partition(":")
-        key = head.strip()
-        if sep and key in ("letters", "zero", "rule", "order"):
-            return "table" if key == "order" else "presentation"
-        if sep or key:
-            line = number
-            break
-    raise ParseError(line, 1, "input must start with 'letters:', 'zero:', 'rule:' or 'order:'")
+def _read_input(path):
+    """The text of a UTF-8 file, with an optional byte-order mark, and its
+    kind, from the first line that both parsers read; an error names it."""
+    text = Path(path).read_text(encoding="utf-8-sig")
+    lineno, body = next(core.content_lines(text), (1, ""))
+    head, sep, _ = body.partition(":")
+    key = head.strip()
+    if not sep or key not in ("letters", "zero", "rule", "order"):
+        raise ParseError(lineno, 1,
+                         "input must start with 'letters:', 'zero:', 'rule:' or 'order:'")
+    return text, "table" if key == "order" else "presentation"
 
 
 def _load_input(args):
     """Returns (semigroup, rewriting system or None)."""
-    text = Path(args.input).read_text()
-    if _detect_input_kind(text) == "presentation":
+    text, kind = _read_input(args.input)
+    if kind == "presentation":
         rs = rewriting.parse_presentation(text)
         return rewriting.semigroup_from_presentation(rs, cap=args.cap), rs
     return core.parse_table_text(text), None
@@ -100,7 +99,7 @@ def _resolve_element(s, rs, token: str) -> int:
 
 
 def _write_json(path, payload):
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def cmd_height(args) -> int:
@@ -129,7 +128,7 @@ def cmd_poset(args) -> int:
     rel = args.relation or "R"
     dot = green.class_poset(s, rel).to_dot()
     if args.dot:
-        Path(args.dot).write_text(dot)
+        Path(args.dot).write_text(dot, encoding="utf-8")
     else:
         sys.stdout.write(dot)
     return 0
@@ -144,8 +143,8 @@ def cmd_elements(args) -> int:
 
 
 def cmd_complete(args) -> int:
-    text = Path(args.input).read_text()
-    if _detect_input_kind(text) != "presentation":
+    text, kind = _read_input(args.input)
+    if kind != "presentation":
         raise ValueError("'complete' needs a presentation input")
     rs = rewriting.parse_presentation(text)
     pairs = rewriting.critical_pairs(rs)

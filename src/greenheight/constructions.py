@@ -22,7 +22,8 @@ from . import core, green, ideals, rewriting
 class FamilyInstance:
     """One member of a parametrized family, with its distinguished subset
     and the closed-form values the construction promises, under the keys
-    the verify suites report."""
+    the verify suites report. A presented family also keeps its
+    presentation as `format_presentation` writes it."""
 
     semigroup: core.FiniteSemigroup
     distinguished: core.SubsetHandle
@@ -30,49 +31,40 @@ class FamilyInstance:
     presentation_text: str | None = None
 
 
-def bi_ideal_family(n: int) -> FamilyInstance:
-    """Semigroup of order 12(n-1)+1 with R-height n whose bi-ideal generated
-    by {x, y, z, tx} has relative R-height 3n-2 (the sharp CS-kernel case)."""
+def _presented_family(n, letters, rules, zeros, gens, kind, expected) -> FamilyInstance:
+    """Member n of a family presented by `rules`, then each word of `zeros`
+    rewritten to the zero 0, with the `kind` generated by the words `gens`."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    zeros = [
-        "x" * n, "yy", "zz", "tt",
-        "xz", "xt", "yx", "yt", "zx", "zy", "tz",
-        "t" + "x" * (n - 1),
-    ]
-    lines = ["letters: x y z t", "zero: 0",
-             "rule: xyzt -> x", "rule: yzty -> y",
-             "rule: ztyz -> z", "rule: tyzt -> t"]
-    lines += [f"rule: {w} -> 0" for w in zeros]
-    text = "\n".join(lines) + "\n"
-    rs = rewriting.parse_presentation(text)
+    rs = rewriting.RewritingSystem(letters, rules + [(w, rewriting.ZERO) for w in zeros], zero="0")
     s = rewriting.semigroup_from_presentation(rs)
-    gens = {rewriting.element_index(rs, s, w) for w in ("x", "y", "z", "tx")}
-    handle = ideals.generate(s, gens, "bi_ideal")
+    handle = ideals.generate(s, {rewriting.element_index(rs, s, w) for w in gens}, kind)
+    return FamilyInstance(s, handle, expected, rewriting.format_presentation(rs))
+
+
+def bi_ideal_family(n: int) -> FamilyInstance:
+    """Semigroup of order 12(n-1)+1 with R-height n whose bi-ideal generated
+    by {x, y, z, tx} has relative R-height 3n-2 (the sharp CS-kernel case),
+    presented by a complete rewriting system over x, y, z, t with zero 0."""
+    rules = [("xyzt", "x"), ("yzty", "y"), ("ztyz", "z"), ("tyzt", "t")]
+    zeros = ["x" * n, "yy", "zz", "tt", "xz", "xt", "yx", "yt", "zx", "zy", "tz",
+             "t" + "x" * (n - 1)]
     expected = {"order": 12 * (n - 1) + 1, "height_r": n, "relative_height": 3 * n - 2,
                 "chain_param": n, "complement": ["t", "ty", "tyz", "yzt", "zt"],
                 "bound_pass": True, "bound_tight": True}
-    return FamilyInstance(s, handle, expected, text)
+    return _presented_family(n, "xyzt", rules, zeros, ("x", "y", "z", "tx"), "bi_ideal", expected)
 
 
 def left_ideal_cs_family(n: int) -> FamilyInstance:
     """Semigroup of order 6(n-1)+1 with R-height n whose left ideal generated
-    by {x, y} has relative R-height 2n-1; its J-classes form one chain."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    by {x, y} has relative R-height 2n-1; its J-classes form one chain. It
+    is presented by a complete rewriting system over x, y, z with zero 0."""
+    rules = [("xyz", "x"), ("yzy", "y"), ("zyz", "z")]
     zeros = ["x" * n, "yy", "zz", "xz", "yx", "z" + "x" * (n - 1)]
-    lines = ["letters: x y z", "zero: 0",
-             "rule: xyz -> x", "rule: yzy -> y", "rule: zyz -> z"]
-    lines += [f"rule: {w} -> 0" for w in zeros]
-    text = "\n".join(lines) + "\n"
-    rs = rewriting.parse_presentation(text)
-    s = rewriting.semigroup_from_presentation(rs)
-    gens = {rewriting.element_index(rs, s, w) for w in ("x", "y")}
-    handle = ideals.generate(s, gens, "left_ideal")
     expected = {"order": 6 * (n - 1) + 1, "height_r": n, "height_j": 2 * n - 1,
                 "relative_height": 2 * n - 1, "chain_param": n, "complement": ["yz", "z"],
                 "bound_pass": True, "bound_tight": True}
-    return FamilyInstance(s, handle, expected, text)
+    return _presented_family(n, "xyz", rules, zeros, ("x", "y"), "left_ideal", expected)
 
 
 def brandt_extension(s: core.FiniteSemigroup, k: int) -> core.FiniteSemigroup:

@@ -176,13 +176,16 @@ class SubsetHandle:
         return operator.index(idx) in self.members
 
 
+def content_lines(text: str):
+    """Iterator of (line number from 1, line cut at its first '#') for each
+    line of `text` that holds more than a comment or blanks."""
+    bodies = (raw.split("#", 1)[0] for raw in text.splitlines())
+    return ((lineno, body) for lineno, body in enumerate(bodies, 1) if body.strip())
+
+
 def parse_table_text(text: str) -> FiniteSemigroup:
     """Parse the table text format: `order: m`, `names: ...`, then m rows."""
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        body = raw.split("#", 1)[0]
-        if body.strip():
-            lines.append((lineno, body))
+    lines = list(content_lines(text))
     if not lines:
         raise ParseError(1, 1, "empty table text")
 

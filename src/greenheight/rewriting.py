@@ -398,10 +398,7 @@ def parse_presentation(text: str) -> RewritingSystem:
     letters_line = 0
     zero = None
     raw_rules = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        body = raw.split("#", 1)[0]
-        if not body.strip():
-            continue
+    for lineno, body in core.content_lines(text):
         head, sep, rest = body.partition(":")
         key = head.strip()
         col0 = len(head) + 1

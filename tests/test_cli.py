@@ -904,6 +904,41 @@ def test_python_dash_m_runs_a_command_and_reports_an_input_error(tmp_path):
     assert "missing.txt" in res.stderr
 
 
+def test_files_are_utf8_and_a_leading_byte_order_mark_is_skipped(capsys, tmp_path):
+    # With EncodingWarning an error, a file opened in the locale's default
+    # encoding exits 3; each run must match the in-process one exactly.
+    s = core.from_table(["α", "β", "γ", "δ", "0"], brandt_example().table)
+    texts = {"greek": core.format_table_text(s), "bi2": bi_ideal_family(2).presentation_text}
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = str(tmp_path / f"{name}.txt")
+        paths[name + "-bom"] = str(tmp_path / f"{name}-bom.txt")
+        Path(paths[name]).write_text(text, encoding="utf-8")
+        Path(paths[name + "-bom"]).write_text("\ufeff" + text, encoding="utf-8")
+    package_root = Path(greenheight.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(package_root), "PYTHONIOENCODING": "utf-8"}
+
+    def strict(*argv):
+        res = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                              "-W", "error::EncodingWarning", "-m", "greenheight", *argv],
+                             capture_output=True, encoding="utf-8", env=env, timeout=60)
+        return res.returncode, res.stdout, res.stderr
+
+    assert strict("height", paths["greek"]) == run(capsys, "height", paths["greek"])
+    bounds = ("bounds", paths["greek"], "--kind", "right", "--generators", "α", "--json")
+    code, out, err = strict(*bounds, str(tmp_path / "strict.json"))
+    assert (code, out, err) == run(capsys, *bounds, str(tmp_path / "in-process.json"))
+    assert out.startswith("members: {α, β, 0}\n")
+    assert ((tmp_path / "strict.json").read_bytes()
+            == (tmp_path / "in-process.json").read_bytes())
+    dot = tmp_path / "r.dot"
+    assert strict("poset", paths["greek"], "--dot", str(dot)) == (0, "", "")
+    assert dot.read_text(encoding="utf-8") == green.class_poset(s, "R").to_dot()
+    assert strict("height", paths["greek-bom"]) == strict("height", paths["greek"])
+    assert strict("height", paths["bi2-bom"]) == strict("height", paths["bi2"]) == (
+        0, "R: 2\nL: 3\nJ: 3\nH: 2\n", "")
+
+
 @pytest.mark.skipif(shutil.which("greenheight") is None,
                     reason="greenheight console script not installed")
 def test_installed_console_script_runs():

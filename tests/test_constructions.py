@@ -61,11 +61,27 @@ def test_bi_ideal_family_values(n):
 
 
 @pytest.mark.parametrize("n", range(2, 6))
-def test_bi_ideal_family_presentation_rebuilds_table(n):
-    fi = bi_ideal_family(n)
+@pytest.mark.parametrize("family", [bi_ideal_family, left_ideal_cs_family],
+                         ids=lambda family: family.__name__)
+def test_family_presentation_rebuilds_table(family, n):
+    fi = family(n)
     s2 = semigroup_from_presentation(fi.presentation_text)
     assert s2.names == fi.semigroup.names
     assert (s2.table == fi.semigroup.table).all()
+
+
+def test_family_presentation_texts_at_n_2():
+    assert bi_ideal_family(2).presentation_text == (
+        "letters: x y z t\nzero: 0\n"
+        "rule: xyzt -> x\nrule: yzty -> y\nrule: ztyz -> z\nrule: tyzt -> t\n"
+        "rule: xx -> 0\nrule: yy -> 0\nrule: zz -> 0\nrule: tt -> 0\n"
+        "rule: xz -> 0\nrule: xt -> 0\nrule: yx -> 0\nrule: yt -> 0\n"
+        "rule: zx -> 0\nrule: zy -> 0\nrule: tz -> 0\nrule: tx -> 0\n")
+    assert left_ideal_cs_family(2).presentation_text == (
+        "letters: x y z\nzero: 0\n"
+        "rule: xyz -> x\nrule: yzy -> y\nrule: zyz -> z\n"
+        "rule: xx -> 0\nrule: yy -> 0\nrule: zz -> 0\n"
+        "rule: xz -> 0\nrule: yx -> 0\nrule: zx -> 0\n")
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -1,4 +1,5 @@
-"""The package's modules read each other's public names only."""
+"""The package's modules read each other's public names only, and every
+source file of the project parses as Python 3.10."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import greenheight
 
 PACKAGE = Path(greenheight.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = {p.stem for p in PACKAGE.glob("*.py")}
 
 
@@ -43,3 +45,12 @@ def test_private_reads_finds_both_forms():
 def test_modules_read_no_private_name_of_another_module():
     found = {p.name: private_reads(p.read_text(), p.stem) for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: reads for name, reads in found.items() if reads} == {}
+
+
+def test_every_source_file_parses_as_python_3_10():
+    # pyproject.toml's requires-python floor, which the CI's 3.10 leg runs;
+    # a syntax check only: a 3.11-only import such as tomllib passes it
+    paths = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert len(paths) > 20
+    for p in paths:
+        ast.parse(p.read_text(encoding="utf-8"), filename=str(p), feature_version=(3, 10))
