@@ -23,12 +23,9 @@ from .errors import (
 from .green import (
     ClassPoset,
     InverseStructure,
-    KernelInfo,
     class_poset,
     height,
-    idempotents,
     inverse_structure,
-    kernel,
     leq,
 )
 from .ideals import (
@@ -65,7 +62,6 @@ __all__ = [
     "FiniteSemigroup",
     "IDEAL_KINDS",
     "InverseStructure",
-    "KernelInfo",
     "NotAssociative",
     "NotClosed",
     "NotConfluent",
@@ -87,10 +83,8 @@ __all__ = [
     "from_table",
     "generate",
     "height",
-    "idempotents",
     "inverse_structure",
     "is_complete",
-    "kernel",
     "leq",
     "parse_presentation",
     "parse_table_text",

@@ -68,9 +68,17 @@ def _positive_int(text: str) -> int:
 
 
 def _read_input(path):
-    """The text of a UTF-8 file, with an optional byte-order mark, and its
-    kind, from the first line that both parsers read; an error names it."""
-    text = Path(path).read_text(encoding="utf-8-sig")
+    """The text of a UTF-8 file and its kind, from the first line that both
+    parsers read; an error names it. A byte that is not UTF-8 is a
+    ParseError at its line and column, counted as the parsers count them."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # the sentinel x stands on the bad byte's line, at its column
+        lines = (data[:e.start].decode("utf-8").removeprefix("\ufeff") + "x").splitlines()
+        raise ParseError(len(lines), len(lines[-1]),
+                         f"byte 0x{data[e.start]:02x} is not UTF-8 ({e.reason})") from None
     lineno, body = next(core.content_lines(text), (1, ""))
     head, sep, _ = body.partition(":")
     key = head.strip()

@@ -169,17 +169,12 @@ class SubsetHandle:
     def member_names(self):
         return tuple(self.parent.names[i] for i in self.sorted_members)
 
-    def __len__(self):
-        return len(self.members)
-
-    def __contains__(self, idx):
-        return operator.index(idx) in self.members
-
 
 def content_lines(text: str):
     """Iterator of (line number from 1, line cut at its first '#') for each
-    line of `text` that holds more than a comment or blanks."""
-    bodies = (raw.split("#", 1)[0] for raw in text.splitlines())
+    line of `text` that holds more than a comment or blanks; a leading
+    byte-order mark is dropped."""
+    bodies = (raw.split("#", 1)[0] for raw in text.removeprefix("\ufeff").splitlines())
     return ((lineno, body) for lineno, body in enumerate(bodies, 1) if body.strip())
 
 

@@ -1,15 +1,14 @@
 """Green's relations R, L, J, H over a finite semigroup: preorders, class
-posets with heights, kernel and minimal right ideals, idempotents, and the
-inverse-semigroup classification, which decides regularity on the way.
+posets with heights, and the inverse-semigroup classification, which decides
+regularity on the way.
 
 Each preorder is one m-by-m boolean "below" matrix, with below[b, a] true
 when a <= b. The S^1 convention is kept without materializing an identity:
 a <=_R b iff a = b or a in bS, so R is the identity plus one scatter of the
 rows, L the same from the columns, J the boolean product R.L (a <=_L c <=_R
 b for some c), and H is R and L. Classes are the mutually reachable
-elements. The kernel is the union of the minimal R-classes, so finding it
-needs no J product of S, and it is checked as a handle. inverse_structure
-reads regularity and inverses from one gather, true where aba = a.
+elements. inverse_structure reads regularity and inverses from one gather,
+true where aba = a.
 
 class_poset and height also take a SubsetHandle as a semigroup of its own
 (element i is its i-th smallest member), read on the parent's products and
@@ -20,14 +19,12 @@ t[mem][:, mem], never by one 2-D gather: on the 229 H-classes of
 bi_ideal_family(20) the class order took 148 us by one and 19 us by two.
 
 below_matrices is the one scatter of tables into R or L matrices; one
-semigroup's table is a stack of one. Three steps keep a form per scale.
+semigroup's table is a stack of one. Two steps keep a form per scale.
 Boolean products: a float32 matmul here, a fold in ideals, which would
 build 341^3 bools on one order-341 table but beats a batched matmul on
 stacks (5.2 against 12.9 us on 50 order-4 tables, 19 against 140 on 1,915
 order-5 ones). Longest chains: Python-int levels here, a peel in ideals at
 c^2 a round, so c^3 on the 3,333-class J chain of left_ideal_cs_family(1667).
-The kernel check: on K's own handle here, at a cost in |K|; on masked
-tables in table_facts, at m^3 a table.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from itertools import compress
 import numpy as np
 
 from . import core
-from .errors import EngineBug, NotClosed
+from .errors import EngineBug
 
 RELATIONS = ("R", "L", "J", "H")
 
@@ -238,43 +235,6 @@ def height(x, relation: str = "R") -> int:
 
 
 @dataclass(frozen=True)
-class KernelInfo:
-    members: frozenset
-    minimal_right_ideals: tuple
-
-
-def kernel(s: core.FiniteSemigroup) -> KernelInfo:
-    """The unique minimal two-sided ideal K, with its minimal right ideals.
-
-    K is the union of the minimal R-classes, the minimal right ideals, and
-    the kernel of a finite semigroup is completely simple. All three facts
-    are re-verified, and a failure raises EngineBug: each minimal R-class
-    is a right ideal, K is a two-sided ideal by the closure law of its
-    handle, and on the handle J is all true and R and L are symmetric.
-    """
-    rp = class_poset(s, "R")
-    mins = tuple(frozenset(rp.classes[i]) for i in rp.minimal_classes())
-    members = frozenset().union(*mins)
-    k = np.array(sorted(members))
-    t, cls = s.table, rp.class_of
-    if not (cls[t[k]] == cls[k][:, None]).all():
-        raise EngineBug("minimal R-class is not a right ideal")
-    try:
-        kh = core.SubsetHandle(s, members, "two_sided_ideal")
-    except NotClosed:
-        raise EngineBug("union of the minimal R-classes is not a two-sided ideal") from None
-    r, l = _below(kh, "R"), _below(kh, "L")
-    if not (_below(kh, "J").all() and (r == r.T).all() and (l == l.T).all()):
-        raise EngineBug("kernel is not completely simple")
-    return KernelInfo(members, mins)
-
-
-def idempotents(s: core.FiniteSemigroup):
-    t = s.table
-    return tuple(e for e in range(s.order) if int(t[e, e]) == e)
-
-
-@dataclass(frozen=True)
 class InverseStructure:
     kind: str  # "not_regular" | "regular_not_inverse" | "inverse"
     idempotent_height: int | None = None
@@ -294,7 +254,7 @@ def inverse_structure(s: core.FiniteSemigroup) -> InverseStructure:
     # b is an inverse of a iff a*b*a == a and b*a*b == b
     if not ((sandwich & sandwich.T).sum(axis=1) == 1).all():
         return InverseStructure("regular_not_inverse")
-    es = np.array(idempotents(s))
+    es = np.flatnonzero(t.diagonal() == np.arange(s.order))
     e, f = es[:, None], es[None, :]
     below = (t[e, f] == f) & (t[f, e] == f)  # below[i, j]: es[j] <= es[i]
     np.fill_diagonal(below, False)

@@ -9,8 +9,9 @@ the subset_arrays kernel), never by restricting the parent preorder; the two
 genuinely differ (the 5-element Brandt example is the regression case).
 
 The stacked scans read S's R and L orders from green.below_matrices; their
-boolean product, longest chains and kernel check keep forms of their own,
-for the reasons of scale that green's module docstring measures.
+boolean product and longest chains keep forms of their own, for the reasons
+of scale that green's module docstring measures. table_facts holds the
+engine's one check that the kernel is completely simple.
 """
 
 from __future__ import annotations
@@ -165,12 +166,12 @@ def table_facts(tables) -> TableFacts:
     where b is in c*S^1, S^1*c or S^1*c*S^1, J being the boolean product
     L.R. The J-height peels the J order as subset_arrays peels its masks.
     The kernel K is the union of the minimal R-classes, the members with no
-    member strictly R below them. As in green.kernel, each minimal R-class
-    must be a right ideal and K a two-sided ideal, completely simple (its
-    own R.L all true, its R and L symmetric), or EngineBug is raised. The
-    minimal principal right ideals are found by raw inclusion of the rows of
-    R, the regular elements are the a in a*S*a, and a is in a*M when M meets
-    the b with a*b = a, a set of masks in subset_arrays' words.
+    member strictly R below them. Each minimal R-class must be a right
+    ideal and K a two-sided ideal, completely simple (its own R.L all true,
+    its R and L symmetric), or EngineBug is raised. The minimal principal
+    right ideals are found by raw inclusion of the rows of R, the regular
+    elements are the a in a*S*a, and a is in a*M when M meets the b with
+    a*b = a, a set of masks in subset_arrays' words.
     """
     tt = _element_major(tables, "table_facts")
     m, n = tt.shape[1:]
@@ -377,7 +378,7 @@ _THEOREMS = {
 def bound_verdict(kind: str, relative_height: int, chain_param: int) -> BoundReport:
     """The height-bound theorem of kind, applied to h and n.
 
-    The kernel of a finite semigroup is completely simple (green.kernel
+    The kernel of a finite semigroup is completely simple (table_facts
     raises EngineBug otherwise), so bi-ideals and left ideals get the
     sharper bounds 3n-2 and 2n-1; the generic bounds 3n-1 and 2n, which
     need no such kernel, are reported as sanity lines.

@@ -22,7 +22,6 @@ from greenheight import (
     height,
     inverse_structure,
     is_complete,
-    kernel,
     parse_presentation,
     reduce_word,
     relative_height,
@@ -40,7 +39,7 @@ from greenheight.constructions import (
     trivial_semigroup,
 )
 from greenheight.green import RELATIONS
-from greenheight.ideals import IDEAL_KINDS
+from greenheight.ideals import IDEAL_KINDS, table_facts
 
 
 def verdict(num, ok, label):
@@ -186,8 +185,8 @@ def _oracle_checks_one_table(t):
     s = from_table([str(i) for i in range(m)], t)
     failures = []
 
-    info = kernel(s)
-    if info.members != oracles.naive_kernel(rows):
+    kern = oracles.naive_kernel(rows)
+    if table_facts(s.table[None]).kernel[0] != sum(1 << a for a in kern):
         failures.append("kernel mismatch")
     cs = oracles.naive_completely_simple(rows)
     if not cs:

@@ -274,6 +274,22 @@ def test_input_kind_error_names_the_first_line_it_read(capsys, tmp_path, text, l
     assert err.startswith(f"error: line {line}, column 1: input must start with ")
 
 
+@pytest.mark.parametrize("data, where, byte, reason", [
+    (b"order: 1\nnames: \xe9\n0\n", "line 2, column 8", "0xe9", "invalid continuation byte"),
+    (b"\xef\xbb\xbforder: 1\nnames: \xe9\n0\n", "line 2, column 8", "0xe9",
+     "invalid continuation byte"),
+    (b"\xef\xbb\xbf\xff", "line 1, column 1", "0xff", "invalid start byte"),
+    (b"order: 2\r\nnames: a b\r\n0 0\r\n0 \xff\n", "line 4, column 3", "0xff",
+     "invalid start byte"),
+])
+def test_input_that_is_not_utf8_is_a_parse_error_at_its_byte(capsys, tmp_path, data, where,
+                                                               byte, reason):
+    p = tmp_path / "latin1.txt"
+    p.write_bytes(data)
+    assert run(capsys, "height", str(p)) == (
+        2, "", f"error: {where}: byte {byte} is not UTF-8 ({reason})\n")
+
+
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_cap_below_one_is_usage_error(capsys, bi2_presentation, left3_table, cap):
     for path in (bi2_presentation, left3_table):

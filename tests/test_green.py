@@ -1,19 +1,16 @@
-"""Green's preorders, class posets, kernel, and inverse-structure cross-checks."""
+"""Green's preorders, class posets, and inverse-structure cross-checks."""
 
 import random
 
-import numpy as np
 import pytest
 
 import oracles
-from greenheight import _accel, green
+from greenheight import green
 from greenheight import (
     class_poset,
     from_table,
     height,
-    idempotents,
     inverse_structure,
-    kernel,
     leq,
 )
 from greenheight.constructions import (
@@ -26,8 +23,7 @@ from greenheight.constructions import (
     symmetric_inverse_monoid,
     trivial_semigroup,
 )
-from greenheight.errors import EngineBug
-from greenheight.green import RELATIONS, ClassPoset
+from greenheight.green import RELATIONS
 
 ALL_SMALL = [t for m in (1, 2, 3) for t in oracles.labelled_tables(m)]
 
@@ -269,57 +265,10 @@ def test_bad_relation_rejected():
         height(trivial_semigroup(), "D")
 
 
-def test_kernel_matches_oracle_on_all_small_tables():
-    for t in ALL_SMALL:
-        s = make(t)
-        rows = t.tolist()
-        info = kernel(s)
-        assert info.members == oracles.naive_kernel(rows)
-        want_min = {frozenset(r) for r in oracles.naive_minimal_right_ideals(rows)}
-        got_min = {frozenset(r) for r in info.minimal_right_ideals}
-        assert got_min == want_min
-        assert frozenset().union(*got_min) == info.members
-
-
-def test_kernel_and_identity_match_oracle_on_every_order_four_table():
+def test_identity_matches_oracle_on_every_order_four_table():
     for t in oracles.labelled_tables(4):
-        s = make(t)
         rows = t.tolist()
-        info = kernel(s)
-        assert info.members == oracles.naive_kernel(rows), rows
-        want_min = {frozenset(r) for r in oracles.naive_minimal_right_ideals(rows)}
-        assert {frozenset(r) for r in info.minimal_right_ideals} == want_min, rows
-        assert oracles.naive_completely_simple(rows), rows
-        assert s.identity == oracles.naive_identity(rows), rows
-
-
-def test_kernel_known_cases():
-    s = null_semigroup(3)
-    info = kernel(s)
-    assert info.members == frozenset({s.index("0")})
-    assert oracles.naive_completely_simple(s.table.tolist())
-    lz = left_zero_semigroup(3)
-    info = kernel(lz)
-    assert info.members == frozenset(range(3))
-    assert oracles.naive_completely_simple(lz.table.tolist())
-    assert {frozenset(r) for r in info.minimal_right_ideals} == {
-        frozenset({i}) for i in range(3)
-    }
-    bz = brandt_example()
-    assert kernel(bz).members == frozenset({bz.index("0")})
-
-
-def test_kernel_caches_only_its_inputs():
-    s = brandt_example()
-    assert kernel(s) == kernel(s)
-    assert {key[0] for key in s._cache} == {"below", "poset"}
-
-
-def test_idempotents_match_oracle():
-    for t in ALL_SMALL + list(oracles.relabelled(4, 25, seed=12)):
-        s = make(t)
-        rows = t.tolist()
-        assert idempotents(s) == tuple(sorted(oracles.naive_idempotents(rows)))
+        assert make(t).identity == oracles.naive_identity(rows), rows
 
 
 def test_leq_refuses_elements_out_of_range():
@@ -382,26 +331,3 @@ def test_inverse_structure_matches_oracle():
             assert got.idempotent_height == chain, rows
     assert kinds == {"not_regular", "regular_not_inverse", "inverse"}
 
-
-def test_kernel_engine_bug_checks_fire(monkeypatch):
-    # right zero (a*b = b): the L poset's minimal singletons are not right ideals
-    rz = from_table(["a", "b"], [[0, 1], [0, 1]])
-    real = green.class_poset
-    monkeypatch.setattr(green, "class_poset",
-                        lambda s, rel="R": real(s, "L" if rel == "R" else rel))
-    with pytest.raises(EngineBug, match="right ideal"):
-        kernel(rz)
-    # left zero {a, b} with an identity 1: {a} is a right ideal, b*a = b leaves it
-    lz1 = from_table(["a", "b", "1"], [[0, 0, 0], [1, 1, 1], [0, 1, 2]])
-    fake = ClassPoset(lz1.names, "R", ((0,), (1, 2)), np.array([0, 1, 1], dtype=np.int32),
-                      np.array([[False, True], [False, False]]))  # {a} below {b, 1}
-    monkeypatch.setattr(green, "class_poset", lambda s, rel="R": fake)
-    with pytest.raises(EngineBug, match="two-sided ideal"):
-        kernel(lz1)
-    # not associative ((0*0)*2 = 1, 0*(0*2) = 0): its kernel {0, 1} is one
-    # minimal R-class, a right and a two-sided ideal, but a null semigroup
-    monkeypatch.setattr(green, "class_poset", real)
-    monkeypatch.setattr(_accel, "assoc_witness", lambda table: None)
-    null2 = from_table(["a", "b", "c"], [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
-    with pytest.raises(EngineBug, match="kernel is not completely simple"):
-        kernel(null2)

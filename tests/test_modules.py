@@ -1,5 +1,6 @@
 """The package's modules read each other's public names only, and every
-source file of the project parses as Python 3.10."""
+source file of the project parses as Python 3.10 and, outside tests/,
+imports no standard-library module that 3.11 added."""
 
 import ast
 from pathlib import Path
@@ -47,10 +48,44 @@ def test_modules_read_no_private_name_of_another_module():
     assert {name: reads for name, reads in found.items() if reads} == {}
 
 
+# the standard-library modules that Python 3.11 added
+NEW_IN_3_11 = ("tomllib", "wsgiref.types")
+
+
+def imports_new_in_3_11(text):
+    """(line, module) for each import in the source text of a module that
+    Python 3.11 added, or of a submodule of one, as `import m` or `from m
+    import name` or, for a submodule, `from package import m`."""
+    out = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        out += [(node.lineno, name) for name in names
+                if any(name == new or name.startswith(new + ".") for new in NEW_IN_3_11)]
+    return out
+
+
+def test_imports_new_in_3_11_finds_every_form():
+    text = ("import tomllib as t\nfrom wsgiref import types, util\nimport wsgiref.types\n"
+            "from tomllib import loads\nimport json, wsgiref.util\nfrom . import tomllib\n")
+    assert imports_new_in_3_11(text) == [
+        (1, "tomllib"), (2, "wsgiref.types"), (3, "wsgiref.types"), (4, "tomllib"),
+        (4, "tomllib.loads")]
+
+
 def test_every_source_file_parses_as_python_3_10():
-    # pyproject.toml's requires-python floor, which the CI's 3.10 leg runs;
-    # a syntax check only: a 3.11-only import such as tomllib passes it
+    # pyproject.toml's requires-python floor, which the CI's 3.10 leg runs.
+    # tests/ may import a 3.11-only module when it skips without it, as
+    # test_cli.py does tomllib through importorskip
     paths = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
     assert len(paths) > 20
     for p in paths:
-        ast.parse(p.read_text(encoding="utf-8"), filename=str(p), feature_version=(3, 10))
+        text = p.read_text(encoding="utf-8")
+        ast.parse(text, filename=str(p), feature_version=(3, 10))
+        if p.is_relative_to(ROOT / "tests"):
+            continue
+        assert imports_new_in_3_11(text) == [], p

@@ -18,4 +18,4 @@ def test_readme_python_blocks_print_what_their_comments_promise(capsys):
         exec(compile(block, str(README), "exec"), {})
         printed.append(capsys.readouterr().out.splitlines())
     assert printed[0][:2] == ["7", "2"]  # order, R-height
-    assert printed[1] == ["[0, 1, 2]", "3"]  # kernel members, minimal right ideals
+    assert printed[1] == ["((0,), (1,), (2,))", "1"]  # R-classes, R-height
