@@ -1,7 +1,8 @@
 """Hot kernels: the exact associativity check, which is Light's test over a
-generating set found in one walk on Python ints, stopping at the first
-failing generator, each generator checked by whole-row numpy gathers over
-the full table or, where that reads fewer cells, over the rows and columns
+generating set found in one walk on Python ints, from given generators or
+else the rarest entries, stopping at the first failing generator, each
+generator checked by whole-row numpy gathers over the full table or,
+where that reads fewer cells, over the rows and columns
 its images select, on a narrow unsigned copy of the table; the lex-first
 witness scan (numpy), the one associativity scan; and one backtracking fill on
 plain Python ints that enumerates one associative table per isomorphism
@@ -38,18 +39,21 @@ _LIGHT_MIN_ORDER = 48
 _IMAGE_MIN_SAVING = 1 << 15
 
 
-def assoc_witness(table):
+def assoc_witness(table, generators=()):
     """Lexicographically first (a, b, c) with (a*b)*c != a*(b*c), or None
     if the table is associative; exact at every order. From order
     _LIGHT_MIN_ORDER up it first runs Light's test (Clifford and Preston,
     1961, section 1.2): (x*g)*y == x*(g*y) for all x, y and all g in A, where
-    A's closure under right multiplication by A is S. The middles that pass
-    form a subsemigroup, so then the table is associative. For each g the
-    full compare gathers whole rows, t[t[:, g]] and t.T[t[g]], compared
-    transposed, m*m cells; where x*g and g*y take k and k' values, the image
-    path reads the (k + k')*m + k*k' cells those values select (see
-    _light_holds), and g takes it when that saves _IMAGE_MIN_SAVING cells.
-    The test stops at the first g that fails. It costs m*m*|A| where every g
+    A's closure under right multiplication by A is S. A starts from the
+    given generators, element indices, and is completed where they do not
+    reach all of S (see _generators): they change the cost, never the
+    answer. The middles that pass form a subsemigroup, so then the table is
+    associative. For each g the full compare gathers whole rows,
+    t[t[:, g]] and t.T[t[g]], compared transposed, m*m cells; where x*g
+    and g*y take k and k' values, the image path reads the
+    (k + k')*m + k*k' cells those values select (see _light_holds), and g
+    takes it when that saves _IMAGE_MIN_SAVING cells. The test stops at
+    the first g that fails. It costs m*m*|A| where every g
     takes the full compare, m**3 where no smaller A exists either, as in
     left-zero semigroups; a null table has k = k' = 1 for every g, so about
     2*m*m. Below that order, and when some g fails, the lex-first scan over
@@ -57,16 +61,16 @@ def assoc_witness(table):
     FiniteSemigroup and the fill ensure: Light's test reads a copy of the
     table in the narrowest unsigned dtype that holds m-1."""
     t = np.ascontiguousarray(table, dtype=np.int32)
-    if len(t) >= _LIGHT_MIN_ORDER and _light_holds(t):
+    if len(t) >= _LIGHT_MIN_ORDER and _light_holds(t, generators):
         return None
     return _first_failure(t)
 
 
-def _light_holds(t):
-    """Whether (x*g)*y == x*(g*y) for all x, y and each g in _generators(t),
-    stopping at the first g that fails. Entries of t must lie in 0..m-1:
-    both paths read a copy of t in the narrowest unsigned dtype that holds
-    m-1 (uint8 to order 256).
+def _light_holds(t, seeds=()):
+    """Whether (x*g)*y == x*(g*y) for all x, y and each g in
+    _generators(t, seeds), stopping at the first g that fails. Entries of t
+    must lie in 0..m-1: both paths read a copy of t in the narrowest
+    unsigned dtype that holds m-1 (uint8 to order 256).
 
     With c = t[:, g] and r = t[g] taking the k values V and the k' values U,
     the full compare reads every cell of t[c] and t.T[r]. The identity holds
@@ -77,7 +81,7 @@ def _light_holds(t):
     takes this image path when m*m - 2*(k + k')*m >= _IMAGE_MIN_SAVING; k
     and k' of every g come from two (|A|, m) boolean scatters."""
     m = len(t)
-    gens = _generators(t).tolist()
+    gens = _generators(t, seeds).tolist()
     t = t.astype(np.min_scalar_type(m - 1))
     # the values of x*g and of g*y, one row of each mask per generator
     at = np.arange(0, len(gens) * m, m)[:, None]
@@ -113,14 +117,15 @@ def _images_agree(t, tt, g, in_v, in_u):
             and (rows[:, y_of[u]] == cols[:, x_of[v]].T).all())
 
 
-def _generators(t):
-    """Sorted A for assoc_witness: elements by how often they occur as entries,
-    fewest first, each added if not yet reached. One walk on Python ints reads
-    x*g from a memoryview of column g, so it makes O(m*|A|) lookups in all."""
+def _generators(t, seeds=()):
+    """Sorted A for assoc_witness: the seeds, then, only if they leave some
+    element unreached, elements by how often they occur as entries, fewest
+    first; each added if not yet reached. One walk on Python ints reads x*g
+    from a memoryview of column g, so it makes O(m*|A|) lookups in all."""
     m = len(t)
     reached = bytearray(m)
     seen, gens, cols = [], [], []
-    for g in np.argsort(np.bincount(t.ravel(), minlength=m), kind="stable").tolist():
+    for g in itertools.chain(seeds, _by_count(t)):
         if reached[g]:
             continue
         col = memoryview(t[:, g])
@@ -140,6 +145,12 @@ def _generators(t):
         if len(seen) == m:
             break
     return np.array(sorted(gens))
+
+
+def _by_count(t):
+    """The elements by how often they occur as entries of t, fewest first,
+    counted when first read."""
+    yield from np.argsort(np.bincount(t.ravel(), minlength=len(t)), kind="stable").tolist()
 
 
 def _first_failure(t):

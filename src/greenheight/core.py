@@ -21,9 +21,11 @@ KINDS = ("bi_ideal", "right_ideal", "left_ideal", "two_sided_ideal", "subsemigro
 
 
 class FiniteSemigroup:
-    """Immutable semigroup on indices 0..m-1 with a verified table."""
+    """Immutable semigroup on indices 0..m-1 with a verified table. Elements
+    known to generate it, if given, seed the associativity check's generating
+    set, which still confirms that they do."""
 
-    def __init__(self, names, table):
+    def __init__(self, names, table, generators=()):
         table = np.asarray(table)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ValueError(f"table must be square, got shape {table.shape}")
@@ -42,9 +44,12 @@ class FiniteSemigroup:
         # range-checked before the cast, which would wrap or truncate
         if table.dtype.kind not in "iu" or table.min() < 0 or table.max() >= m:
             raise ValueError("table entries must be element indices")
+        generators = tuple(generators)
+        if not all(isinstance(g, (int, np.integer)) and 0 <= g < m for g in generators):
+            raise ValueError("generators must be element indices")
         # a copy, so that the caller's array is neither frozen nor able to change it
         table = np.array(table, dtype=np.int32, order="C")
-        witness = _accel.assoc_witness(table)
+        witness = _accel.assoc_witness(table, [int(g) for g in generators])
         if witness is not None:
             raise NotAssociative(witness)
         table.setflags(write=False)

@@ -1,6 +1,8 @@
 """Length-reducing string rewriting: reduction, critical pairs, completeness,
 and semigroups from presentations, whose irreducible words and right Cayley
-graph come from one walk.
+graph come from one walk. A presentation's confluence is certified by the
+table that walk builds; critical pairs are computed only where that fails,
+for the witness.
 
 Internally a word is a plain str with one character per letter; alphabets
 with multi-character tokens map onto private-use characters so matching is
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .errors import CapExceeded, NotConfluent, ParseError
+from .errors import CapExceeded, EngineBug, NotAssociative, NotConfluent, ParseError
 
 DEFAULT_CAP = 10_000
 
@@ -303,29 +305,34 @@ def _walk(rs: RewritingSystem, cap: int):
 def semigroup_from_presentation(rs, cap: int = DEFAULT_CAP) -> core.FiniteSemigroup:
     """Build the presented semigroup; elements are irreducible words.
 
-    Accepts a RewritingSystem or presentation text. The system must be
-    complete (raises NotConfluent with a witness otherwise). One walk gives
-    the normal forms, each one's prefix and last letter, and the right
-    Cayley graph, with no word rewritten by search. Normal forms are
-    prefix-closed and unique, so for v = v'a the product u*v is
-    right[u*v', a]: column v of the table is one gather from column v'.
-    The words of one length have their prefixes among the words one
-    letter shorter, so the columns fill one length at a time, by one flat
-    gather each, into the rows of the transposed table. The core
-    constructor re-verifies associativity.
+    Accepts a RewritingSystem or presentation text. One walk gives the
+    normal forms, each one's prefix and last letter, and the right Cayley
+    graph, with no word rewritten by search. Normal forms are prefix-closed,
+    so for v = v'a the product u*v is right[u*v', a]: column v of the table
+    is one gather from column v'. The words of one length have their
+    prefixes among the words one letter shorter, so the columns fill one
+    length at a time, by one flat gather each, into the rows of the
+    transposed table. The walk reaches every element from the letters
+    (Froidure and Pin, 1997), so their elements and ZERO generate the table
+    and seed the core constructor's exact associativity check.
+
+    The table certifies confluence: let phi(w) be the product of w's
+    letters' elements. If the table is associative and phi(lhs) == phi(rhs)
+    for every rule, ZERO's element standing for ZERO, then congruent words
+    have one phi, and distinct irreducible words have distinct ones, their
+    own elements; so no two irreducible words are congruent, and the
+    system, being noetherian, is confluent. A confluent system passes both
+    checks. Where either fails, or the walk passes ``cap``, is_complete
+    gives NotConfluent its witness; a complete system that passes ``cap``
+    raises CapExceeded.
     """
     if isinstance(rs, str):
         rs = parse_presentation(rs)
-    ok, witness = is_complete(rs)
-    if not ok:
-        raise NotConfluent(
-            witness,
-            "presentation is not confluent: source "
-            f"{rs.display(witness.source)} rewrites to both "
-            f"{rs.display(reduce_word(rs, witness.left_result))} and "
-            f"{rs.display(reduce_word(rs, witness.right_result))}",
-        )
-    words, prefix, last, right = _walk(rs, cap)
+    try:
+        words, prefix, last, right = _walk(rs, cap)
+    except CapExceeded:
+        _require_complete(rs)
+        raise
     m, k = right.shape
     flat = right.ravel()
     # cols[j] is column j of the table, so every gather reads and writes
@@ -338,6 +345,10 @@ def semigroup_from_presentation(rs, cap: int = DEFAULT_CAP) -> core.FiniteSemigr
     # prefixes lie in lo:hi, and it ends where the prefixes reach hi. take,
     # not [], gathers: a quarter faster on int32 indices
     lo, hi = 0, int(prefix.searchsorted(0))
+    # the letters that are words come first; a letter that is not rewrites to ZERO
+    element_of = dict(zip(last[:hi].tolist(), range(hi)))
+    gens = [element_of.get(a, m - 1) for a in range(k)]
+    seeds = gens + [m - 1] if rs.has_zero else gens
     while lo < hi:
         at = cols.take(prefix[lo:hi], axis=0)
         at *= k
@@ -345,7 +356,43 @@ def semigroup_from_presentation(rs, cap: int = DEFAULT_CAP) -> core.FiniteSemigr
         cols[lo:hi] = flat.take(at)
         lo, hi = hi, int(prefix.searchsorted(hi))
     names = [rs.display(w) for w in words]
-    return core.from_table(names, cols[:m].T)
+    try:
+        s = core.FiniteSemigroup(names, cols[:m].T, generators=seeds)
+        if _rules_hold(rs, s.table, gens):
+            return s
+    except NotAssociative:
+        pass
+    _require_complete(rs)
+    raise EngineBug("a complete presentation built a table that breaks it")
+
+
+def _rules_hold(rs: RewritingSystem, t, gens) -> bool:
+    """Whether both sides of every rule of rs reach one element of the table
+    t from the letters' elements gens, a rewrite to ZERO the last element."""
+    element_of = dict(zip(rs._letter_syms, gens))
+
+    def phi(w):
+        if w is ZERO:
+            return len(t) - 1
+        e = element_of[w[0]]
+        for c in w[1:]:
+            e = t.item(e, element_of[c])
+        return e
+
+    return all(phi(r.lhs) == phi(r.rhs) for r in rs.rules)
+
+
+def _require_complete(rs: RewritingSystem):
+    """Raise NotConfluent with is_complete's witness unless rs is complete."""
+    ok, witness = is_complete(rs)
+    if not ok:
+        raise NotConfluent(
+            witness,
+            "presentation is not confluent: source "
+            f"{rs.display(witness.source)} rewrites to both "
+            f"{rs.display(reduce_word(rs, witness.left_result))} and "
+            f"{rs.display(reduce_word(rs, witness.right_result))}",
+        )
 
 
 def element_index(rs: RewritingSystem, s: core.FiniteSemigroup, w) -> int:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from greenheight import _accel, cli
+from greenheight import _accel, cli, parse_presentation
 from greenheight.constructions import (
     bi_ideal_family,
     full_transformation_monoid,
@@ -295,6 +295,49 @@ def test_generators_are_pinned():
     for name, t in tables.items():
         gens = _accel._generators(np.ascontiguousarray(t, dtype=np.int32))
         assert sorted(gens.tolist()) == want[name], name
+
+
+def generated_tables():
+    """(name, table, seeds that generate it) from order 48 up: the presented
+    families with their letters' elements and zero, T4 with a 4-cycle, a
+    transposition and a map of rank 3, and the tower with every element, the
+    last first."""
+    for name, fi in [("bi5", bi_ideal_family(5)), ("left10", left_ideal_cs_family(10)),
+                     ("bi6", bi_ideal_family(6))]:
+        s = fi.semigroup
+        rs = parse_presentation(fi.presentation_text)
+        yield name, s.table, [s.index(x) for x in rs.letters] + [s.index("0")]
+    t4 = full_transformation_monoid(4)
+    yield "T4", t4.table, [t4.index(f) for f in ("1230", "1023", "0023")]
+    tower = right_ideal_tower(4).semigroup
+    yield "tower4", tower.table, list(range(tower.order))[::-1]
+
+
+def test_generator_seeds_change_no_witness(monkeypatch):
+    # seeds that generate the table replace the count order; one that does
+    # not (the zero, or the last element, alone) falls back to it
+    counted = []
+    real = _accel._by_count
+
+    def by_count(t):
+        counted.append(len(t))
+        yield from real(t)
+
+    monkeypatch.setattr(_accel, "_by_count", by_count)
+    for name, t, seeds in generated_tables():
+        m = len(t)
+        assert m >= _accel._LIGHT_MIN_ORDER
+        # the Python oracle is too slow on T4, so the lex-first scan is its reference
+        reference = _accel._first_failure if m > 100 else (
+            lambda bad: oracles.naive_assoc_witness(bad.tolist()))
+        for bad in [t, *one_bad_cell_copies(t)]:
+            want = reference(bad)
+            assert _accel.assoc_witness(bad) == want, name
+            for gens in (seeds, [m - 1]):
+                counted.clear()
+                assert _accel.assoc_witness(bad, gens) == want, name
+                if bad is t:
+                    assert counted == ([] if gens is seeds else [m]), name
 
 
 def test_assoc_witness_finds_a_failure_at_every_middle():

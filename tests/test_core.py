@@ -22,6 +22,7 @@ from greenheight import (
     from_table,
     parse_presentation,
     parse_table_text,
+    semigroup_from_presentation,
 )
 from greenheight.constructions import (
     bi_ideal_family,
@@ -186,6 +187,38 @@ def test_parse_table_rejects_non_associative():
     a, b, c = exc.value.triple
     t = [[1, 0], [0, 0]]
     assert t[t[a][b]][c] != t[a][t[b][c]]
+
+
+@pytest.mark.parametrize("generators", [[2], [-1], [1.0], ["0"], [None]])
+def test_generators_must_be_element_indices(generators):
+    with pytest.raises(ValueError, match="^generators must be element indices$"):
+        core.FiniteSemigroup(["a", "b"], [[0, 0], [0, 0]], generators=generators)
+
+
+def test_generators_reach_the_associativity_check(monkeypatch):
+    # bi_ideal_family(5) has order 49, where Light's test runs first; its
+    # letters' elements and zero generate it, so the count order goes
+    # unread, in the constructor and in the build from its presentation
+    fi = bi_ideal_family(5)
+    s = fi.semigroup
+    rs = parse_presentation(fi.presentation_text)
+    seeds = [s.index(x) for x in rs.letters] + [s.index("0")]
+    read = []
+    real = _accel._by_count
+
+    def by_count(t):
+        read.append(len(t))
+        yield from real(t)
+
+    monkeypatch.setattr(_accel, "_by_count", by_count)
+    for gens, reads in ((seeds, []), (np.array(seeds), []), ((), [49])):
+        read.clear()
+        again = core.FiniteSemigroup(s.names, s.table, generators=gens)
+        assert again.table.tolist() == s.table.tolist()
+        assert read == reads
+    read.clear()
+    assert semigroup_from_presentation(fi.presentation_text).table.tolist() == s.table.tolist()
+    assert read == []
 
 
 def test_from_table_witness_is_lex_first():

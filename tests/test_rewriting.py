@@ -1,5 +1,6 @@
 """Parsing, reduction, critical pairs, completeness, and enumeration."""
 
+import collections
 import hashlib
 import itertools
 import random
@@ -24,7 +25,8 @@ from greenheight import (
     reduce_word,
     semigroup_from_presentation,
 )
-from greenheight import rewriting
+from greenheight import _accel, cli, rewriting
+from greenheight.errors import EngineBug
 from greenheight.constructions import bi_ideal_family, left_ideal_cs_family
 
 
@@ -339,14 +341,12 @@ def test_presentation_table_matches_all_pairs_oracle(text):
     assert s.table.tolist() == table
 
 
-def random_complete_presentations(seed, draws, max_order):
-    """The complete systems with a zero and at most max_order elements among
-    draws random rule sets over {a, b} or {a, b, c}. A rule set may kill a
-    letter (a -> 0), and one in ten also sends every word of length 4 (two
-    letters) or 3 (three letters) to zero, so that larger finite tables come
-    up too."""
+def random_presentations(seed, draws):
+    """draws random systems with a zero over {a, b} or {a, b, c}. A rule set
+    may kill a letter (a -> 0), and one in ten also sends every word of
+    length 4 (two letters) or 3 (three letters) to zero, so that larger
+    finite tables come up too."""
     rng = random.Random(seed)
-    kept = []
     for _ in range(draws):
         letters = "abc"[: rng.choice((2, 3))]
         rules = []
@@ -361,7 +361,14 @@ def random_complete_presentations(seed, draws, max_order):
         if rng.random() < 0.1:
             depth = 4 if len(letters) == 2 else 3
             rules += [("".join(w), ZERO) for w in itertools.product(letters, repeat=depth)]
-        rs = RewritingSystem(letters, rules, zero="0")
+        yield RewritingSystem(letters, rules, zero="0")
+
+
+def random_complete_presentations(seed, draws, max_order):
+    """The complete systems with at most max_order elements among
+    random_presentations(seed, draws)."""
+    kept = []
+    for rs in random_presentations(seed, draws):
         if not is_complete(rs)[0]:
             continue
         try:
@@ -474,20 +481,108 @@ def test_table_build_peaks_within_four_and_a_half_tables():
 
 
 def test_table_build_reduces_words_only_to_check_completeness(monkeypatch):
+    # a complete system is certified by its table: no critical pair and no
+    # reduction; a system that is not is refused with is_complete's witness
     text = bi_ideal_family(4).presentation_text
-    pairs = len(critical_pairs(parse_presentation(text)))
-    assert pairs > 0
+    assert critical_pairs(parse_presentation(text))
     callers = []
-    reduce_any = rewriting.reduce_word
+    for name in ("reduce_word", "critical_pairs"):
+        real = getattr(rewriting, name)
 
-    def spy(rs, w):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return reduce_any(rs, w)
+        def spy(*args, real=real):
+            callers.append((real.__name__, sys._getframe(1).f_code.co_name))
+            return real(*args)
 
-    monkeypatch.setattr(rewriting, "reduce_word", spy)
+        monkeypatch.setattr(rewriting, name, spy)
     semigroup_from_presentation(text)
-    # the completeness check of is_complete, which semigroup_from_presentation runs
-    assert callers == ["first_unresolved"] * (2 * pairs)
+    assert callers == []
+    with pytest.raises(NotConfluent):
+        semigroup_from_presentation(AB_SYSTEM, cap=10)
+    # every pair up to the witness, the first, then the witness's two sides
+    assert callers == ([("critical_pairs", "is_complete")]
+                       + [("reduce_word", "first_unresolved")] * 2
+                       + [("reduce_word", "_require_complete")] * 2)
+
+
+def record_verdicts(monkeypatch, module, name, verdicts):
+    """Append to verdicts whether each call of module.name passed: an
+    associativity witness of None, or a rule check of True."""
+    real = getattr(module, name)
+
+    def spy(*args):
+        result = real(*args)
+        verdicts.append(f"{name} {'passes' if result in (None, True) else 'fails'}")
+        return result
+
+    monkeypatch.setattr(module, name, spy)
+
+
+# one system for each way the build refuses a presentation, with the error
+# that is_complete gave it when it ran before every walk
+UNRESOLVED = "presentation is not confluent: source "
+FAILURE_PATHS = [
+    pytest.param("letters: a b\nrule: aa -> b\nrule: ab -> a\nrule: bb -> a\n", NotConfluent,
+                 UNRESOLVED + "aaa rewrites to both ba and a",
+                 ["assoc_witness fails"], id="not-associative"),
+    # the walk applies bb -> b, so bbb -> a does not hold in the table
+    pytest.param("letters: a b\nrule: ab -> b\nrule: bb -> b\nrule: bbb -> a\nrule: aa -> a\n",
+                 NotConfluent, UNRESOLVED + "abbb rewrites to both b and a",
+                 ["assoc_witness passes", "_rules_hold fails"], id="rule-broken"),
+    pytest.param("letters: a\nzero: 0\nrule: aa -> a\nrule: aaa -> 0\n", NotConfluent,
+                 UNRESOLVED + "aaaa rewrites to both a and 0",
+                 ["assoc_witness passes", "_rules_hold fails"], id="zero-rule-broken"),
+    pytest.param(AB_SYSTEM, NotConfluent, UNRESOLVED + "aba rewrites to both aa and a",
+                 [], id="past-the-cap"),
+    pytest.param("letters: a b\nrule: aa -> a\nrule: bb -> b\n", CapExceeded,
+                 "enumeration exceeded cap=10 (at least 12 irreducible words);"
+                 " the presented semigroup may be infinite", [], id="confluent-infinite"),
+]
+
+
+@pytest.mark.parametrize("text, error, message, verdicts", FAILURE_PATHS)
+def test_each_failure_path_keeps_its_error(monkeypatch, capsys, tmp_path,
+                                           text, error, message, verdicts):
+    seen = []
+    record_verdicts(monkeypatch, _accel, "assoc_witness", seen)
+    record_verdicts(monkeypatch, rewriting, "_rules_hold", seen)
+    with pytest.raises(error) as exc:
+        semigroup_from_presentation(text, cap=10)
+    assert str(exc.value) == message
+    assert seen == verdicts
+    p = tmp_path / "p.txt"
+    p.write_text(text)
+    assert cli.main(["height", str(p), "--cap", "10"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_a_complete_system_whose_table_breaks_it_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(rewriting, "_rules_hold", lambda *args: False)
+    with pytest.raises(EngineBug, match="^a complete presentation built a table that breaks it$"):
+        semigroup_from_presentation(bi_ideal_family(2).presentation_text)
+
+
+def test_build_refuses_exactly_the_systems_is_complete_refuses():
+    # every draw, complete or not: the table's certificate against critical pairs
+    outcomes = collections.Counter()
+    for rs in random_presentations(20261019, 6000):
+        ok, witness = is_complete(rs)
+        try:
+            s = semigroup_from_presentation(rs, cap=200)
+        except NotConfluent as e:
+            assert not ok, format_presentation(rs)
+            left, right = (rs.display(reduce_word(rs, w))
+                           for w in (witness.left_result, witness.right_result))
+            assert str(e) == (f"{UNRESOLVED}{rs.display(witness.source)}"
+                              f" rewrites to both {left} and {right}")
+            outcomes["not confluent"] += 1
+        except CapExceeded:
+            assert ok, format_presentation(rs)
+            outcomes["past the cap"] += 1
+        else:
+            assert ok, format_presentation(rs)
+            assert s.names == tuple(map(rs.display, oracles.presentation_normal_forms(rs)))
+            outcomes["built"] += 1
+    assert outcomes == {"not confluent": 4450, "built": 423, "past the cap": 1127}
 
 
 def test_semigroup_from_presentation_rejects_incomplete():
