@@ -9,6 +9,7 @@ class ParseError(ValueError):
     def __init__(self, line: int, column: int, message: str):
         self.line = line
         self.column = column
+        self.message = message
         super().__init__(f"line {line}, column {column}: {message}")
 
 

@@ -1,8 +1,8 @@
 """Length-reducing string rewriting: reduction, critical pairs, completeness,
 and semigroups from presentations, whose irreducible words and right Cayley
-graph come from one walk. A presentation's confluence is certified by the
-table that walk builds; critical pairs are computed only where that fails,
-for the witness.
+graph come from one walk. The rules followed on that graph and the table's
+associativity certify a presentation's confluence; critical pairs are
+computed only where that fails, for the witness.
 
 Internally a word is a plain str with one character per letter; alphabets
 with multi-character tokens map onto private-use characters so matching is
@@ -133,7 +133,10 @@ class RewritingSystem:
         if isinstance(w, str):
             if all(c in self._tok_of for c in w):
                 return w
-            tokens = _tokenize(w, 0, 0)[0]
+            try:
+                tokens = _tokenize(w, 0, 0)[0]
+            except ParseError as e:  # a word has no line
+                raise ValueError(f"word {w!r}, column {e.column}: {e.message}") from None
         else:
             tokens = list(w)
         out = []
@@ -248,11 +251,12 @@ def _walk(rs: RewritingSystem, cap: int):
     irreducible, a redex of u·a is a suffix, found by one dict lookup per
     distinct left-side length. Either there is none, and u·a is the next
     word, whose index is the edge and whose prefix and last letter are u
-    and a; or u·a = p·lhs -> p·rhs, and the edge is p's element sent letter
-    by letter through rhs. Each step leaves a word shorter than u, whose
-    row an earlier level has filled; the empty word's row holds each
-    letter's element. Raises CapExceeded past ``cap`` words (system likely
-    infinite).
+    and a; or u·a = p·lhs -> p·rhs, and the edge is follow(p, rhs), p's
+    element sent letter by letter through rhs. Each step leaves a word
+    shorter than u, whose row an earlier level has filled; the empty word's
+    row holds each letter's element. Raises CapExceeded past ``cap`` words
+    (system likely infinite), and NotConfluent, with is_complete's witness,
+    where the two sides of a rule, followed from the empty word's row, differ.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
@@ -262,6 +266,13 @@ def _walk(rs: RewritingSystem, cap: int):
     index = {"": -1}
     rows = {-2: [-2] * len(letter_of)}
     words, prefix, last = [], [], []
+
+    def follow(e, w):
+        """The element of e times the word w, read from the rows built so far."""
+        for d in w:
+            e = rows[e][letter_of[d]]
+        return e
+
     level = [""]
     total = 1 if rs.has_zero else 0
     while level:
@@ -282,18 +293,15 @@ def _walk(rs: RewritingSystem, cap: int):
                     prefix.append(i)
                     last.append(letter_of[c])
                     continue
-                if rhs is ZERO:
-                    row.append(-2)
-                    continue
-                e = index[w[:-k]]
-                for d in rhs:
-                    e = rows[e][letter_of[d]]
-                row.append(e)
+                row.append(-2 if rhs is ZERO else follow(index[w[:-k]], rhs))
             rows[i] = row
         total += len(words) - first
         if total > cap:
             raise CapExceeded(cap, total)
         level = words[first:]
+    if any(follow(-1, r.lhs) != (-2 if r.rhs is ZERO else follow(-1, r.rhs)) for r in rs.rules):
+        _require_complete(rs)
+        raise EngineBug("a complete presentation built a table that breaks it")
     if rs.has_zero:
         rows[len(words)] = rows[-2]
         words.append(ZERO)
@@ -322,9 +330,10 @@ def semigroup_from_presentation(rs, cap: int = DEFAULT_CAP) -> core.FiniteSemigr
     have one phi, and distinct irreducible words have distinct ones, their
     own elements; so no two irreducible words are congruent, and the
     system, being noetherian, is confluent. A confluent system passes both
-    checks. Where either fails, or the walk passes ``cap``, is_complete
-    gives NotConfluent its witness; a complete system that passes ``cap``
-    raises CapExceeded.
+    checks: the rules, on the walk's own rows, and associativity, in the
+    core constructor. Where either fails, or the walk passes ``cap``,
+    is_complete gives NotConfluent its witness; a complete system that
+    passes ``cap`` raises CapExceeded.
     """
     if isinstance(rs, str):
         rs = parse_presentation(rs)
@@ -345,10 +354,8 @@ def semigroup_from_presentation(rs, cap: int = DEFAULT_CAP) -> core.FiniteSemigr
     # prefixes lie in lo:hi, and it ends where the prefixes reach hi. take,
     # not [], gathers: a quarter faster on int32 indices
     lo, hi = 0, int(prefix.searchsorted(0))
-    # the letters that are words come first; a letter that is not rewrites to ZERO
-    element_of = dict(zip(last[:hi].tolist(), range(hi)))
-    gens = [element_of.get(a, m - 1) for a in range(k)]
-    seeds = gens + [m - 1] if rs.has_zero else gens
+    # the letters that are words come first; with ZERO they generate
+    seeds = [*range(hi), m - 1] if rs.has_zero else range(hi)
     while lo < hi:
         at = cols.take(prefix[lo:hi], axis=0)
         at *= k
@@ -357,29 +364,11 @@ def semigroup_from_presentation(rs, cap: int = DEFAULT_CAP) -> core.FiniteSemigr
         lo, hi = hi, int(prefix.searchsorted(hi))
     names = [rs.display(w) for w in words]
     try:
-        s = core.FiniteSemigroup(names, cols[:m].T, generators=seeds)
-        if _rules_hold(rs, s.table, gens):
-            return s
+        return core.FiniteSemigroup(names, cols[:m].T, generators=seeds)
     except NotAssociative:
         pass
     _require_complete(rs)
     raise EngineBug("a complete presentation built a table that breaks it")
-
-
-def _rules_hold(rs: RewritingSystem, t, gens) -> bool:
-    """Whether both sides of every rule of rs reach one element of the table
-    t from the letters' elements gens, a rewrite to ZERO the last element."""
-    element_of = dict(zip(rs._letter_syms, gens))
-
-    def phi(w):
-        if w is ZERO:
-            return len(t) - 1
-        e = element_of[w[0]]
-        for c in w[1:]:
-            e = t.item(e, element_of[c])
-        return e
-
-    return all(phi(r.lhs) == phi(r.rhs) for r in rs.rules)
 
 
 def _require_complete(rs: RewritingSystem):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import oracles
-from greenheight import green
+from greenheight import _accel, green
 from greenheight import (
     class_poset,
     from_table,
@@ -17,6 +17,7 @@ from greenheight.constructions import (
     bi_ideal_family,
     brandt_example,
     full_transformation_monoid,
+    left_ideal_cs_family,
     left_zero_semigroup,
     null_semigroup,
     right_ideal_tower,
@@ -331,3 +332,23 @@ def test_inverse_structure_matches_oracle():
             assert got.idempotent_height == chain, rows
     assert kinds == {"not_regular", "regular_not_inverse", "inverse"}
 
+
+def test_opposite_semigroup_swaps_r_and_l_posets_and_keeps_the_rest():
+    # x*y in the opposite semigroup is y*x in S, so the R-classes and their
+    # order in S are the L-classes and their order there, and J, H and the
+    # inverse structure are the same; the five constructions pass the
+    # stacked scans' 16-element cap, so only this per-semigroup path sees them
+    semigroups = [make(t) for m in range(1, 6) for t in _accel.enumerate_assoc_tables(m)]
+    semigroups += [full_transformation_monoid(4), right_ideal_tower(4).semigroup,
+                   bi_ideal_family(5).semigroup, left_ideal_cs_family(6).semigroup,
+                   symmetric_inverse_monoid(3)]
+    assert len(semigroups) == 2138
+    assert min(s.order for s in semigroups[-5:]) > 16
+    for s in semigroups:
+        op = from_table(s.names, s.table.T)
+        for relation, op_relation in (("R", "L"), ("L", "R"), ("J", "J"), ("H", "H")):
+            p, q = class_poset(s, relation), class_poset(op, op_relation)
+            assert p.classes == q.classes, (s.table.tolist(), relation)
+            assert (p.strict == q.strict).all(), (s.table.tolist(), relation)
+            assert p.height == q.height, (s.table.tolist(), relation)
+        assert inverse_structure(op) == inverse_structure(s), s.table.tolist()

@@ -156,6 +156,29 @@ def test_parse_error_carries_position():
     assert "line 2" in str(exc.value)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("a[b", "word 'a[b', column 2: unclosed '['"),
+    ("a]", "word 'a]', column 2: unexpected ']'"),
+    ("ab[]", "word 'ab[]', column 3: bad bracketed token ''"),
+])
+def test_a_word_that_does_not_tokenize_names_its_column_and_no_line(capsys, tmp_path,
+                                                                    text, message):
+    rs = parse_presentation("letters: a b\nrule: aa -> a\nrule: bb -> b\n"
+                            "rule: aba -> a\nrule: bab -> b\n")
+    s = semigroup_from_presentation(rs)
+    for call in (rs.word, lambda w: element_index(rs, s, w),
+                 lambda w: RewritingSystem(rs.letters, [(w, "a")])):
+        with pytest.raises(ValueError) as exc:
+            call(text)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == message
+    # the CLI falls back to element names, as before
+    p = tmp_path / "p.txt"
+    p.write_text(format_presentation(rs))
+    assert cli.main(["bounds", str(p), "--kind", "bi", "--generators", text]) == 2
+    assert capsys.readouterr() == ("", f"error: no element named {text!r}\n")
+
+
 def test_zero_only_allowed_alone_on_rhs():
     rs = parse_presentation("letters: a\nzero: 0\nrule: aa -> 0\n")
     assert rs.rules[0].rhs is ZERO
@@ -504,33 +527,34 @@ def test_table_build_reduces_words_only_to_check_completeness(monkeypatch):
                        + [("reduce_word", "_require_complete")] * 2)
 
 
-def record_verdicts(monkeypatch, module, name, verdicts):
-    """Append to verdicts whether each call of module.name passed: an
-    associativity witness of None, or a rule check of True."""
-    real = getattr(module, name)
+def record_verdicts(monkeypatch, verdicts):
+    """Append to verdicts whether each associativity check passed, that is
+    whether _accel.assoc_witness gave None."""
+    real = _accel.assoc_witness
 
     def spy(*args):
         result = real(*args)
-        verdicts.append(f"{name} {'passes' if result in (None, True) else 'fails'}")
+        verdicts.append(f"assoc_witness {'passes' if result is None else 'fails'}")
         return result
 
-    monkeypatch.setattr(module, name, spy)
+    monkeypatch.setattr(_accel, "assoc_witness", spy)
 
 
 # one system for each way the build refuses a presentation, with the error
-# that is_complete gave it when it ran before every walk
+# that is_complete gave it when it ran before every walk; a broken rule is
+# refused by the walk, before any table is built
 UNRESOLVED = "presentation is not confluent: source "
 FAILURE_PATHS = [
     pytest.param("letters: a b\nrule: aa -> b\nrule: ab -> a\nrule: bb -> a\n", NotConfluent,
                  UNRESOLVED + "aaa rewrites to both ba and a",
                  ["assoc_witness fails"], id="not-associative"),
-    # the walk applies bb -> b, so bbb -> a does not hold in the table
+    # the walk applies bb -> b, so bbb -> a does not hold on its rows
     pytest.param("letters: a b\nrule: ab -> b\nrule: bb -> b\nrule: bbb -> a\nrule: aa -> a\n",
                  NotConfluent, UNRESOLVED + "abbb rewrites to both b and a",
-                 ["assoc_witness passes", "_rules_hold fails"], id="rule-broken"),
+                 [], id="rule-broken"),
     pytest.param("letters: a\nzero: 0\nrule: aa -> a\nrule: aaa -> 0\n", NotConfluent,
                  UNRESOLVED + "aaaa rewrites to both a and 0",
-                 ["assoc_witness passes", "_rules_hold fails"], id="zero-rule-broken"),
+                 [], id="zero-rule-broken"),
     pytest.param(AB_SYSTEM, NotConfluent, UNRESOLVED + "aba rewrites to both aa and a",
                  [], id="past-the-cap"),
     pytest.param("letters: a b\nrule: aa -> a\nrule: bb -> b\n", CapExceeded,
@@ -543,8 +567,7 @@ FAILURE_PATHS = [
 def test_each_failure_path_keeps_its_error(monkeypatch, capsys, tmp_path,
                                            text, error, message, verdicts):
     seen = []
-    record_verdicts(monkeypatch, _accel, "assoc_witness", seen)
-    record_verdicts(monkeypatch, rewriting, "_rules_hold", seen)
+    record_verdicts(monkeypatch, seen)
     with pytest.raises(error) as exc:
         semigroup_from_presentation(text, cap=10)
     assert str(exc.value) == message
@@ -556,9 +579,16 @@ def test_each_failure_path_keeps_its_error(monkeypatch, capsys, tmp_path,
 
 
 def test_a_complete_system_whose_table_breaks_it_is_an_internal_error(monkeypatch):
-    monkeypatch.setattr(rewriting, "_rules_hold", lambda *args: False)
-    with pytest.raises(EngineBug, match="^a complete presentation built a table that breaks it$"):
-        semigroup_from_presentation(bi_ideal_family(2).presentation_text)
+    # a broken rule raises in the walk, a table that is not associative
+    # after the constructor; neither can happen to a system that is complete
+    monkeypatch.setattr(rewriting, "is_complete", lambda rs: (True, None))
+    text_of = {p.id: p.values[0] for p in FAILURE_PATHS}
+    for path, site in [("rule-broken", "_walk"),
+                       ("not-associative", "semigroup_from_presentation")]:
+        with pytest.raises(EngineBug) as exc:
+            semigroup_from_presentation(text_of[path])
+        assert str(exc.value) == "a complete presentation built a table that breaks it"
+        assert exc.traceback[-1].name == site
 
 
 def test_build_refuses_exactly_the_systems_is_complete_refuses():
