@@ -31,11 +31,13 @@ _WITNESS_CELLS = 1 << 15
 # slower on others, depending on the size of the generating set
 _LIGHT_MIN_ORDER = 48
 # cells that a generator's image path, 2*(k + k')*m, must save on the full
-# compare, m*m, to be taken (see _light_holds): it has about 18 us of fixed
-# cost a generator. One core, CPython 3.11, numpy 2.4, narrow copies: the two
-# tie on the order-181 null table (saving 32,037 cells, 20 us each), the
-# image path wins from order 200 (39,200 cells, 21 against 25 us) and loses
-# on bi_ideal_family(16) (-4,525 cells, 45 against 22 us)
+# compare, m*m, to be taken (see _light_holds). One core, CPython 3.11, numpy
+# 2.4, narrow copies, a generator each: on null tables the image path costs
+# about 16 us whatever the order, since its preimages are found for all
+# generators at once, and the full compare grows as m*m. The two tie near the
+# order-135 null table (about 17,700 cells); at the order-181 one (32,037
+# cells) the image path wins, 16 against 26 us, and it loses on
+# bi_ideal_family(16) (-5,973 cells, 47 against 26 us)
 _IMAGE_MIN_SAVING = 1 << 15
 
 
@@ -79,9 +81,11 @@ def _light_holds(t, seeds=()):
     t[x, u] for one y in each fibre of r and one x in each fibre of c, which
     reads (k + k')*m + k*k' cells as row gathers of t and t.T. A generator
     takes this image path when m*m - 2*(k + k')*m >= _IMAGE_MIN_SAVING; k
-    and k' of every g come from two (|A|, m) boolean scatters."""
+    and k' of every g come from two (|A|, m) boolean scatters, and the x and
+    y of every g that takes it from two more, in t's dtype (_preimages),
+    made only when some g takes it."""
     m = len(t)
-    gens = _generators(t, seeds).tolist()
+    gens = _generators(t, seeds)
     t = t.astype(np.min_scalar_type(m - 1))
     # the values of x*g and of g*y, one row of each mask per generator
     at = np.arange(0, len(gens) * m, m)[:, None]
@@ -89,11 +93,13 @@ def _light_holds(t, seeds=()):
     in_v.ravel()[at + t.T[gens]] = True
     in_u.ravel()[at + t[gens]] = True
     saving = m * m - 2 * m * (in_v.sum(axis=1) + in_u.sum(axis=1))
-    images = (saving >= _IMAGE_MIN_SAVING).tolist()
+    images = saving >= _IMAGE_MIN_SAVING
     tt = np.ascontiguousarray(t.T)
-    for i, g in enumerate(gens):
-        if images[i]:
-            ok = _images_agree(t, tt, g, in_v[i], in_u[i])
+    if images.any():
+        x_of, y_of = _preimages(tt, gens, images), _preimages(t, gens, images)
+    for i, (g, image) in enumerate(zip(gens.tolist(), images.tolist())):
+        if image:
+            ok = _images_agree(t, tt, g, in_v[i], in_u[i], x_of[i], y_of[i])
         else:
             ok = np.array_equal(t[tt[g]], tt[t[g]].T)
         if not ok:
@@ -101,20 +107,30 @@ def _light_holds(t, seeds=()):
     return True
 
 
-def _images_agree(t, tt, g, in_v, in_u):
+def _preimages(side, gens, rows):
+    """out[i, v], for each i where the bool mask rows is true, is some x
+    with side[gens[i], x] == v, for each v that row takes: with side t.T,
+    some x with x*g = v, with side t some y with g*y = v. One scatter, in
+    side's dtype; the other rows are left unset."""
+    m = side.shape[1]
+    out = np.empty((len(gens), m), dtype=side.dtype)
+    at = np.flatnonzero(rows)[:, None] * m
+    out.ravel()[at + side.take(gens[rows], axis=0)] = np.arange(m, dtype=side.dtype)
+    return out
+
+
+def _images_agree(t, tt, g, in_v, in_u, x_of, y_of):
     """Light's test for g on its images: with c = t[:, g] and r = t[g] taking
     the values marked in in_v and in_u, each row v of t is constant on every
     fibre of r, each column u on every fibre of c, and t[v, y] == t[x, u] for
-    one y with g*y = u and one x with x*g = v. tt is t.T, contiguous."""
+    y = y_of[u], with g*y = u, and x = x_of[v], with x*g = v (_preimages).
+    tt is t.T, contiguous."""
     c, r = tt[g], t[g]
-    idx = np.arange(len(t))
-    x_of, y_of = np.empty_like(idx), np.empty_like(idx)
-    x_of[c], y_of[r] = idx, idx  # some x with x*g = v, some y with g*y = u
     v, u = np.flatnonzero(in_v), np.flatnonzero(in_u)
-    rows, cols = t[v], tt[u]
-    return ((rows == rows[:, y_of[r]]).all()
-            and (cols == cols[:, x_of[c]]).all()
-            and (rows[:, y_of[u]] == cols[:, x_of[v]].T).all())
+    rows, cols = t.take(v, axis=0), tt.take(u, axis=0)
+    return ((rows == rows.take(y_of.take(r), axis=1)).all()
+            and (cols == cols.take(x_of.take(c), axis=1)).all()
+            and (rows.take(y_of.take(u), axis=1) == cols.take(x_of.take(v), axis=1).T).all())
 
 
 def _generators(t, seeds=()):

@@ -79,13 +79,22 @@ def _read_input(path):
         lines = (data[:e.start].decode("utf-8").removeprefix("\ufeff") + "x").splitlines()
         raise ParseError(len(lines), len(lines[-1]),
                          f"byte 0x{data[e.start]:02x} is not UTF-8 ({e.reason})") from None
-    lineno, body = next(core.content_lines(text), (1, ""))
+    lineno, body = _first_content_line(text)
     head, sep, _ = body.partition(":")
     key = head.strip()
     if not sep or key not in ("letters", "zero", "rule", "order"):
         raise ParseError(lineno, 1,
                          "input must start with 'letters:', 'zero:', 'rule:' or 'order:'")
     return text, "table" if key == "order" else "presentation"
+
+
+def _first_content_line(text):
+    """The first (line number, body) of core.content_lines(text), or (1, "")
+    where it gives none: read from the lines of the first 64K characters but
+    the last, which may go on past them, and from the whole text only where
+    those hold no content. The parsers split the whole text once more."""
+    head = text[:1 << 16].splitlines(keepends=True)[:-1]
+    return next(core.content_lines("".join(head)), None) or next(core.content_lines(text), (1, ""))
 
 
 def _load_input(args):
@@ -98,12 +107,22 @@ def _load_input(args):
 
 
 def _resolve_element(s, rs, token: str) -> int:
-    if rs is not None:
-        try:
-            return rewriting.element_index(rs, s, token)
-        except ValueError:
-            pass  # not a word over the alphabet; fall through to name lookup
-    return s.index(token)
+    """The element a generator token names: for a presentation a word over
+    its letters, else an element name. A token that is neither reports the
+    column where it stops being a word, if it does not tokenize, else that
+    no element has its name."""
+    if rs is None:
+        return s.index(token)
+    try:
+        return rewriting.element_index(rs, s, token)
+    except ValueError as e:
+        not_a_word = e
+    try:
+        return s.index(token)
+    except ValueError:
+        if isinstance(not_a_word.__cause__, ParseError):
+            raise not_a_word from None
+        raise
 
 
 def _write_json(path, payload):
@@ -234,8 +253,8 @@ def suite_left_ideal_cs_family(args):
 
 def suite_brandt_tower(args):
     cases = []
-    for n in args.n:
-        fi = constructions.right_ideal_tower(n)
+    # one loop of extensions builds every level; each is checked once
+    for n, fi in zip(args.n, constructions.right_ideal_tower_levels(args.n)):
         checks = {}
         if n == 2:
             checks["matches_brandt_example"] = bool(

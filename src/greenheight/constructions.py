@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import string
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,12 +79,14 @@ def brandt_extension(s: core.FiniteSemigroup, k: int) -> core.FiniteSemigroup:
     zero = size - 1
     names = [f"({p},{b},{q})" for p in range(1, k + 1) for b in s.names for q in range(1, k + 1)]
     names.append("0")
-    # 0-based (i, a, j) of every non-zero element, in index order
-    i, a, j = (v.astype(np.int32) for v in np.unravel_index(np.arange(size - 1), (k, m, k)))
     table = np.full((size, size), zero, dtype=np.int32)
-    table[:-1, :-1] = np.where(
-        j[:, None] == i, (i[:, None] * m + s.table[a[:, None], a]) * k + j, zero
-    )
+    # cells[i, a, j, p, b, q] is (i,a,j)(p,b,q), a view of the table: every
+    # j = p holds the same block, the index of (i,ab,q); the rest is the zero
+    cells = table[:-1, :-1].reshape(k, m, k, k, m, k)
+    block = (np.arange(k, dtype=np.int32)[:, None, None, None] * m
+             + s.table[:, :, None]) * k + np.arange(k, dtype=np.int32)
+    for j in range(k):
+        cells[:, :, j, j] = block
     return core.from_table(names, table)
 
 
@@ -128,18 +131,29 @@ def right_ideal_tower(n: int) -> FamilyInstance:
     t(1) = 1, t(m+1) = 4 t(m) + 1; the principal right ideal of the nested
     element has relative R-height 2n-1 while the semigroup has R-height n.
     n is at most 7 (order 5461): at 8 the table alone would take 1.9 GB."""
-    if not 1 <= n <= 7:
+    return next(right_ideal_tower_levels([n]))
+
+
+def right_ideal_tower_levels(levels) -> Iterator[FamilyInstance]:
+    """right_ideal_tower(n) for each n of the ascending levels, from one loop
+    that extends each level once to the next, so a range of levels up to n
+    costs what level n alone does. Every level is checked to lie in 1..7
+    before any extension is built."""
+    if not 1 <= min(levels) <= max(levels) <= 7:
         raise ValueError("n must be between 1 and 7")
     s = trivial_semigroup()
     a = 0
     order = 1
-    for _ in range(n - 1):
-        a = 2 * a  # index of (1, a, 1) in the extension
-        s = brandt_extension(s, 2)
-        order = 4 * order + 1
-    handle = ideals.generate(s, {a}, "right_ideal")
-    expected = {"order": order, "height_r": n, "relative_height": 2 * n - 1, "chain_param": n}
-    return FamilyInstance(s, handle, expected)
+    for n in range(1, max(levels) + 1):
+        if n > 1:
+            a = 2 * a  # index of (1, a, 1) in the extension
+            s = brandt_extension(s, 2)
+            order = 4 * order + 1
+        if n in levels:
+            handle = ideals.generate(s, {a}, "right_ideal")
+            expected = {"order": order, "height_r": n, "relative_height": 2 * n - 1,
+                        "chain_param": n}
+            yield FamilyInstance(s, handle, expected)
 
 
 def null_extension(t_sem: core.FiniteSemigroup) -> FamilyInstance:

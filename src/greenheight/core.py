@@ -178,8 +178,9 @@ class SubsetHandle:
 def content_lines(text: str):
     """Iterator of (line number from 1, line cut at its first '#') for each
     line of `text` that holds more than a comment or blanks; a leading
-    byte-order mark is dropped."""
-    bodies = (raw.split("#", 1)[0] for raw in text.removeprefix("\ufeff").splitlines())
+    byte-order mark is dropped. Only a line that holds a '#' is cut."""
+    bodies = (raw.split("#", 1)[0] if "#" in raw else raw
+              for raw in text.removeprefix("\ufeff").splitlines())
     return ((lineno, body) for lineno, body in enumerate(bodies, 1) if body.strip())
 
 

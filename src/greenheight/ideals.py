@@ -117,13 +117,14 @@ def subset_arrays(tables) -> SubsetArrays:
     in_ms = _meets(below_r.swapaxes(0, 1), mem)  # [x]: the M with x in M*S^1
     in_sm = _meets(green.below_matrices(tt, "L").swapaxes(0, 1), mem)
     held, outside = mem[:, None], ~mem[:, None]  # broadcast over the tables
-    escapes = _fold_or(xm & outside, axis=1)  # [x]: the M with x*M not inside M
-    right_law = full & ~_fold_or(in_ms & outside, axis=0)
-    left_law = full & ~_fold_or(in_sm & outside, axis=0)
-    closed = full & ~_fold_or(escapes & held, axis=0)
+    escapes = np.bitwise_or.reduce(xm & outside, axis=1)  # [x]: the M with x*M not inside M
+    right_law = full & ~np.bitwise_or.reduce(in_ms & outside, axis=0)
+    left_law = full & ~np.bitwise_or.reduce(in_sm & outside, axis=0)
+    closed = full & ~np.bitwise_or.reduce(escapes & held, axis=0)
     law_words = {
         "subsemigroup": closed,
-        "bi_ideal": full & ~_fold_or(escapes & in_ms, axis=0),  # x in M*S^1: in M or M*S
+        # x in M*S^1: in M or M*S
+        "bi_ideal": full & ~np.bitwise_or.reduce(escapes & in_ms, axis=0),
         "right_ideal": right_law,
         "left_ideal": left_law,
         "two_sided_ideal": right_law & left_law,
@@ -178,7 +179,7 @@ def table_facts(tables) -> TableFacts:
     a = np.arange(m)[:, None, None]
     weight = np.left_shift(np.int32(1), np.arange(m, dtype=np.int32))
     below_r, below_l = green.below_matrices(tt, "R"), green.below_matrices(tt, "L")
-    minimal = ~_fold_or(below_r & ~below_r.swapaxes(0, 1), axis=1)
+    minimal = ~(below_r & ~below_r.swapaxes(0, 1)).any(axis=1)
     down_r = weight @ below_r  # [c]: c*S^1 as an int32 bitmask
     inside = (down_r & ~down_r[:, None]) == 0  # [c, b]: b*S^1 inside c*S^1
     if (minimal[:, None] & below_r & ~inside).any():
@@ -192,7 +193,7 @@ def table_facts(tables) -> TableFacts:
             and (k_right == k_right.swapaxes(0, 1)).all()
             and (k_left == k_left.swapaxes(0, 1)).all()):
         raise EngineBug("kernel is not completely simple")
-    least = ~_fold_or(inside & ~inside.swapaxes(0, 1), axis=1)  # no row properly inside
+    least = ~(inside & ~inside.swapaxes(0, 1)).any(axis=1)  # no row properly inside
     sandwich = tt[tt, a, np.arange(n)] == a  # [a, b]: a*b*a == a
     mem, full = _mask_words(m)
     fixed = _meets(tt == a, mem)  # [a]: the M with a in a*M
@@ -201,9 +202,10 @@ def table_facts(tables) -> TableFacts:
     return TableFacts(
         height_j=fronts.sum(axis=0, dtype=np.int32),
         kernel=weight @ minimal,
-        right_union=weight @ _fold_or(least[:, None] & below_r, axis=0),
-        regular=weight @ _fold_or(sandwich, axis=1),
-        local_right=_unpack(full & ~_fold_or(mem[:, None] & ~fixed, axis=0), m)[:, 1:],
+        right_union=weight @ (least[:, None] & below_r).any(axis=0),
+        regular=weight @ sandwich.any(axis=1),
+        local_right=_unpack(full & ~np.bitwise_or.reduce(mem[:, None] & ~fixed, axis=0),
+                            m)[:, 1:],
     )
 
 
@@ -251,28 +253,13 @@ def _unpack(words, m):
 
 def _product(x, y):
     """The boolean product of two stacks of below-matrices, table axis last."""
-    return _fold_or(x[:, :, None] & y, axis=1)
+    return (x[:, :, None] & y).any(axis=1)
 
 
 def _meets(select, mem):
     """out[c] is the set of masks that meet {a : select[c, a]}, the OR of
     mem[a] over those a, for select of shape (m, m, N)."""
-    return _fold_or(select[..., None] * mem[:, None], axis=1)
-
-
-def _fold_or(x, axis):
-    """The OR of x over an axis, by halving it: a ufunc reduce over a middle
-    axis costs several elementwise steps."""
-    keep = (slice(None),) * axis
-    if x.shape[axis] == 0:  # the empty OR, of an order-0 stack
-        return np.zeros(x.shape[:axis] + x.shape[axis + 1:], dtype=x.dtype)
-    while (size := x.shape[axis]) > 1:
-        half = size // 2
-        folded = x[keep + (slice(half),)] | x[keep + (slice(half, 2 * half),)]
-        if size % 2:
-            folded[keep + (0,)] |= x[keep + (-1,)]
-        x = folded
-    return x[keep + (0,)]
+    return np.bitwise_or.reduce(select[..., None] * mem[:, None], axis=1)
 
 
 def _peel(strict, alive):
@@ -287,10 +274,10 @@ def _peel(strict, alive):
     m = len(alive)
     fronts = np.zeros_like(alive)  # at most m fronts, each the shape of alive[0]
     for r in range(m):
-        fronts[r] = _fold_or(alive, axis=0)
+        fronts[r] = np.bitwise_or.reduce(alive, axis=0)
         if not fronts[r].any():
             return fronts[:r]
-        alive = alive & _fold_or(strict & alive, axis=1)
+        alive = alive & np.bitwise_or.reduce(strict & alive, axis=1)
     if alive.any():
         raise EngineBug("a strict order to peel has a cycle; is the table associative?")
     return fronts

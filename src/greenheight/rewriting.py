@@ -135,8 +135,9 @@ class RewritingSystem:
                 return w
             try:
                 tokens = _tokenize(w, 0, 0)[0]
-            except ParseError as e:  # a word has no line
-                raise ValueError(f"word {w!r}, column {e.column}: {e.message}") from None
+            except ParseError as e:
+                # a word has no line; the cause tells a caller that w did not tokenize
+                raise ValueError(f"word {w!r}, column {e.column}: {e.message}") from e
         else:
             tokens = list(w)
         out = []

@@ -18,7 +18,7 @@ import pytest
 
 import greenheight
 import oracles
-from greenheight import _accel, cli, core, errors, green, ideals, rewriting
+from greenheight import _accel, cli, constructions, core, errors, green, ideals, rewriting
 from greenheight.constructions import (
     bi_ideal_family,
     brandt_example,
@@ -260,18 +260,42 @@ def test_input_without_declaration_is_parse_error(capsys, tmp_path):
         assert key in err
 
 
+# over 64K characters of comment lines, each ended by the given line end
+_LONG_COMMENT = {end: "# comment\n".replace("\n", end) * 7000
+                 for end in ("\n", "\r\n", "\r", "\f")}
+
+
 @pytest.mark.parametrize("text, line", [
     ("# c\n\nfoo: 1\n", 3),
     ("  # only comments\n\n   \n", 1),
     ("", 1),
     ("\n  hello # world\norder: 1\n", 2),
+    *((_LONG_COMMENT[end] + f"foo: 1{end}", 7001) for end in _LONG_COMMENT),
+    ("\ufeff" + _LONG_COMMENT["\r\n"] + "\r\n  hello\r\norder: 1\r\n", 7002),
+    (_LONG_COMMENT["\n"] + "# no content line follows", 1),
+    ("#" * 70_000, 1),
+    # the content line crosses, or starts at, the edge of the first 64K characters
+    ("#" * 65_530 + "\nfoo: 1\n", 2),
+    ("#" * 65_534 + "\r\nfoo: 1\r\n", 2),
 ])
 def test_input_kind_error_names_the_first_line_it_read(capsys, tmp_path, text, line):
     p = tmp_path / "junk.txt"
-    p.write_text(text)
+    p.write_bytes(text.encode())
     code, out, err = run(capsys, "height", str(p))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: line {line}, column 1: input must start with ")
+
+
+@pytest.mark.parametrize("pad", [*_LONG_COMMENT.values(), "#" * 65_532 + "\n"],
+                         ids=["lf", "crlf", "cr", "ff", "declaration-across-64k"])
+def test_input_kind_is_read_past_the_first_64k_characters(capsys, tmp_path, bi2_presentation,
+                                                           left3_table, pad):
+    # in the last case the first 64K characters end inside 'order:'
+    end = pad[-2:] if pad.endswith("\r\n") else pad[-1]
+    for path in (bi2_presentation, left3_table):
+        p = tmp_path / "padded.txt"
+        p.write_bytes(("\ufeff" + pad + Path(path).read_text().replace("\n", end)).encode())
+        assert run(capsys, "height", str(p)) == run(capsys, "height", path)
 
 
 @pytest.mark.parametrize("data, where, byte, reason", [
@@ -281,6 +305,8 @@ def test_input_kind_error_names_the_first_line_it_read(capsys, tmp_path, text, l
     (b"\xef\xbb\xbf\xff", "line 1, column 1", "0xff", "invalid start byte"),
     (b"order: 2\r\nnames: a b\r\n0 0\r\n0 \xff\n", "line 4, column 3", "0xff",
      "invalid start byte"),
+    (_LONG_COMMENT["\r"].encode() + b"order: 1\rnames: \xe9\r0\r", "line 7002, column 8",
+     "0xe9", "invalid continuation byte"),
 ])
 def test_input_that_is_not_utf8_is_a_parse_error_at_its_byte(capsys, tmp_path, data, where,
                                                                byte, reason):
@@ -489,6 +515,32 @@ def test_each_semigroup_of_an_op_is_freed_without_the_cycle_collector(
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_verify_brandt_tower_extends_each_level_once(capsys, tmp_path, monkeypatch):
+    # one extension per level above 1, on the level below, then one per base;
+    # the output is pinned from when each level was built afresh
+    orders = []
+    real = constructions.brandt_extension
+
+    def counting(s, k):
+        orders.append(s.order)
+        return real(s, k)
+
+    monkeypatch.setattr(constructions, "brandt_extension", counting)
+    target = tmp_path / "suite.json"
+    code, out, err = run(capsys, "verify", "brandt-tower", "--n", "1..6", "--json", str(target))
+    assert (code, err) == (0, "")
+    assert orders == [1, 5, 21, 85, 341, 1, 2, 13]
+    kept = "".join(line for line in out.splitlines(keepends=True)
+                   if not line.startswith("elapsed_ms:"))
+    assert hashlib.sha256(kept.encode()).hexdigest() == (
+        "dc3a3c0877a9489305b6a695f424884d64e0744ea5234fbbe99b21c11aa74d8b")
+    payload = json.loads(target.read_text())
+    assert sorted(payload) == ["cases", "elapsed_ms", "suite"]
+    assert payload["suite"] == "brandt-tower"
+    assert hashlib.sha256(json.dumps(payload["cases"], sort_keys=True).encode()).hexdigest() == (
+        "9e8ad1a5619c7d43f85d68164f93ad0d07e55333b9ecb91a9442f929951a0950")
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
@@ -953,6 +1005,11 @@ def test_files_are_utf8_and_a_leading_byte_order_mark_is_skipped(capsys, tmp_pat
     assert strict("height", paths["greek-bom"]) == strict("height", paths["greek"])
     assert strict("height", paths["bi2-bom"]) == strict("height", paths["bi2"]) == (
         0, "R: 2\nL: 3\nJ: 3\nH: 2\n", "")
+    # the kind is read past 64K characters of comments, after the mark
+    padded = tmp_path / "greek-padded.txt"
+    padded.write_bytes(("\ufeff" + _LONG_COMMENT["\f"]).encode()
+                       + Path(paths["greek"]).read_bytes())
+    assert strict("height", str(padded)) == strict("height", paths["greek"])
 
 
 @pytest.mark.skipif(shutil.which("greenheight") is None,

@@ -27,6 +27,7 @@ from greenheight.constructions import (
     null_extension,
     null_semigroup,
     right_ideal_tower,
+    right_ideal_tower_levels,
     symmetric_inverse_monoid,
     trivial_semigroup,
 )
@@ -196,6 +197,21 @@ def test_right_ideal_tower_refuses_levels_it_cannot_hold():
             right_ideal_tower(n)
 
 
+def test_right_ideal_tower_levels_are_the_single_levels():
+    for levels in (range(1, 5), range(3, 5), [2, 4]):
+        got = list(right_ideal_tower_levels(levels))
+        assert len(got) == len(levels)
+        for n, fi in zip(levels, got):
+            one = right_ideal_tower(n)
+            assert fi.semigroup.names == one.semigroup.names
+            assert np.array_equal(fi.semigroup.table, one.semigroup.table)
+            assert fi.distinguished.members == one.distinguished.members
+            assert fi.expected == one.expected
+    for levels in (range(0, 3), range(6, 9)):
+        with pytest.raises(ValueError, match="n must be between 1 and 7"):
+            next(right_ideal_tower_levels(levels))
+
+
 def test_right_ideal_tower_level_two_is_the_example_table():
     fi = right_ideal_tower(2)
     assert np.array_equal(fi.semigroup.table, brandt_example().table)
@@ -356,6 +372,8 @@ PINNED_TABLES = [
      "1a07d41b7577e0183c9bacf4fa24ea85757eb0b8a8f2a2502e124d7abff0c6d1"),
     ("tower n=5", lambda: right_ideal_tower(5).semigroup,
      "45e0d690b2313c963d121c7e55f1892f89e14e4518eac8bbdd15672c92c2b28b"),
+    ("tower n=6", lambda: right_ideal_tower(6).semigroup,
+     "6c1ffec20b1ba9eaaaf94c47e05e09f635c044803f9f2823ab97cf4ddedce34e"),
     ("brandt trivial k=1", lambda: brandt_extension(BRANDT_BASES["trivial"](), 1),
      "b9e111851b6755ae5d14c5ab481239e68d9fd03c96dcd23136702bc656ebd494"),
     ("brandt trivial k=2", lambda: brandt_extension(BRANDT_BASES["trivial"](), 2),

@@ -172,11 +172,11 @@ def test_a_word_that_does_not_tokenize_names_its_column_and_no_line(capsys, tmp_
             call(text)
         assert type(exc.value) is ValueError
         assert str(exc.value) == message
-    # the CLI falls back to element names, as before
+    # the CLI tries element names next; a token that is neither reports its column
     p = tmp_path / "p.txt"
     p.write_text(format_presentation(rs))
     assert cli.main(["bounds", str(p), "--kind", "bi", "--generators", text]) == 2
-    assert capsys.readouterr() == ("", f"error: no element named {text!r}\n")
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_zero_only_allowed_alone_on_rhs():
