@@ -354,8 +354,7 @@ def _violations(tables) -> dict:
     theorem bound, an exceeded sanity bound, and, where the relative height
     differs from the chain parameter, a failed proposition: for a bi-ideal
     whose every a is in a*M, and for a left ideal of regular elements."""
-    arrays = ideals.subset_arrays(tables)
-    facts = ideals.table_facts(tables)
+    arrays, facts = ideals.scan(tables)
     m = np.shape(tables)[1]
     height_r = arrays.chain_param[:, -1]  # M = S: the longest chain of R-classes of S
     table_checks = [

@@ -104,7 +104,10 @@ def subset_arrays(tables) -> SubsetArrays:
     S's strict R order, stacked on the table axis of the same peel. The
     tables are taken to be associative.
     """
-    tt = _element_major(tables, "subset_arrays")
+    return _subset_arrays(*_scan_inputs(tables, "subset_arrays"))
+
+
+def _subset_arrays(tt, below_r, below_l) -> SubsetArrays:
     m, n = tt.shape[1:]
     mem, full = _mask_words(m)
     width = mem.shape[1]
@@ -113,9 +116,8 @@ def subset_arrays(tables) -> SubsetArrays:
     at = (np.arange(m)[:, None, None] * m + tt) * n + np.arange(n)  # [x, y]: xm[x, x*y]
     for y in range(m):
         cells[at[:, y]] |= mem[y]
-    below_r = green.below_matrices(tt, "R")
     in_ms = _meets(below_r.swapaxes(0, 1), mem)  # [x]: the M with x in M*S^1
-    in_sm = _meets(green.below_matrices(tt, "L").swapaxes(0, 1), mem)
+    in_sm = _meets(below_l.swapaxes(0, 1), mem)
     held, outside = mem[:, None], ~mem[:, None]  # broadcast over the tables
     escapes = np.bitwise_or.reduce(xm & outside, axis=1)  # [x]: the M with x*M not inside M
     right_law = full & ~np.bitwise_or.reduce(in_ms & outside, axis=0)
@@ -174,11 +176,27 @@ def table_facts(tables) -> TableFacts:
     elements are the a in a*S*a, and a is in a*M when M meets the b with
     a*b = a, a set of masks in subset_arrays' words.
     """
-    tt = _element_major(tables, "table_facts")
+    return _table_facts(*_scan_inputs(tables, "table_facts"))
+
+
+def scan(tables) -> tuple[SubsetArrays, TableFacts]:
+    """subset_arrays and table_facts of one stack, which read its
+    element-major form and its R and L below-matrices once for both."""
+    inputs = _scan_inputs(tables, "scan")
+    return _subset_arrays(*inputs), _table_facts(*inputs)
+
+
+def _scan_inputs(tables, caller):
+    """What both scans read: the stack element-major (_element_major) and
+    its R and L below-matrices."""
+    tt = _element_major(tables, caller)
+    return tt, green.below_matrices(tt, "R"), green.below_matrices(tt, "L")
+
+
+def _table_facts(tt, below_r, below_l) -> TableFacts:
     m, n = tt.shape[1:]
     a = np.arange(m)[:, None, None]
     weight = np.left_shift(np.int32(1), np.arange(m, dtype=np.int32))
-    below_r, below_l = green.below_matrices(tt, "R"), green.below_matrices(tt, "L")
     minimal = ~(below_r & ~below_r.swapaxes(0, 1)).any(axis=1)
     down_r = weight @ below_r  # [c]: c*S^1 as an int32 bitmask
     inside = (down_r & ~down_r[:, None]) == 0  # [c, b]: b*S^1 inside c*S^1

@@ -827,13 +827,13 @@ def test_verify_small_order_oracle_forced_failures_are_pinned(capsys, monkeypatc
     for key, (theorem, _, sanity) in list(ideals._THEOREMS.items()):
         monkeypatch.setitem(ideals._THEOREMS, key,
                             (theorem, (0, 0), None if sanity is None else (0, 0)))
-    real = ideals.subset_arrays
+    real = ideals.scan
 
     def raised(tables):
-        arrays = real(tables)
-        return dataclasses.replace(arrays, relative_height=arrays.relative_height + 1)
+        arrays, facts = real(tables)
+        return dataclasses.replace(arrays, relative_height=arrays.relative_height + 1), facts
 
-    monkeypatch.setattr(ideals, "subset_arrays", raised)
+    monkeypatch.setattr(ideals, "scan", raised)
     target = tmp_path / "oracle.json"
     code, out, _ = run(capsys, "verify", "small-order-oracle", "--order", "3",
                        "--json", str(target))

@@ -38,7 +38,7 @@ from greenheight.constructions import (
     symmetric_inverse_monoid,
 )
 from greenheight.green import RELATIONS
-from greenheight.ideals import subset_arrays, table_facts
+from greenheight.ideals import TableFacts, scan, subset_arrays, table_facts
 
 ALL_KINDS = IDEAL_KINDS + ("subsemigroup",)
 
@@ -554,7 +554,7 @@ def test_subset_arrays_rejects_bad_shapes_and_large_orders():
 
 
 @pytest.mark.parametrize("entry", [-1, 2])
-@pytest.mark.parametrize("scan", [subset_arrays, table_facts])
+@pytest.mark.parametrize("scan", [subset_arrays, table_facts, scan])
 def test_stacked_kernels_reject_entries_outside_the_table(scan, entry):
     with pytest.raises(ValueError, match=r"entries in 0\.\.1"):
         scan(np.array([[[0, entry], [0, 0]]]))
@@ -566,7 +566,7 @@ def test_stacked_kernels_reject_entries_outside_the_table(scan, entry):
     np.array([[[0.0, 1.0], [1.0, 0.0]]]),
     np.array([[[False, True], [True, False]]]),
 ], ids=["fractional", "integral-float", "bool"])
-@pytest.mark.parametrize("scan", [subset_arrays, table_facts])
+@pytest.mark.parametrize("scan", [subset_arrays, table_facts, scan])
 def test_stacked_kernels_refuse_float_and_bool_stacks(scan, stack):
     with pytest.raises(ValueError, match=f"integer entries, got dtype {stack.dtype}"):
         scan(stack)
@@ -608,6 +608,18 @@ def test_table_facts_match_the_oracles_and_the_per_table_green_path():
             assert facts.regular[i] == _mask(oracles.naive_regular(rows))
             checked += 1
     assert checked == 1 + 5 + 24 + 188 + 1915 + 1 + 8 + 113 + 3
+
+
+def test_scan_gives_both_stacked_kernels_of_one_stack():
+    for stack in _stacks_for_facts():
+        arrays, facts = scan(stack)
+        alone, facts_alone = subset_arrays(stack), table_facts(stack)
+        for kind in ALL_KINDS:
+            assert np.array_equal(arrays.laws[kind], alone.laws[kind])
+        assert np.array_equal(arrays.relative_height, alone.relative_height)
+        assert np.array_equal(arrays.chain_param, alone.chain_param)
+        for field in TableFacts.__slots__:
+            assert np.array_equal(getattr(facts, field), getattr(facts_alone, field)), field
 
 
 def test_table_facts_local_right_identity_premise_on_every_closed_mask():
