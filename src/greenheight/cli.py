@@ -139,9 +139,8 @@ def cmd_height(args) -> int:
 
 def cmd_classes(args) -> int:
     s, _ = _load_input(args)
-    rel = args.relation or "R"
-    poset = green.class_poset(s, rel)
-    print(f"relation: {rel}")
+    poset = green.class_poset(s, args.relation)
+    print(f"relation: {args.relation}")
     print(f"classes: {len(poset.classes)}")
     print(f"height: {poset.height}")
     for i, cls in enumerate(poset.classes):
@@ -152,8 +151,7 @@ def cmd_classes(args) -> int:
 
 def cmd_poset(args) -> int:
     s, _ = _load_input(args)
-    rel = args.relation or "R"
-    dot = green.class_poset(s, rel).to_dot()
+    dot = green.class_poset(s, args.relation).to_dot()
     if args.dot:
         Path(args.dot).write_text(dot, encoding="utf-8")
     else:
@@ -354,7 +352,8 @@ def _violations(tables) -> dict:
     theorem bound, an exceeded sanity bound, and, where the relative height
     differs from the chain parameter, a failed proposition: for a bi-ideal
     whose every a is in a*M, and for a left ideal of regular elements."""
-    arrays, facts = ideals.scan(tables)
+    arrays = ideals.subset_arrays(tables)
+    facts = arrays.table_facts()
     m = np.shape(tables)[1]
     height_r = arrays.chain_param[:, -1]  # M = S: the longest chain of R-classes of S
     table_checks = [
@@ -477,14 +476,12 @@ def cmd_search_open1(args) -> int:
         rep = ideals.bound_verdict("bi_ideal", h, arrays.chain_param)
         # h - bound on each bi-ideal; every table is a bi-ideal of itself
         score = np.where(arrays.laws["bi_ideal"], h - rep.bound, np.iinfo(np.int32).min)
-        cols = score.argmax(axis=1)  # the first mask of each table's best score
-        tops = score.max(axis=1)
-        i = int(tops.argmax())  # the first table of the order's best score
+        # row-major: the first table of the order's best score, then its first mask
+        i, col = divmod(int(score.argmax()), score.shape[1])
         # orders only ascend, so a later table wins on a higher score alone
-        if best is None or tops[i] > best["score"]:
-            col = int(cols[i])
+        if best is None or score[i, col] > best["score"]:
             best = {
-                "score": int(tops[i]),
+                "score": int(score[i, col]),
                 "order": m,
                 "relative_height": int(h[i, col]),
                 "chain_param": int(rep.chain_param[i, col]),
@@ -531,12 +528,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classes", help="list Green's classes")
     _add_input_flags(p)
-    p.add_argument("--relation", choices=green.RELATIONS)
+    p.add_argument("--relation", choices=green.RELATIONS, default="R")
     p.set_defaults(func=cmd_classes)
 
     p = sub.add_parser("poset", help="export the class poset as DOT")
     _add_input_flags(p)
-    p.add_argument("--relation", choices=green.RELATIONS)
+    p.add_argument("--relation", choices=green.RELATIONS, default="R")
     p.add_argument("--dot", help="output path (stdout when omitted)")
     p.set_defaults(func=cmd_poset)
 

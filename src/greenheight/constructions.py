@@ -135,16 +135,20 @@ def right_ideal_tower(n: int) -> FamilyInstance:
 
 
 def right_ideal_tower_levels(levels) -> Iterator[FamilyInstance]:
-    """right_ideal_tower(n) for each n of the ascending levels, from one loop
-    that extends each level once to the next, so a range of levels up to n
-    costs what level n alone does. Every level is checked to lie in 1..7
-    before any extension is built."""
-    if not 1 <= min(levels) <= max(levels) <= 7:
+    """right_ideal_tower(n) for each n of the levels, from one loop that
+    extends each level once to the next, so a range of levels up to n costs
+    what level n alone does. The levels are checked to be nonempty, strictly
+    increasing and in 1..7 before any extension is built, so each yielded
+    instance pairs with its level in order."""
+    levels = list(levels)
+    if not levels or any(lo >= hi for lo, hi in zip(levels, levels[1:])):
+        raise ValueError("levels must be nonempty and strictly increasing")
+    if not 1 <= levels[0] <= levels[-1] <= 7:
         raise ValueError("n must be between 1 and 7")
     s = trivial_semigroup()
     a = 0
     order = 1
-    for n in range(1, max(levels) + 1):
+    for n in range(1, levels[-1] + 1):
         if n > 1:
             a = 2 * a  # index of (1, a, 1) in the extension
             s = brandt_extension(s, 2)

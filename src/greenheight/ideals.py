@@ -1,7 +1,7 @@
 """Bi-ideals and one-/two-sided ideals: generation, recognition, relative
 R-height, the chain parameter and height-bound reports; and, on whole
-stacks of tables, the subset scan and the table-level facts that the
-small-order oracle checks.
+stacks of tables, subset_arrays, the one entry to the subset scan and to
+the table-level facts that the small-order oracle checks.
 
 The relative order inside a subset is always computed inside it, from the
 parent's products on its members (green's class poset of a handle, c*M in
@@ -10,15 +10,15 @@ genuinely differ (the 5-element Brandt example is the regression case).
 
 The stacked scans read S's R and L orders from green.below_matrices; their
 boolean product and longest chains keep forms of their own, for the reasons
-of scale that green's module docstring measures. table_facts holds the
-engine's one check that the kernel is completely simple.
+of scale that green's module docstring measures. SubsetArrays.table_facts
+holds the engine's one check that the kernel is completely simple.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,17 +80,88 @@ class SubsetArrays:
     (N, 2^m - 1) bool array, true where M obeys its law. relative_height
     is M's R-height inside M, and 0 where M is not closed under products.
     chain_param is the longest chain of the R-classes of S that meet M, for
-    every kind the chain parameter that chain_param gives a handle."""
+    every kind the chain parameter that chain_param gives a handle.
+    table_facts() gives the stack's table-level facts from the inputs the
+    scan read, kept in _inputs."""
 
     laws: dict
     relative_height: np.ndarray
     chain_param: np.ndarray
+    _inputs: tuple = field(repr=False)  # tt, below_r, below_l
+
+    def table_facts(self) -> TableFacts:
+        """The table-level facts of the stack, in whole-array steps.
+
+        S's R, L and J orders are stacked boolean below-matrices, R and L
+        those the scan read from green.below_matrices, with the table axis
+        last: below[c, b] is true where b is in c*S^1, S^1*c or S^1*c*S^1,
+        J being the boolean product L.R. The J-height peels the J order as
+        the scan peels its masks. The kernel K is the union of the minimal
+        R-classes, the members with no member strictly R below them. Each
+        minimal R-class must be a right ideal and K a two-sided ideal,
+        completely simple (its own R.L all true, its R and L symmetric), or
+        EngineBug is raised. The minimal principal right ideals are found by
+        raw inclusion of the rows of R, the regular elements are the a in
+        a*S*a, and a is in a*M when M meets the b with a*b = a, a set of
+        masks in the scan's words.
+        """
+        tt, below_r, below_l = self._inputs
+        m, n = tt.shape[1:]
+        a = np.arange(m)[:, None, None]
+        weight = np.left_shift(np.int32(1), np.arange(m, dtype=np.int32))
+        minimal = ~(below_r & ~below_r.swapaxes(0, 1)).any(axis=1)
+        down_r = weight @ below_r  # [c]: c*S^1 as an int32 bitmask
+        inside = (down_r & ~down_r[:, None]) == 0  # [c, b]: b*S^1 inside c*S^1
+        if (minimal[:, None] & below_r & ~inside).any():
+            raise EngineBug("minimal R-class is not a right ideal")
+        if (minimal[:, None] & below_l & ~minimal).any():
+            raise EngineBug("union of the minimal R-classes is not a two-sided ideal")
+        # K's own orders, c*K^1 and K^1*c for c in K: a factor outside K is masked to c
+        k_right = green.below_matrices(np.where(minimal, tt, a), "R") & minimal[:, None]
+        k_left = (green.below_matrices(np.where(minimal[:, None], tt, a[:, 0]), "L")
+                  & minimal[:, None])
+        if not ((~minimal[:, None] | (_product(k_right, k_left) == minimal)).all()
+                and (k_right == k_right.swapaxes(0, 1)).all()
+                and (k_left == k_left.swapaxes(0, 1)).all()):
+            raise EngineBug("kernel is not completely simple")
+        least = ~(inside & ~inside.swapaxes(0, 1)).any(axis=1)  # no row properly inside
+        sandwich = tt[tt, a, np.arange(n)] == a  # [a, b]: a*b*a == a
+        mem, full = _mask_words(m)
+        fixed = _meets(tt == a, mem)  # [a]: the M with a in a*M
+        below_j = _product(below_l, below_r)
+        fronts = _peel(below_j & ~below_j.swapaxes(0, 1), np.ones((m, n), dtype=bool))
+        return TableFacts(
+            height_j=fronts.sum(axis=0, dtype=np.int32),
+            kernel=weight @ minimal,
+            right_union=weight @ (least[:, None] & below_r).any(axis=0),
+            regular=weight @ sandwich.any(axis=1),
+            local_right=_unpack(full & ~np.bitwise_or.reduce(mem[:, None] & ~fixed, axis=0),
+                                m)[:, 1:],
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class TableFacts:
+    """SubsetArrays.table_facts() of a stack of N tables, one entry per
+    table, every set an int32 bitmask: the J-height, the kernel, the union
+    of the minimal principal right ideals and the regular elements.
+    local_right, of shape (N, 2^m - 1) with column k - 1 for mask k, is
+    true where every a in M has a in a*M."""
+
+    height_j: np.ndarray
+    kernel: np.ndarray
+    right_union: np.ndarray
+    regular: np.ndarray
+    local_right: np.ndarray
 
 
 def subset_arrays(tables) -> SubsetArrays:
     """Laws, relative R-heights and the chain parameter of every nonempty subset
     of every table in a stack of shape (N, m, m), m <= 16, in whole-array
-    steps on sets of masks, each a row of words (see _mask_words).
+    steps on sets of masks, each a row of words (see _mask_words). The one
+    entry to the stacked scans: it checks the stack and reads its
+    element-major copy and its R and L below-matrices once, and its
+    table_facts() reads the same three.
 
     Every array keeps its element axes first and the table axis last before
     the words, so each step runs over whole (N, W) slabs: xm[x, z] is the
@@ -104,10 +175,8 @@ def subset_arrays(tables) -> SubsetArrays:
     S's strict R order, stacked on the table axis of the same peel. The
     tables are taken to be associative.
     """
-    return _subset_arrays(*_scan_inputs(tables, "subset_arrays"))
-
-
-def _subset_arrays(tt, below_r, below_l) -> SubsetArrays:
+    tt = _element_major(tables)
+    below_r, below_l = green.below_matrices(tt, "R"), green.below_matrices(tt, "L")
     m, n = tt.shape[1:]
     mem, full = _mask_words(m)
     width = mem.shape[1]
@@ -142,105 +211,24 @@ def _subset_arrays(tt, below_r, below_l) -> SubsetArrays:
         laws=dict(zip(law_words, laws)),
         relative_height=counts[:n, 1:],
         chain_param=counts[n:, 1:],
+        _inputs=(tt, below_r, below_l),
     )
 
 
-@dataclass(frozen=True, slots=True)
-class TableFacts:
-    """table_facts of a stack of N tables, one entry per table, every set an
-    int32 bitmask: the J-height, the kernel, the union of the minimal
-    principal right ideals and the regular elements. local_right, of shape
-    (N, 2^m - 1) with column k - 1 for mask k, is true where every a in M
-    has a in a*M."""
-
-    height_j: np.ndarray
-    kernel: np.ndarray
-    right_union: np.ndarray
-    regular: np.ndarray
-    local_right: np.ndarray
-
-
-def table_facts(tables) -> TableFacts:
-    """The table-level facts of every table in a stack of shape (N, m, m),
-    m <= 16, in whole-array steps.
-
-    S's R, L and J orders are stacked boolean below-matrices, R and L from
-    green.below_matrices, with the table axis last: below[c, b] is true
-    where b is in c*S^1, S^1*c or S^1*c*S^1, J being the boolean product
-    L.R. The J-height peels the J order as subset_arrays peels its masks.
-    The kernel K is the union of the minimal R-classes, the members with no
-    member strictly R below them. Each minimal R-class must be a right
-    ideal and K a two-sided ideal, completely simple (its own R.L all true,
-    its R and L symmetric), or EngineBug is raised. The minimal principal
-    right ideals are found by raw inclusion of the rows of R, the regular
-    elements are the a in a*S*a, and a is in a*M when M meets the b with
-    a*b = a, a set of masks in subset_arrays' words.
-    """
-    return _table_facts(*_scan_inputs(tables, "table_facts"))
-
-
-def scan(tables) -> tuple[SubsetArrays, TableFacts]:
-    """subset_arrays and table_facts of one stack, which read its
-    element-major form and its R and L below-matrices once for both."""
-    inputs = _scan_inputs(tables, "scan")
-    return _subset_arrays(*inputs), _table_facts(*inputs)
-
-
-def _scan_inputs(tables, caller):
-    """What both scans read: the stack element-major (_element_major) and
-    its R and L below-matrices."""
-    tt = _element_major(tables, caller)
-    return tt, green.below_matrices(tt, "R"), green.below_matrices(tt, "L")
-
-
-def _table_facts(tt, below_r, below_l) -> TableFacts:
-    m, n = tt.shape[1:]
-    a = np.arange(m)[:, None, None]
-    weight = np.left_shift(np.int32(1), np.arange(m, dtype=np.int32))
-    minimal = ~(below_r & ~below_r.swapaxes(0, 1)).any(axis=1)
-    down_r = weight @ below_r  # [c]: c*S^1 as an int32 bitmask
-    inside = (down_r & ~down_r[:, None]) == 0  # [c, b]: b*S^1 inside c*S^1
-    if (minimal[:, None] & below_r & ~inside).any():
-        raise EngineBug("minimal R-class is not a right ideal")
-    if (minimal[:, None] & below_l & ~minimal).any():
-        raise EngineBug("union of the minimal R-classes is not a two-sided ideal")
-    # K's own orders, c*K^1 and K^1*c for c in K: a factor outside K is masked to c
-    k_right = green.below_matrices(np.where(minimal, tt, a), "R") & minimal[:, None]
-    k_left = green.below_matrices(np.where(minimal[:, None], tt, a[:, 0]), "L") & minimal[:, None]
-    if not ((~minimal[:, None] | (_product(k_right, k_left) == minimal)).all()
-            and (k_right == k_right.swapaxes(0, 1)).all()
-            and (k_left == k_left.swapaxes(0, 1)).all()):
-        raise EngineBug("kernel is not completely simple")
-    least = ~(inside & ~inside.swapaxes(0, 1)).any(axis=1)  # no row properly inside
-    sandwich = tt[tt, a, np.arange(n)] == a  # [a, b]: a*b*a == a
-    mem, full = _mask_words(m)
-    fixed = _meets(tt == a, mem)  # [a]: the M with a in a*M
-    below_j = _product(below_l, below_r)
-    fronts = _peel(below_j & ~below_j.swapaxes(0, 1), np.ones((m, n), dtype=bool))
-    return TableFacts(
-        height_j=fronts.sum(axis=0, dtype=np.int32),
-        kernel=weight @ minimal,
-        right_union=weight @ (least[:, None] & below_r).any(axis=0),
-        regular=weight @ sandwich.any(axis=1),
-        local_right=_unpack(full & ~np.bitwise_or.reduce(mem[:, None] & ~fixed, axis=0),
-                            m)[:, 1:],
-    )
-
-
-def _element_major(tables, caller):
+def _element_major(tables):
     """The stack of tables as tt[x, y, n] = x*y in table n, checked to be
     an integer (N, m, m) stack, m <= 16, with entries in 0..m-1."""
     t = np.asarray(tables)
     if t.ndim != 3 or t.shape[1] != t.shape[2]:
-        raise ValueError(f"{caller} needs an (N, m, m) stack, got shape {t.shape}")
+        raise ValueError(f"subset_arrays needs an (N, m, m) stack, got shape {t.shape}")
     if t.shape[1] > _SCAN_MAX_ORDER:
-        raise ValueError(f"{caller} scans tables of at most {_SCAN_MAX_ORDER}"
+        raise ValueError(f"subset_arrays scans tables of at most {_SCAN_MAX_ORDER}"
                          f" elements, got {t.shape[1]}")
     # checked before any use as an index, which would take a bool as a mask
     if t.dtype.kind not in "iu":
-        raise ValueError(f"{caller} needs integer entries, got dtype {t.dtype}")
+        raise ValueError(f"subset_arrays needs integer entries, got dtype {t.dtype}")
     if t.size and not 0 <= t.min() <= t.max() < t.shape[1]:
-        raise ValueError(f"{caller} needs entries in 0..{t.shape[1] - 1}")
+        raise ValueError(f"subset_arrays needs entries in 0..{t.shape[1] - 1}")
     return np.ascontiguousarray(t.transpose(1, 2, 0), dtype=np.intp)
 
 
@@ -383,10 +371,10 @@ _THEOREMS = {
 def bound_verdict(kind: str, relative_height: int, chain_param: int) -> BoundReport:
     """The height-bound theorem of kind, applied to h and n.
 
-    The kernel of a finite semigroup is completely simple (table_facts
-    raises EngineBug otherwise), so bi-ideals and left ideals get the
-    sharper bounds 3n-2 and 2n-1; the generic bounds 3n-1 and 2n, which
-    need no such kernel, are reported as sanity lines.
+    The kernel of a finite semigroup is completely simple
+    (SubsetArrays.table_facts raises EngineBug otherwise), so bi-ideals and
+    left ideals get the sharper bounds 3n-2 and 2n-1; the generic bounds
+    3n-1 and 2n, which need no such kernel, are reported as sanity lines.
 
     h and n may be int arrays of one shape, as subset_arrays gives them:
     bound, passed, tight and a sanity bound are then arrays, element by

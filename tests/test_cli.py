@@ -418,11 +418,18 @@ def test_verify_deterministic_modulo_elapsed(capsys):
     (("left-ideal-cs-family", "--n", "40"), 1,
      "657277e2342fd51b93b40d0c1f939a795096e0d512fd8b2f80f4622ae4919cf3",
      "744353f63ed9753b3ee08b91fe6d6976178fd8ba4b6ef070d4e5b0a6ff2cc1da"),
+    (("small-order-oracle", "--order", "4", "--samples", "50"), 4,
+     "1025e0eea2debf133b95a1123d44774bba6112f8f7e6110320098acc1bfe900b",
+     "9eda426dd45ed2e34039de78ffc1e59fac14ed2bbc5163b0d9f6e4fe90dd944a"),
+    (("small-order-oracle", "--order", "5"), 5,
+     "9031198ddf28d85159a15224bebb23230c4c58c1702ec509f91c4bdaf8258227",
+     "e5d2e153dbdca4de67e1b9c6a33b6c4a635c991b2b471339e6b9e59953ddf297"),
 ])
 def test_verify_every_suite_is_pinned(capsys, tmp_path, argv, n_cases, stdout_digest,
                                       cases_digest):
     # digests taken while the suites still coerced every value for JSON; those at
-    # the benchmark's sizes, before the family suites shared one closed-form case
+    # the benchmark's sizes, before the family suites shared one closed-form case;
+    # the oracle's at orders 4 and 5 before subset_arrays became its one entry to the scans
     target = tmp_path / "suite.json"
     code, out, err = run(capsys, "verify", *argv, "--json", str(target))
     assert (code, err) == (0, "")
@@ -779,6 +786,26 @@ def test_search_open1_walks_classes_in_order_and_ignores_seed(capsys, monkeypatc
     assert "seed" not in out
 
 
+@pytest.mark.parametrize("argv, per_order", [
+    (("verify", "small-order-oracle", "--order", "4", "--samples", "50"), 2),
+    (("search-open1", "--max-order", "4"), 1),
+])
+def test_each_order_reads_its_below_matrices_in_one_pass(capsys, monkeypatch, argv, per_order):
+    # the oracle reads S's R and L and the kernel's own pair, the search S's alone
+    calls = []
+    real = green.below_matrices
+
+    def counting(tt, relation):
+        calls.append((tt.shape[0], relation))
+        return real(tt, relation)
+
+    monkeypatch.setattr(green, "below_matrices", counting)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert sorted(calls) == [(m, rel) for m in range(1, 5) for rel in "LR"
+                             for _ in range(per_order)]
+
+
 def test_search_open1_builds_no_semigroup_and_no_poset(capsys, monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("search-open1 built a semigroup or a class poset")
@@ -827,13 +854,13 @@ def test_verify_small_order_oracle_forced_failures_are_pinned(capsys, monkeypatc
     for key, (theorem, _, sanity) in list(ideals._THEOREMS.items()):
         monkeypatch.setitem(ideals._THEOREMS, key,
                             (theorem, (0, 0), None if sanity is None else (0, 0)))
-    real = ideals.scan
+    real = ideals.subset_arrays
 
     def raised(tables):
-        arrays, facts = real(tables)
-        return dataclasses.replace(arrays, relative_height=arrays.relative_height + 1), facts
+        arrays = real(tables)
+        return dataclasses.replace(arrays, relative_height=arrays.relative_height + 1)
 
-    monkeypatch.setattr(ideals, "scan", raised)
+    monkeypatch.setattr(ideals, "subset_arrays", raised)
     target = tmp_path / "oracle.json"
     code, out, _ = run(capsys, "verify", "small-order-oracle", "--order", "3",
                        "--json", str(target))

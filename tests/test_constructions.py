@@ -212,6 +212,14 @@ def test_right_ideal_tower_levels_are_the_single_levels():
             next(right_ideal_tower_levels(levels))
 
 
+def test_right_ideal_tower_levels_refuse_empty_and_non_increasing_levels():
+    # a repeated or descending level would be yielded once, in ascending
+    # order, so zip(levels, right_ideal_tower_levels(levels)) would mispair
+    for levels in ([], range(3, 3), [2, 2], [3, 1], [1, 3, 2], [1, 2, 2]):
+        with pytest.raises(ValueError, match="levels must be nonempty and strictly increasing"):
+            next(right_ideal_tower_levels(levels))
+
+
 def test_right_ideal_tower_level_two_is_the_example_table():
     fi = right_ideal_tower(2)
     assert np.array_equal(fi.semigroup.table, brandt_example().table)
